@@ -1,0 +1,9 @@
+"""Import paths for the benchmark's own tests: the bench modules and src/."""
+
+import sys
+from pathlib import Path
+
+BENCH_DIR = Path(__file__).resolve().parents[1]
+for path in (BENCH_DIR, BENCH_DIR.parent / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
