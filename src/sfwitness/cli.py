@@ -47,6 +47,7 @@ class RunConfig:
 
     command: str
     state_source: str | None = None
+    state: states.StateVector | states.DensityMatrix | None = None
     spec: witness.WitnessSpec | None = None
     output_path: str | None = None
     format: str = "text"
@@ -203,9 +204,10 @@ def parse_args(argv=None) -> RunConfig:
                        state_source=getattr(ns, "state", None),
                        output_path=ns.output, format=ns.format,
                        seed=ns.seed if ns.seed is not None else _default_seed())
+    if config.state_source:
+        config.state = parse_state(config.state_source)
     if hasattr(ns, "k"):
-        state = parse_state(config.state_source) if config.state_source else None
-        n = state.n_qubits if state is not None else ns.n_qubits
+        n = config.state.n_qubits if config.state is not None else ns.n_qubits
         layout = (SiteLayout(tuple(float(x) for x in ns.positions.split(",")))
                   if ns.positions else None)
         config.spec = witness.WitnessSpec(n, parse_angle(ns.k),
@@ -214,15 +216,9 @@ def parse_args(argv=None) -> RunConfig:
         config.k_grid = _parse_k_grid(ns.k_grid)
     if hasattr(ns, "shot_grid"):
         config.shot_grid = [int(s) for s in ns.shot_grid.split(",")]
-    if hasattr(ns, "restarts"):
-        config.restarts = ns.restarts
-    if hasattr(ns, "tol"):
-        config.tol = ns.tol
-    if hasattr(ns, "shots"):
-        config.shots = ns.shots
-    if hasattr(ns, "product_samples"):
-        config.product_samples = ns.product_samples
-    config.correlators = getattr(ns, "correlators", False)
+    for name in ("restarts", "tol", "shots", "product_samples", "correlators"):
+        if hasattr(ns, name):
+            setattr(config, name, getattr(ns, name))
     return config
 
 
@@ -255,7 +251,7 @@ def _csv_text(header, rows) -> str:
 
 
 def _run_eval(config: RunConfig) -> int:
-    state = parse_state(config.state_source)
+    state = config.state
     if config.correlators:
         rows = [(i, j, a, b, _fmt(two_point(state, i, j, a, b)))
                 for i in range(1, state.n_qubits + 1)
@@ -279,24 +275,25 @@ def _run_eval(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _run_scan(config: RunConfig) -> int:
-    state = parse_state(config.state_source)
-    spec = config.spec
-    points = witness.scan_k(state, spec.c_x, spec.c_y, spec.c_z,
-                            config.k_grid, spec.layout)
+def _write_points(config: RunConfig, points: list) -> int:
+    """Write a nonempty list of named tuples as JSON records or CSV rows."""
     if config.format == "json":
         _write(config, json.dumps([p._asdict() for p in points]) + "\n")
     else:
-        _write(config, _csv_text(("k", "sigma", "witness"),
-                                 [(_fmt(p.k), _fmt(p.sigma), _fmt(p.witness))
-                                  for p in points]))
+        _write(config, _csv_text(points[0]._fields,
+                                 [[_fmt(v) for v in p] for p in points]))
     return EXIT_OK
 
 
+def _run_scan(config: RunConfig) -> int:
+    spec = config.spec
+    return _write_points(config, witness.scan_k(config.state, spec.c_x, spec.c_y,
+                                                spec.c_z, config.k_grid, spec.layout))
+
+
 def _run_robustness(config: RunConfig) -> int:
-    state = parse_state(config.state_source)
-    p_star = noise.collective_threshold(state, config.spec)
-    q_star = noise.individual_threshold(state, config.spec)
+    p_star = noise.collective_threshold(config.state, config.spec)
+    q_star = noise.individual_threshold(config.state, config.spec)
     spec_text = config.spec.to_json()
     if config.format == "json":
         _write(config, json.dumps({"state_id": config.state_source,
@@ -337,18 +334,10 @@ def _run_bisep(config: RunConfig) -> int:
 
 
 def _run_sample(config: RunConfig) -> int:
-    state = parse_state(config.state_source)
-    if not isinstance(state, states.StateVector):
+    if not isinstance(config.state, states.StateVector):
         raise InputError("sampling simulates projective readout of pure states")
-    curve = sampling.convergence_curve(state, config.spec, config.shot_grid,
-                                       config.seed)
-    if config.format == "json":
-        _write(config, json.dumps([p._asdict() for p in curve]) + "\n")
-    else:
-        _write(config, _csv_text(("shots", "estimate", "std_error"),
-                                 [(p.shots, _fmt(p.estimate), _fmt(p.std_error))
-                                  for p in curve]))
-    return EXIT_OK
+    return _write_points(config, sampling.convergence_curve(
+        config.state, config.spec, config.shot_grid, config.seed))
 
 
 def _run_reproduce(config: RunConfig) -> int:

@@ -1,23 +1,30 @@
 """Two-point Pauli correlators, collective-spin moments, and the static
 structure factor.
 
-Pure states go through O(2**n) bit-flip/phase kernels; density matrices use
-an O(2**n) trace gather. Spin operators are bare Pauli matrices (no 1/2),
-so a Dicke state |N,l> gives sum_{i<j} <x_i x_j> = l(N-l) at k = 0.
+`axis_correlations` reads every <a_i a_j> of one axis off one readout
+setting, E^T diag(p_a) E, with p_a the outcome distribution in the rotated
+basis and E the 2**n x n matrix of +-1 eigenvalues; density matrices use a
+trace gather for x and y. `two_point` (any two axes) uses the Pauli kernels.
+Spin operators are bare Pauli matrices (no 1/2), so a Dicke state |N,l>
+gives sum_{i<j} <x_i x_j> = l(N-l) at k = 0.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 from .errors import InputError
-from .kernels import AXES
 from .states import DensityMatrix, StateVector
 
 IMAG_ATOL = 1e-10
+
+# basis-change gates: measuring sigma^a equals measuring sigma^z after U_a
+_ROTATIONS = {"x": np.array([[1, 1], [1, -1]]) / math.sqrt(2.0),
+              "y": np.array([[1, -1j], [1, 1j]]) / math.sqrt(2.0)}
 
 
 @dataclass(frozen=True)
@@ -30,8 +37,8 @@ class SiteLayout:
         pos = tuple(float(r) for r in self.positions)
         if len(pos) < 1:
             raise InputError("layout needs at least one site")
-        if any(b <= a for a, b in zip(pos, pos[1:])):
-            raise InputError("site positions must be strictly increasing")
+        if not all(map(math.isfinite, pos)) or any(b <= a for a, b in zip(pos, pos[1:])):
+            raise InputError(f"site positions must be finite and strictly increasing, got {pos}")
         object.__setattr__(self, "positions", pos)
 
     @classmethod
@@ -90,17 +97,73 @@ def collective_spin_sq(state, a: str) -> float:
     raise InputError(f"unsupported state type {type(state).__name__}")
 
 
+def readout_probabilities(state, axis: str) -> np.ndarray:
+    """Outcome distribution of reading every qubit in `axis` (density matrices: z only)."""
+    kernels.check_axis(axis)
+    if isinstance(state, DensityMatrix) and axis == "z":
+        return np.diagonal(state.entries).real
+    if not isinstance(state, StateVector):
+        raise InputError(f"no {axis} readout of a {type(state).__name__}")
+    amps = state.amplitudes
+    if axis != "z":
+        # each contraction rotates qubit order by one; n of them restore it
+        psi = amps.reshape((2,) * state.n_qubits)
+        for _ in range(state.n_qubits):
+            psi = np.tensordot(psi, _ROTATIONS[axis], axes=(0, 1))
+        amps = psi.reshape(-1)
+    return np.abs(amps) ** 2
+
+
+def outcome_signs(n_qubits: int) -> np.ndarray:
+    """n x 2**n matrix: row i-1 holds the +-1 eigenvalue of qubit i per outcome."""
+    signs = np.empty((n_qubits, 1 << n_qubits))
+    for row in range(n_qubits):
+        # qubit row+1 is bit n-1-row: +1 and -1 blocks of 2**(n-1-row) alternate
+        signs[row].reshape(1 << row, 2, -1)[:] = [[1.0], [-1.0]]
+    return signs
+
+
+def _density_correlations(rho: np.ndarray, n_qubits: int, axis: str) -> np.ndarray:
+    """Tr(rho a_i a_j) for a in {x, y}, all pairs in one trace gather (i != j)."""
+    idx = np.arange(1 << n_qubits)
+    masks = 1 << np.arange(n_qubits - 1, -1, -1)
+    # a_i a_j has one nonzero per column, at the row with both bits flipped
+    gathered = rho[idx ^ (masks[:, None] | masks)[..., None], idx].real
+    if axis == "y":
+        # y_i y_j also carries the phase -z_i z_j of the column index
+        signs = outcome_signs(n_qubits)
+        gathered *= -signs[:, None] * signs
+    return gathered.sum(axis=-1)
+
+
+def axis_correlations(state, axis: str) -> np.ndarray:
+    """Symmetric n x n matrix of <sigma_i^a sigma_j^a> (unit diagonal)."""
+    kernels.check_axis(axis)
+    if isinstance(state, DensityMatrix) and axis != "z":
+        corr = _density_correlations(state.entries, state.n_qubits, axis)
+    else:
+        probs = readout_probabilities(state, axis)
+        # E^T diag(p) E, symmetrized against rounding in the matmul
+        signs = outcome_signs(state.n_qubits)
+        corr = (signs * probs) @ signs.T
+        corr = 0.5 * (corr + corr.T)
+    np.fill_diagonal(corr, 1.0)
+    return corr
+
+
 def structure_factor(state, k: float, a: str, b: str, layout: SiteLayout | None = None) -> complex:
     """sum_{i<j} exp(i k (r_j - r_i)) <sigma_i^a sigma_j^b>."""
     n = state.n_qubits
     layout = layout or SiteLayout.unit_spacing(n)
     if len(layout) != n:
         raise InputError(f"layout has {len(layout)} sites for a {n}-qubit state")
-    total = 0.0 + 0.0j
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            total += np.exp(1j * k * layout.separation(i, j)) * two_point(state, i, j, a, b)
-    return complex(total)
+    rows, cols = np.triu_indices(n, 1)
+    if a == b:
+        corr = axis_correlations(state, a)[rows, cols]
+    else:
+        corr = np.array([two_point(state, i + 1, j + 1, a, b) for i, j in zip(rows, cols)])
+    pos = np.asarray(layout.positions)
+    return complex(np.sum(np.exp(1j * k * (pos[cols] - pos[rows])) * corr))
 
 
 def verify_collective_identity(state, a: str) -> tuple[float, float]:
@@ -111,17 +174,3 @@ def verify_collective_identity(state, a: str) -> tuple[float, float]:
     lhs = structure_factor(state, 0.0, a, a).real
     rhs = (4.0 * collective_spin_sq(state, a) - state.n_qubits) / 2.0
     return lhs, rhs
-
-
-def pair_correlation_table(state, axes=AXES) -> dict:
-    """All <sigma_i^a sigma_j^a> for i < j, keyed by (i, j, axis).
-
-    The table is k-independent; callers weight it with lattice phases.
-    """
-    n = state.n_qubits
-    return {
-        (i, j, a): two_point(state, i, j, a, a)
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-        for a in axes
-    }

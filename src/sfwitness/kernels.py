@@ -70,20 +70,6 @@ def apply_pauli_right(rho: np.ndarray, n_qubits: int, site: int, axis: str) -> n
     return apply_pauli(rho.conj().T, n_qubits, site, axis).conj().T
 
 
-def apply_one_qubit_gate(amps: np.ndarray, n_qubits: int, site: int, gate: np.ndarray) -> np.ndarray:
-    """Apply a 2x2 matrix to one qubit of a state vector."""
-    check_site(n_qubits, site)
-    mask = bit_mask(n_qubits, site)
-    idx = np.arange(1 << n_qubits)
-    i0 = idx[(idx & mask) == 0]
-    i1 = i0 | mask
-    out = np.empty_like(amps, dtype=complex)
-    a0, a1 = amps[i0], amps[i1]
-    out[i0] = gate[0, 0] * a0 + gate[0, 1] * a1
-    out[i1] = gate[1, 0] * a0 + gate[1, 1] * a1
-    return out
-
-
 def pair_expectation_pure(amps: np.ndarray, n_qubits: int, i: int, j: int,
                           a: str, b: str) -> complex:
     """<psi| sigma_i^a sigma_j^b |psi> in O(2**n) time."""

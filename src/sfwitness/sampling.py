@@ -3,9 +3,11 @@
 Each Pauli axis with a nonzero coefficient is one measurement setting: all
 qubits are read out projectively in that basis, so a single shot yields
 every two-point correlator of the axis at once. At most three settings are
-needed regardless of N. Outcomes are drawn from the exact 2^N distribution
-by inverse CDF; the standard error propagates the per-shot sample variance
-of the full pair sum, which keeps the correlations between pairs intact.
+needed regardless of N. The shots of a setting are drawn as multinomial
+counts over the exact 2^N outcome distribution, and the pair sum is
+evaluated once per observed outcome, so memory stays O(2^N) at any shot
+count. The standard error propagates the per-shot sample variance of the
+full pair sum, which keeps the correlations between pairs intact.
 """
 
 from __future__ import annotations
@@ -17,18 +19,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
+from .correlators import outcome_signs, readout_probabilities
 from .errors import InputError
 from .states import StateVector
-from .witness import WitnessSpec
-
-_SQRT_HALF = 1.0 / math.sqrt(2.0)
-
-# basis-change gates: measuring sigma^alpha equals measuring sigma^z after U
-_ROTATIONS = {
-    "x": np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT_HALF,
-    "y": np.array([[1, -1j], [1, 1j]], dtype=complex) * _SQRT_HALF,
-    "z": np.eye(2, dtype=complex),
-}
+from .witness import WitnessSpec, pair_weight_matrix
 
 
 @dataclass(frozen=True)
@@ -56,54 +50,34 @@ def measurement_settings(spec: WitnessSpec) -> tuple:
     return tuple(a for a, c in zip(kernels.AXES, spec.coefficients) if c != 0.0)
 
 
-def _basis_probabilities(state: StateVector, axis: str) -> np.ndarray:
-    amps = state.amplitudes
-    for site in range(1, state.n_qubits + 1):
-        amps = kernels.apply_one_qubit_gate(amps, state.n_qubits, site, _ROTATIONS[axis])
-    probs = np.abs(amps) ** 2
-    return probs / probs.sum()
-
-
-def _pair_weights(spec: WitnessSpec) -> np.ndarray:
-    """Symmetric zero-diagonal matrix of cos(k m_ij) weights."""
-    n = spec.n_qubits
-    w = np.zeros((n, n))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            w[i - 1, j - 1] = w[j - 1, i - 1] = spec.pair_weight(i, j)
-    return w
-
-
-def _shot_values(state: StateVector, spec: WitnessSpec, axis: str,
-                 shots: int, rng: np.random.Generator) -> np.ndarray:
-    """Per-shot pair sums sum_{i<j} w_ij e_i e_j for one setting."""
-    probs = _basis_probabilities(state, axis)
-    cdf = np.cumsum(probs)
-    cdf[-1] = 1.0
-    outcomes = np.searchsorted(cdf, rng.random(shots), side="right")
-    shifts = np.arange(state.n_qubits - 1, -1, -1)
-    eigen = 1.0 - 2.0 * ((outcomes[:, None] >> shifts[None, :]) & 1)
-    weights = _pair_weights(spec)
-    return 0.5 * np.einsum("si,ij,sj->s", eigen, weights, eigen)
+def _count_statistics(values: np.ndarray, counts: np.ndarray) -> tuple[float, float]:
+    """Mean and ddof=1 variance of `values[b]` observed `counts[b]` times."""
+    shots = int(counts.sum())
+    mean = float(counts @ values) / shots
+    return mean, float(counts @ (values - mean) ** 2) / max(shots - 1, 1)
 
 
 def _estimate(state: StateVector, spec: WitnessSpec, shots: int,
               seed_words: tuple) -> tuple[float, float]:
     norm = math.comb(spec.n_qubits, 2)
+    weights = pair_weight_matrix(spec)
+    signs = outcome_signs(state.n_qubits)
     sigma_est = 0.0
     variance = 0.0
-    for axis_pos, axis in enumerate(kernels.AXES):
-        c = spec.coefficients[axis_pos]
+    for axis_pos, (axis, c) in enumerate(zip(kernels.AXES, spec.coefficients)):
         if c == 0.0:
             continue
         rng = np.random.default_rng([*seed_words, axis_pos])
-        values = _shot_values(state, spec, axis, shots, rng)
-        sigma_est += c * float(values.mean()) / norm
-        if shots >= 2:
-            var = float(values.var(ddof=1))
-        else:
+        probs = readout_probabilities(state, axis)
+        counts = rng.multinomial(shots, probs / probs.sum())
+        # per-shot pair sum sum_{i<j} w_ij e_i e_j, once per observed outcome
+        seen = np.flatnonzero(counts)
+        values = 0.5 * np.sum(signs[:, seen] * (weights @ signs[:, seen]), axis=0)
+        mean, var = _count_statistics(values, counts[seen])
+        sigma_est += c * mean / norm
+        if shots < 2:
             # single shot: fall back on the worst case for a bounded variable
-            var = float(np.abs(_pair_weights(spec)).sum() / 2.0) ** 2
+            var = float(np.abs(weights).sum() / 2.0) ** 2
         variance += (c / norm) ** 2 * var / shots
     return 1.0 - sigma_est, math.sqrt(variance)
 
@@ -135,8 +109,5 @@ def convergence_curve(state: StateVector, spec: WitnessSpec, shot_grid,
         raise InputError("shot counts must be >= 1")
     if seed < 0:
         raise InputError("seed must be non-negative")
-    points = []
-    for pos, shots in enumerate(shot_grid):
-        estimate, err = _estimate(state, spec, shots, (seed, pos))
-        points.append(CurvePoint(shots, estimate, err))
-    return points
+    return [CurvePoint(shots, *_estimate(state, spec, shots, (seed, pos)))
+            for pos, shots in enumerate(shot_grid)]

@@ -128,7 +128,7 @@ def _sign_factor(sign) -> float:
 
 def basis_index(n_qubits: int, bits: str) -> int:
     """Basis index of the ket |bits>, qubit 1 leftmost."""
-    if len(bits) != n_qubits or set(bits) - {"0", "1"}:
+    if not isinstance(bits, str) or len(bits) != n_qubits or set(bits) - {"0", "1"}:
         raise InputError(f"bits must be a binary string of length {n_qubits}, got {bits!r}")
     return int(bits, 2)
 
@@ -263,17 +263,21 @@ def from_json(text: str) -> StateVector:
         raise InputError(f"invalid state JSON: {exc}") from exc
     if not isinstance(data, dict) or "n_qubits" not in data or "terms" not in data:
         raise InputError("state JSON must be an object with n_qubits and terms")
-    n = int(data["n_qubits"])
+    try:
+        n = int(data["n_qubits"])
+        terms = [(term["basis"], float(term["re"]) + 1j * float(term["im"]))
+                 for term in data["terms"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed state JSON: {exc!r}") from exc
     if n < 1:
         raise InputError("n_qubits must be positive")
+    if n > MAX_QUBITS:  # checked before allocating 2**n amplitudes
+        raise ResourceError(f"{n} qubits exceeds the cap of {MAX_QUBITS}")
+    indices = [basis_index(n, basis) for basis, _ in terms]
+    if len(set(indices)) < len(indices):
+        raise InputError("state JSON lists a basis state twice")
     amps = np.zeros(2 ** n, dtype=complex)
-    seen = set()
-    for term in data["terms"]:
-        idx = basis_index(n, term["basis"])
-        if idx in seen:
-            raise InputError(f"duplicate basis state {term['basis']!r}")
-        seen.add(idx)
-        amps[idx] = float(term["re"]) + 1j * float(term["im"])
+    amps[indices] = [amp for _, amp in terms]
     norm = float(np.linalg.norm(amps))
     if abs(norm - 1.0) >= SERIALIZATION_NORM_ATOL:
         raise InputError(f"serialized state norm {norm!r} deviates too far from 1")

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .correlators import SiteLayout, pair_correlation_table, two_point
+from .correlators import SiteLayout, axis_correlations, two_point  # noqa: F401 (re-export)
 from .errors import InputError, ResourceError, UnsupportedCaseError
 from .kernels import AXES
 from .states import DensityMatrix, StateVector
@@ -46,9 +46,11 @@ class WitnessSpec:
     def __post_init__(self):
         if self.n_qubits < 2:
             raise InputError("a witness needs at least 2 qubits")
-        for name, c in (("c_x", self.c_x), ("c_y", self.c_y), ("c_z", self.c_z)):
-            if abs(c) > 1.0:
-                raise InputError(f"|{name}| must be <= 1, got {c}")
+        for name, value in zip(("k", "c_x", "c_y", "c_z"), (self.k, *self.coefficients)):
+            if not math.isfinite(value):
+                raise InputError(f"{name} must be finite, got {value}")
+            if name != "k" and abs(value) > 1.0:
+                raise InputError(f"|{name}| must be <= 1, got {value}")
         layout = self.layout or SiteLayout.unit_spacing(self.n_qubits)
         if len(layout) != self.n_qubits:
             raise InputError(
@@ -94,6 +96,34 @@ def _check_state(state, spec: WitnessSpec) -> None:
             f"state has {state.n_qubits} qubits, spec expects {spec.n_qubits}")
 
 
+def pair_weight_matrix(spec: WitnessSpec) -> np.ndarray:
+    """Symmetric zero-diagonal n x n matrix of the weights cos(k m_ij)."""
+    n = spec.n_qubits
+    weights = np.zeros((n, n))
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            weights[i - 1, j - 1] = weights[j - 1, i - 1] = spec.pair_weight(i, j)
+    return weights
+
+
+def _correlations(state, coefficients) -> dict:
+    return {axis: axis_correlations(state, axis)
+            for c, axis in zip(coefficients, AXES) if c != 0.0}
+
+
+def _axis_sums(spec: WitnessSpec, correlations: dict) -> dict:
+    # symmetric matrices, zero-diagonal weights: the i < j sum is half the full sum
+    weights = pair_weight_matrix(spec)
+    norm = 2 * math.comb(spec.n_qubits, 2)
+    return {axis: float(np.sum(weights * corr)) / norm for axis, corr in correlations.items()}
+
+
+def _sigma_from(spec: WitnessSpec, correlations: dict) -> float:
+    coefficients = dict(zip(AXES, spec.coefficients))
+    return sum((coefficients[axis] * value
+                for axis, value in _axis_sums(spec, correlations).items()), 0.0)
+
+
 def axis_components(state, spec: WitnessSpec) -> tuple[float, float, float]:
     """Per-axis sums (1/C(N,2)) sum_{i<j} cos(k m_ij) <a_i a_j>.
 
@@ -101,30 +131,13 @@ def axis_components(state, spec: WitnessSpec) -> tuple[float, float, float]:
     coefficient sweeps cheap: the components do not depend on c.
     """
     _check_state(state, spec)
-    n = spec.n_qubits
-    norm = math.comb(n, 2)
-    comps = []
-    for axis in AXES:
-        total = 0.0
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                total += spec.pair_weight(i, j) * two_point(state, i, j, axis, axis)
-        comps.append(total / norm)
-    return tuple(comps)
+    return tuple(_axis_sums(spec, _correlations(state, (1, 1, 1))).values())
 
 
 def sigma_value(state, spec: WitnessSpec) -> float:
     """<Sigma(k)> for the given state."""
     _check_state(state, spec)
-    n = spec.n_qubits
-    total = 0.0
-    for c, axis in zip(spec.coefficients, AXES):
-        if c == 0.0:
-            continue
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                total += c * spec.pair_weight(i, j) * two_point(state, i, j, axis, axis)
-    return total / math.comb(n, 2)
+    return _sigma_from(spec, _correlations(state, spec.coefficients))
 
 
 def witness_value(state, spec: WitnessSpec) -> float:
@@ -216,23 +229,10 @@ def scan_k(state, c_x: float, c_y: float, c_z: float, k_grid,
     k_grid = list(k_grid)
     if not k_grid:
         raise InputError("k grid must be nonempty")
-    n = state.n_qubits
-    layout = layout or SiteLayout.unit_spacing(n)
-    if len(layout) != n:
-        raise InputError(f"layout has {len(layout)} sites for a {n}-qubit state")
-    table = pair_correlation_table(state)
-    coeffs = dict(zip(AXES, (c_x, c_y, c_z)))
-    norm = math.comb(n, 2)
-    points = []
-    for k in k_grid:
-        total = 0.0
-        for (i, j, axis), value in table.items():
-            c = coeffs[axis]
-            if c != 0.0:
-                total += c * math.cos(abs(k) * layout.separation(i, j)) * value
-        sigma = total / norm
-        points.append(ScanPoint(float(k), sigma, 1.0 - sigma))
-    return points
+    specs = [WitnessSpec(state.n_qubits, float(k), c_x, c_y, c_z, layout) for k in k_grid]
+    correlations = _correlations(state, (c_x, c_y, c_z))
+    sigmas = [_sigma_from(spec, correlations) for spec in specs]
+    return [ScanPoint(spec.k, sigma, 1.0 - sigma) for spec, sigma in zip(specs, sigmas)]
 
 
 def find_detection_boundary(state_factory, spec: WitnessSpec,

@@ -2,7 +2,7 @@
 
 The oracles build full 2^N x 2^N operators from Kronecker products and
 evaluate expectations by matrix algebra, independently of the package's
-bit-twiddling kernels and cosine-weighted sums.
+kernels, correlation matrices and cosine-weighted sums.
 """
 
 import math

@@ -64,6 +64,23 @@ class TestParseState:
         with pytest.raises(InputError):
             parse_state("dicke:4")
 
+    @pytest.mark.parametrize("command", ["eval", "scan", "robustness", "sample"])
+    def test_state_built_once_per_invocation(self, command, monkeypatch, capsys):
+        import sfwitness.cli as cli
+        calls = []
+        original = cli.parse_state
+        monkeypatch.setattr(cli, "parse_state",
+                            lambda source: calls.append(source) or original(source))
+        argv = [command, "--state", "dicke:4,2", "--k", "pi"]
+        if command == "scan":
+            argv += ["--k-grid", "0,pi"]
+        if command == "sample":
+            argv += ["--shot-grid", "10"]
+        config = parse_args(argv)
+        assert config.state.n_qubits == 4
+        assert run(config) == EXIT_OK
+        assert calls == ["dicke:4,2"]
+
 
 class TestEval:
     def test_dicke_text(self, capsys):

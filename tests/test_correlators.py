@@ -6,10 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from sfwitness import (InputError, SiteLayout, collective_spin_sq,
-                       make_basis_state, make_dicke, make_product_density,
-                       mix_with_white_noise, structure_factor, two_point,
-                       verify_collective_identity)
+from sfwitness import (InputError, SiteLayout, axis_correlations,
+                       collective_spin_sq, make_basis_state, make_dicke,
+                       make_product_density, mix_with_white_noise,
+                       structure_factor, two_point, verify_collective_identity)
 from conftest import dense_expectation, pauli_on, random_pure
 
 
@@ -65,6 +65,52 @@ class TestTwoPoint:
     def test_bad_axis(self):
         with pytest.raises(InputError):
             two_point(make_dicke(3, 1), 1, 2, "q", "x")
+
+
+class TestAxisCorrelations:
+    @staticmethod
+    def _pair_route(state, axis):
+        n = state.n_qubits
+        corr = np.eye(n)
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                corr[i - 1, j - 1] = corr[j - 1, i - 1] = two_point(state, i, j, axis, axis)
+        return corr
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_pure_states_match_two_point(self, rng, n):
+        for _ in range(3):
+            state = random_pure(rng, n)
+            for axis in "xyz":
+                got = axis_correlations(state, axis)
+                assert np.max(np.abs(got - self._pair_route(state, axis))) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_density_matrices_match_two_point(self, rng, n):
+        for p in (0.0, 0.3, 0.8):
+            rho = mix_with_white_noise(random_pure(rng, n), p)
+            for axis in "xyz":
+                got = axis_correlations(rho, axis)
+                assert np.max(np.abs(got - self._pair_route(rho, axis))) <= 1e-12
+
+    def test_product_density_matches_two_point(self):
+        rho = make_product_density([(0.3, 0.2, 0.5), (0.0, 0.6, -0.8), (-1.0, 0.0, 0.0)])
+        for axis in "xyz":
+            got = axis_correlations(rho, axis)
+            assert np.max(np.abs(got - self._pair_route(rho, axis))) <= 1e-12
+
+    def test_symmetric_with_unit_diagonal(self, rng):
+        corr = axis_correlations(random_pure(rng, 5), "y")
+        assert np.array_equal(corr, corr.T)
+        assert np.array_equal(np.diag(corr), np.ones(5))
+
+    def test_bad_axis(self):
+        with pytest.raises(InputError):
+            axis_correlations(make_dicke(3, 1), "q")
+
+    def test_unsupported_state_type(self):
+        with pytest.raises(InputError):
+            axis_correlations(np.ones(4) / 2.0, "x")
 
 
 class TestCollectiveSpin:
@@ -136,6 +182,21 @@ class TestStructureFactor:
             SiteLayout((0.0, 2.0, 2.0))
         with pytest.raises(InputError):
             SiteLayout((1.0, 0.5))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_layout_rejects_non_finite_positions(self, bad):
+        with pytest.raises(InputError):
+            SiteLayout((0.0, bad, 2.0, 3.0))
+
+    def test_equal_axes_match_pair_route(self, rng):
+        layout = SiteLayout((0.0, 0.4, 1.9, 2.2))
+        state = random_pure(rng, 4)
+        for axis in "xyz":
+            expected = sum(np.exp(1j * 0.8 * layout.separation(i, j))
+                           * two_point(state, i, j, axis, axis)
+                           for i in range(1, 5) for j in range(i + 1, 5))
+            got = structure_factor(state, 0.8, axis, axis, layout)
+            assert got == pytest.approx(expected, abs=1e-12)
 
 
 class TestCollectiveIdentity:

@@ -8,7 +8,7 @@ import pytest
 from sfwitness import (InputError, ShotPlan, WitnessSpec, convergence_curve,
                        estimate_witness, make_basis_state, make_dicke,
                        make_phased_dicke, witness_value)
-from sfwitness.sampling import measurement_settings
+from sfwitness.sampling import _count_statistics, measurement_settings
 
 DICKE_SPEC_4 = WitnessSpec(4, 0.0, 1, 1, -1)
 PHASED_SPEC_4 = WitnessSpec(4, math.pi, 1, 1, 1)
@@ -27,6 +27,22 @@ class TestSettings:
     def test_zero_coefficients_drop_settings(self):
         assert measurement_settings(WitnessSpec(4, 0.0, 1, 0, -1)) == ("x", "z")
         assert measurement_settings(WitnessSpec(4, 0.0, 0, 0, 0)) == ()
+
+
+class TestCountStatistics:
+    def test_matches_repeated_samples(self, rng):
+        for _ in range(20):
+            values = rng.normal(size=int(rng.integers(1, 40)))
+            counts = rng.integers(0, 6, size=values.size)
+            counts[0] += 2
+            samples = np.repeat(values, counts)
+            mean, var = _count_statistics(values, counts)
+            assert mean == pytest.approx(samples.mean(), rel=1e-12, abs=1e-14)
+            assert var == pytest.approx(samples.var(ddof=1), rel=1e-12, abs=1e-14)
+
+    def test_single_outcome_has_zero_variance(self):
+        mean, var = _count_statistics(np.array([6.0]), np.array([100]))
+        assert (mean, var) == (6.0, 0.0)
 
 
 class TestEstimateWitness:
@@ -70,6 +86,13 @@ class TestEstimateWitness:
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
             estimate_witness(make_dicke(3, 1), DICKE_SPEC_4, ShotPlan(10, seed=0))
+
+    def test_shots_far_above_outcome_count(self):
+        # 10^7 shots over 16 outcomes: counts keep memory at O(2^N)
+        est, err = estimate_witness(make_phased_dicke(4, 2), PHASED_SPEC_4,
+                                    ShotPlan(10 ** 7, seed=11))
+        assert est == pytest.approx(-4 / 9, abs=5 * err)
+        assert err < 1e-3
 
 
 class TestConvergenceCurve:

@@ -291,3 +291,20 @@ class TestSerialization:
     def test_rejects_garbage(self):
         with pytest.raises(InputError):
             from_json("not json at all")
+
+    def test_qubit_cap_checked_before_allocation(self):
+        payload = {"n_qubits": 60, "terms": [{"basis": "0" * 60, "re": 1.0, "im": 0.0}]}
+        with pytest.raises(ResourceError):
+            from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("missing", ["re", "im", "basis"])
+    def test_rejects_term_with_missing_field(self, missing):
+        term = {"basis": "0", "re": 1.0, "im": 0.0}
+        del term[missing]
+        with pytest.raises(InputError):
+            from_json(json.dumps({"n_qubits": 1, "terms": [term]}))
+
+    def test_rejects_non_string_basis(self):
+        payload = {"n_qubits": 1, "terms": [{"basis": 0, "re": 1.0, "im": 0.0}]}
+        with pytest.raises(InputError):
+            from_json(json.dumps(payload))

@@ -10,8 +10,9 @@ from sfwitness import (InputError, ResourceError, SiteLayout,
                        UnsupportedCaseError, WitnessSpec, axis_components,
                        detects, dicke_sigma_closed_form, make_basis_state,
                        make_dicke, make_phased_dicke, make_product_density,
-                       mix_with_white_noise, phased_dicke_sigma_closed_form,
-                       scan_k, sigma_operator, sigma_value, witness_value)
+                       mix_with_white_noise, pair_weight_matrix,
+                       phased_dicke_sigma_closed_form, scan_k, sigma_operator,
+                       sigma_value, two_point, witness_value)
 from conftest import (dense_expectation, dense_sigma_matrix, pauli_on,
                       random_bloch_in_ball, random_pure, random_spec)
 
@@ -42,6 +43,66 @@ class TestWitnessSpec:
     def test_json_rejects_malformed(self):
         with pytest.raises(InputError):
             WitnessSpec.from_json('{"n_qubits": 3}')
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", range(4))
+    def test_rejects_non_finite(self, bad, slot):
+        params = [0.5, 1.0, 1.0, 1.0]
+        params[slot] = bad
+        with pytest.raises(InputError):
+            WitnessSpec(4, *params)
+
+
+class TestPairWeightMatrix:
+    def test_entries_are_pair_weights(self):
+        spec = WitnessSpec(4, 1.1, 1, 1, 1, SiteLayout((0.0, 0.3, 1.7, 2.0)))
+        weights = pair_weight_matrix(spec)
+        assert np.array_equal(weights, weights.T)
+        assert np.array_equal(np.diag(weights), np.zeros(4))
+        for i in range(1, 5):
+            for j in range(i + 1, 5):
+                assert weights[i - 1, j - 1] == spec.pair_weight(i, j)
+
+
+def _pair_route_sums(state, spec):
+    """Per-axis sum_{i<j} cos(k m_ij) <a_i a_j> / C(N,2) through two_point."""
+    n = spec.n_qubits
+    return [sum(spec.pair_weight(i, j) * two_point(state, i, j, axis, axis)
+                for i in range(1, n + 1) for j in range(i + 1, n + 1))
+            / math.comb(n, 2) for axis in "xyz"]
+
+
+class TestAgainstPairRoute:
+    LAYOUT = SiteLayout((0.0, 0.45, 1.3, 2.9, 3.05))
+
+    def _cases(self, rng):
+        for n in (2, 3, 5):
+            layout = self.LAYOUT if n == 5 else None
+            state = random_pure(rng, n)
+            yield state, random_spec(rng, n, layout)
+            yield mix_with_white_noise(state, 0.25), random_spec(rng, n, layout)
+
+    def test_sigma_value(self, rng):
+        for state, spec in self._cases(rng):
+            expected = sum(c * a for c, a in zip(spec.coefficients,
+                                                 _pair_route_sums(state, spec)))
+            assert sigma_value(state, spec) == pytest.approx(expected, abs=1e-12)
+
+    def test_axis_components(self, rng):
+        for state, spec in self._cases(rng):
+            got = axis_components(state, spec)
+            assert got == pytest.approx(_pair_route_sums(state, spec), abs=1e-12)
+
+    def test_scan_k(self, rng):
+        for state, spec in self._cases(rng):
+            grid = rng.uniform(-2 * math.pi, 2 * math.pi, size=4)
+            points = scan_k(state, *spec.coefficients, grid, spec.layout)
+            for point in points:
+                at_k = WitnessSpec(spec.n_qubits, point.k, *spec.coefficients, spec.layout)
+                expected = sum(c * a for c, a in zip(at_k.coefficients,
+                                                     _pair_route_sums(state, at_k)))
+                assert point.sigma == pytest.approx(expected, abs=1e-12)
+                assert point.witness == pytest.approx(1.0 - expected, abs=1e-12)
 
 
 class TestSigmaValue:
