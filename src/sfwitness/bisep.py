@@ -156,27 +156,34 @@ def _check_cut(spec: WitnessSpec, cut: Bipartition) -> None:
             f"cut covers {cut.n_qubits} sites, spec has {spec.n_qubits}")
 
 
+def _best_restart(matrix: np.ndarray, spec: WitnessSpec, parts, restarts: int,
+                  tol: float, max_iter: int, seed_words: list):
+    """First best of `restarts` see-saw runs, run r seeded by [*seed_words, r].
+
+    Raises ArithmeticError unless <Sigma> of the assembled winner matches it.
+    """
+    tensor, dims = _partition_tensor(matrix, spec.n_qubits, parts)
+    best = max((_seesaw_once(tensor, dims, np.random.default_rng([*seed_words, r]),
+                             tol, max_iter) for r in range(restarts)),
+               key=lambda run: run[0])
+    recheck = sigma_value(_assemble(spec.n_qubits, parts, best[1]), spec)
+    if abs(recheck - best[0]) > BOUND_RECHECK_ATOL:
+        raise ArithmeticError(
+            f"see-saw value {best[0]!r} disagrees with recomputed {recheck!r}")
+    return best
+
+
 def _seesaw_cut(matrix: np.ndarray, spec: WitnessSpec, cut: Bipartition,
                 restarts: int, tol: float, max_iter: int, seed: int,
                 cut_index: int) -> BisepResult:
-    parts = (cut.part_a, cut.part_b)
-    tensor, dims = _partition_tensor(matrix, spec.n_qubits, parts)
-    best = None
-    for restart in range(restarts):
-        rng = np.random.default_rng([seed, cut_index, restart])
-        run = _seesaw_once(tensor, dims, rng, tol, max_iter)
-        if best is None or run[0] > best[0]:
-            best = run
-    value, factors, iterations, converged, _ = best
-    state_a = StateVector(len(cut.part_a), factors[0])
-    state_b = StateVector(len(cut.part_b), factors[1])
-    recheck = sigma_value(assemble_cut_state(cut, state_a, state_b), spec)
-    if abs(recheck - value) > BOUND_RECHECK_ATOL:
-        raise ArithmeticError(
-            f"see-saw value {value!r} disagrees with recomputed {recheck!r}")
+    value, factors, iterations, converged, _ = _best_restart(
+        matrix, spec, (cut.part_a, cut.part_b), restarts, tol, max_iter,
+        [seed, cut_index])
     return BisepResult(bound=float(value), best_cut=cut,
-                       best_state=(state_a, state_b), restarts_used=restarts,
-                       converged=converged, iterations=iterations, spec=spec)
+                       best_state=(StateVector(len(cut.part_a), factors[0]),
+                                   StateVector(len(cut.part_b), factors[1])),
+                       restarts_used=restarts, converged=converged,
+                       iterations=iterations, spec=spec)
 
 
 def _check_run_params(restarts: int, seed: int) -> None:
@@ -225,13 +232,8 @@ def product_bound(spec: WitnessSpec, restarts: int = DEFAULT_RESTARTS,
     """
     _check_run_params(restarts, seed)
     parts = tuple((q,) for q in range(1, spec.n_qubits + 1))
-    tensor, dims = _partition_tensor(sigma_operator(spec), spec.n_qubits, parts)
-    best = -np.inf
-    for restart in range(restarts):
-        rng = np.random.default_rng([seed, restart])
-        value = _seesaw_once(tensor, dims, rng, tol, max_iter)[0]
-        best = max(best, value)
-    return float(best)
+    return float(_best_restart(sigma_operator(spec), spec, parts, restarts,
+                               tol, max_iter, [seed])[0])
 
 
 def gme_detected(state, spec: WitnessSpec, bisep: BisepResult,

@@ -200,6 +200,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def parse_args(argv=None) -> RunConfig:
     ns = build_parser().parse_args(argv)
+    try:
+        return _config_from(ns)
+    except InputError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"bad argument value: {exc}") from exc
+
+
+def _config_from(ns: argparse.Namespace) -> RunConfig:
     config = RunConfig(command=ns.command,
                        state_source=getattr(ns, "state", None),
                        output_path=ns.output, format=ns.format,

@@ -33,6 +33,20 @@ PSD_ATOL = 1e-10
 SERIALIZATION_NORM_ATOL = 1e-9
 
 
+def _check_size(n_qubits: int, density: bool = False) -> None:
+    """Reject n_qubits < 1 or above its cap; builders call this before allocating.
+
+    The caps are read at call time, so reassigning them takes effect at once.
+    """
+    if n_qubits < 1:
+        raise InputError("n_qubits must be positive")
+    name, cap = (("DENSITY_MAX_QUBITS", DENSITY_MAX_QUBITS) if density
+                 else ("MAX_QUBITS", MAX_QUBITS))
+    if n_qubits > cap:
+        raise ResourceError(f"{n_qubits} qubits exceeds the cap {name} = {cap} "
+                            f"(raise states.{name} to override)")
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Normalized pure state of `n_qubits` qubits.
@@ -45,16 +59,13 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise InputError("n_qubits must be positive")
-        if self.n_qubits > MAX_QUBITS:
-            raise ResourceError(
-                f"{self.n_qubits} qubits exceeds the cap of {MAX_QUBITS} "
-                "(raise states.MAX_QUBITS to override)")
+        _check_size(self.n_qubits)
         amps = np.asarray(self.amplitudes, dtype=complex).copy()
         if amps.shape != (2 ** self.n_qubits,):
             raise InputError(
                 f"expected {2 ** self.n_qubits} amplitudes, got shape {amps.shape}")
+        if not np.isfinite(amps).all():
+            raise InputError("amplitudes must be finite")
         norm_sq = float(np.sum(np.abs(amps) ** 2))
         if abs(norm_sq - 1.0) > NORM_ATOL:
             raise InputError(f"state not normalized: sum |amp|^2 = {norm_sq!r}")
@@ -74,16 +85,13 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise InputError("n_qubits must be positive")
-        if self.n_qubits > DENSITY_MAX_QUBITS:
-            raise ResourceError(
-                f"{self.n_qubits} qubits exceeds the density-matrix cap of "
-                f"{DENSITY_MAX_QUBITS}")
+        _check_size(self.n_qubits, density=True)
         dim = 2 ** self.n_qubits
         mat = np.asarray(self.entries, dtype=complex).copy()
         if mat.shape != (dim, dim):
             raise InputError(f"expected shape {(dim, dim)}, got {mat.shape}")
+        if not np.isfinite(mat).all():
+            raise InputError("density-matrix entries must be finite")
         if np.max(np.abs(mat - mat.conj().T)) > HERMITIAN_ATOL:
             raise InputError("matrix is not Hermitian")
         tr = complex(np.trace(mat))
@@ -108,6 +116,8 @@ class BlochVector:
     n_z: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.n_x, self.n_y, self.n_z))):
+            raise InputError(f"Bloch vector components must be finite: {self}")
         if self.norm_sq() > 1.0 + 1e-12:
             raise InputError(f"Bloch vector length exceeds 1: {self}")
 
@@ -135,14 +145,14 @@ def basis_index(n_qubits: int, bits: str) -> int:
 
 def make_basis_state(n_qubits: int, bits: str) -> StateVector:
     """Computational basis state |bits>."""
+    _check_size(n_qubits)
     amps = np.zeros(2 ** n_qubits, dtype=complex)
     amps[basis_index(n_qubits, bits)] = 1.0
     return StateVector(n_qubits, amps)
 
 
 def _check_excitations(n_qubits: int, l: int) -> None:
-    if n_qubits < 1:
-        raise InputError("n_qubits must be positive")
+    _check_size(n_qubits)
     if not 0 <= l <= n_qubits:
         raise InputError(f"need 0 <= l <= {n_qubits}, got l={l}")
 
@@ -217,6 +227,7 @@ def make_product_density(blochs) -> DensityMatrix:
     blochs = [b if isinstance(b, BlochVector) else BlochVector(*b) for b in blochs]
     if not blochs:
         raise InputError("need at least one Bloch vector")
+    _check_size(len(blochs), density=True)
     rho = np.array([[1.0]], dtype=complex)
     for b in blochs:
         one = 0.5 * (np.eye(2, dtype=complex)
@@ -229,10 +240,7 @@ def mix_with_white_noise(state: StateVector, p: float) -> DensityMatrix:
     """p * identity/2^N + (1-p) |psi><psi|."""
     if not 0.0 <= p <= 1.0:
         raise InputError(f"noise fraction must be in [0, 1], got {p}")
-    if state.n_qubits > DENSITY_MAX_QUBITS:
-        raise ResourceError(
-            f"density matrix for {state.n_qubits} qubits exceeds cap "
-            f"{DENSITY_MAX_QUBITS}")
+    _check_size(state.n_qubits, density=True)
     dim = state.dim
     rho = (p / dim) * np.eye(dim, dtype=complex)
     rho += (1.0 - p) * np.outer(state.amplitudes, state.amplitudes.conj())
@@ -241,6 +249,7 @@ def mix_with_white_noise(state: StateVector, p: float) -> DensityMatrix:
 
 def random_state_vector(n_qubits: int, rng: np.random.Generator) -> StateVector:
     """Haar-like random pure state: normalized complex-normal amplitudes."""
+    _check_size(n_qubits)
     amps = rng.standard_normal(2 ** n_qubits) + 1j * rng.standard_normal(2 ** n_qubits)
     return StateVector(n_qubits, amps / np.linalg.norm(amps))
 
@@ -269,10 +278,7 @@ def from_json(text: str) -> StateVector:
                  for term in data["terms"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed state JSON: {exc!r}") from exc
-    if n < 1:
-        raise InputError("n_qubits must be positive")
-    if n > MAX_QUBITS:  # checked before allocating 2**n amplitudes
-        raise ResourceError(f"{n} qubits exceeds the cap of {MAX_QUBITS}")
+    _check_size(n)
     indices = [basis_index(n, basis) for basis, _ in terms]
     if len(set(indices)) < len(indices):
         raise InputError("state JSON lists a basis state twice")

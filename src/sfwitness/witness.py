@@ -20,8 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import kernels
-from .correlators import SiteLayout, axis_correlations, two_point  # noqa: F401 (re-export)
+from .correlators import SiteLayout, axis_correlations, outcome_signs
+from .correlators import two_point  # noqa: F401 (re-export)
 from .errors import InputError, ResourceError, UnsupportedCaseError
 from .kernels import AXES
 from .states import DensityMatrix, StateVector
@@ -190,30 +190,26 @@ def phased_dicke_sigma_closed_form(n_qubits: int, l: int, with_z: bool) -> Fract
 
 
 def sigma_operator(spec: WitnessSpec) -> np.ndarray:
-    """Dense Hermitian matrix of Sigma(k); <psi|.|psi> matches sigma_value."""
+    """Dense Hermitian matrix of Sigma(k); <psi|.|psi> matches sigma_value.
+
+    Every term is diagonal in a collective readout basis: z_i z_j sits on
+    the diagonal, while x_i x_j and y_i y_j flip the same two bits, y with
+    the extra phase -z_i z_j of the column index.
+    """
     n = spec.n_qubits
     if n > OPERATOR_MAX_QUBITS:
         raise ResourceError(
             f"dense operator for {n} qubits exceeds cap {OPERATOR_MAX_QUBITS}")
-    dim = 2 ** n
-    idx = np.arange(dim)
-    mat = np.zeros((dim, dim), dtype=complex)
-    for c, axis in zip(spec.coefficients, AXES):
-        if c == 0.0:
-            continue
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                scale = c * spec.pair_weight(i, j) / math.comb(n, 2)
-                flip = 0
-                coef = np.full(dim, scale, dtype=complex)
-                for site in (i, j):
-                    if axis == "z":
-                        coef = coef * kernels.z_signs(n, site)
-                    else:
-                        flip ^= kernels.bit_mask(n, site)
-                        if axis == "y":
-                            coef = coef * (1j * (2.0 * kernels.bit_values(n, site) - 1.0))
-                mat[idx, idx ^ flip] += coef
+    rows, cols = np.triu_indices(n, 1)
+    signs = outcome_signs(n)
+    zz = signs[rows] * signs[cols]
+    weights = pair_weight_matrix(spec)[rows, cols, None]
+    sx, sy, sz = (c * weights / math.comb(n, 2) for c in spec.coefficients)
+    idx = np.arange(1 << n)
+    masks = 1 << np.arange(n - 1, -1, -1)
+    mat = np.zeros((idx.size, idx.size), dtype=complex)
+    mat[idx, idx ^ (masks[rows] | masks[cols])[:, None]] = sx - sy * zz
+    mat[idx, idx] = np.sum(sz * zz, axis=0)
     return mat
 
 

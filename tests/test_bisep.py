@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import sfwitness.bisep as bisep
 from sfwitness import (Bipartition, InputError, WitnessSpec,
                        assemble_cut_state, bisep_bound, enumerate_bipartitions,
                        gme_detected, make_dicke, make_phased_dicke,
@@ -120,6 +121,16 @@ class TestSeesaw:
     def test_cut_mismatch(self):
         with pytest.raises(InputError):
             seesaw_max(PHASED_SPEC_4, Bipartition((1,), (2, 3)))
+
+    @pytest.mark.parametrize("search", [
+        lambda spec: seesaw_max(spec, Bipartition((1, 2), (3, 4)), restarts=2),
+        lambda spec: product_bound(spec, restarts=2),
+    ], ids=["cut", "product"])
+    def test_recheck_rejects_disagreeing_value(self, search, monkeypatch):
+        # |<Sigma>| <= |c_x| + |c_y| + |c_z| = 3, so 10 disagrees with any see-saw value
+        monkeypatch.setattr(bisep, "sigma_value", lambda state, spec: 10.0)
+        with pytest.raises(ArithmeticError):
+            search(PHASED_SPEC_4)
 
 
 class TestBisepBound:

@@ -202,6 +202,22 @@ class TestExitCodes:
             main(["eval", "--state", "nonsense:1", "--k", "0", "--c", "1,1,1"])
         assert exc_info.value.code == EXIT_INPUT
 
+    @pytest.mark.parametrize("argv, env_seed, expected", [
+        (["eval", "--state", "dicke:4,2", "--c", "a,b,c"], None, EXIT_INPUT),
+        (["scan", "--state", "dicke:4,2", "--k-grid", "0:pi:x"], None, EXIT_INPUT),
+        (["sample", "--state", "dicke:4,2", "--shot-grid", "1e3"], None, EXIT_INPUT),
+        (["eval", "--state", "dicke:4,2", "--positions", "0,1,x,3"], None, EXIT_INPUT),
+        (["eval", "--state", "dicke:4,2"], "abc", EXIT_INPUT),
+        (["eval", "--state", "basis:" + "0" * 41], None, EXIT_RESOURCE),
+    ], ids=["c", "k-grid", "shot-grid", "positions", "seed-env", "basis-cap"])
+    def test_bad_values_exit_typed(self, argv, env_seed, expected, monkeypatch, capsys):
+        if env_seed is not None:
+            monkeypatch.setenv("SFWITNESS_SEED", env_seed)
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == expected
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_resource_error(self, capsys):
         code = run(parse_args(["bisep-bound", "--n-qubits", "13", "--k", "pi",
                                "--c", "1,1,1", "--restarts", "1"]))

@@ -12,7 +12,7 @@ from sfwitness import (BlochVector, DensityMatrix, InputError, ResourceError,
                        StateVector, from_json, make_basis_state, make_dicke,
                        make_dicke_ghz_superposition, make_ghz_superposition,
                        make_phased_dicke, make_product_density,
-                       mix_with_white_noise, to_json)
+                       mix_with_white_noise, random_state_vector, to_json)
 
 
 def amplitude(state, bits):
@@ -38,6 +38,23 @@ class TestStateVector:
         with pytest.raises(ResourceError):
             make_basis_state(4, "0000")
         make_basis_state(3, "000")
+
+    def test_rejects_non_finite_amplitude(self):
+        with pytest.raises(InputError):
+            StateVector(2, [math.nan, 0.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("build", [
+        lambda n: make_basis_state(n, "0" * n),
+        lambda n: make_dicke(n, 1),
+        lambda n: make_phased_dicke(n, 1),
+        lambda n: random_state_vector(n, np.random.default_rng(0)),
+        lambda n: make_product_density([(0, 0, 1)] * n),
+    ], ids=["basis", "dicke", "phased-dicke", "random", "product-density"])
+    def test_cap_checked_before_allocation(self, build, monkeypatch):
+        # 2**40 amplitudes cannot be allocated; np.kron would build 4**n entries
+        monkeypatch.setattr(np, "kron", None)
+        with pytest.raises(ResourceError):
+            build(40)
 
 
 class TestBasisState:
@@ -216,6 +233,12 @@ class TestProductDensity:
         with pytest.raises(InputError):
             make_product_density([(1.0, 0.5, 0.0)])
 
+    def test_rejects_non_finite_bloch_vector(self):
+        with pytest.raises(InputError):
+            BlochVector(math.nan, 0.0, 0.0)
+        with pytest.raises(InputError):
+            make_product_density([(0.0, 0.0, 1.0), (math.nan, 0.0, 0.0)])
+
 
 class TestWhiteNoise:
     def test_endpoints(self):
@@ -251,6 +274,10 @@ class TestDensityMatrixInvariants:
     def test_rejects_bad_trace(self):
         with pytest.raises(InputError):
             DensityMatrix(1, np.eye(2, dtype=complex))
+
+    def test_rejects_non_finite_entries(self):
+        with pytest.raises(InputError):
+            DensityMatrix(1, [[math.nan, 0.0], [0.0, 1.0]])
 
     def test_rejects_negative_eigenvalue(self):
         mat = np.diag([1.5, -0.5]).astype(complex)

@@ -241,9 +241,16 @@ class TestSigmaOperator:
         assert top >= 13 / 9 - 1e-12
 
     def test_matches_dense_oracle(self, rng):
-        for _ in range(5):
+        # unit spacing first, then non-uniform layouts with c_x, c_y or c_z zero
+        for zero_axis in (None,) * 5 + (0, 1, 2):
             n = int(rng.integers(2, 6))
-            spec = random_spec(rng, n)
+            layout = (None if zero_axis is None
+                      else SiteLayout(tuple(np.cumsum(rng.uniform(0.2, 2.0, n)))))
+            spec = random_spec(rng, n, layout)
+            if zero_axis is not None:
+                c = list(spec.coefficients)
+                c[zero_axis] = 0.0
+                spec = WitnessSpec(n, spec.k, *c, layout)
             assert np.allclose(sigma_operator(spec), dense_sigma_matrix(spec),
                                atol=1e-12)
 
