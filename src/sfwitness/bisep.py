@@ -16,6 +16,7 @@ maximum; restarts make them sharp in practice.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -186,11 +187,15 @@ def _seesaw_cut(matrix: np.ndarray, spec: WitnessSpec, cut: Bipartition,
                        iterations=iterations, spec=spec)
 
 
-def _check_run_params(restarts: int, seed: int) -> None:
+def _check_run_params(restarts: int, seed: int, tol: float, max_iter: int) -> None:
     if restarts < 1:
         raise InputError("need at least one restart")
     if seed < 0:
         raise InputError("seed must be non-negative")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise InputError(f"tol must be finite and non-negative, got {tol}")
+    if max_iter < 1:
+        raise InputError("need at least one sweep (max_iter >= 1)")
 
 
 def seesaw_max(spec: WitnessSpec, cut: Bipartition,
@@ -198,7 +203,7 @@ def seesaw_max(spec: WitnessSpec, cut: Bipartition,
                max_iter: int = DEFAULT_MAX_ITER, seed: int = 0) -> BisepResult:
     """Maximize <Sigma> over pure states product across one cut."""
     _check_cut(spec, cut)
-    _check_run_params(restarts, seed)
+    _check_run_params(restarts, seed, tol, max_iter)
     return _seesaw_cut(sigma_operator(spec), spec, cut,
                        restarts, tol, max_iter, seed, cut_index=0)
 
@@ -211,7 +216,7 @@ def bisep_bound(spec: WitnessSpec, restarts: int = DEFAULT_RESTARTS,
     The result bounds <Sigma> on all biseparable states (see module notes);
     exceeding it certifies genuine multipartite entanglement.
     """
-    _check_run_params(restarts, seed)
+    _check_run_params(restarts, seed, tol, max_iter)
     matrix = sigma_operator(spec)
     best = None
     for cut_index, cut in enumerate(enumerate_bipartitions(spec.n_qubits)):
@@ -230,7 +235,7 @@ def product_bound(spec: WitnessSpec, restarts: int = DEFAULT_RESTARTS,
     Cannot exceed 1 beyond numerical slack; useful as a sanity anchor for
     the analytic product bound.
     """
-    _check_run_params(restarts, seed)
+    _check_run_params(restarts, seed, tol, max_iter)
     parts = tuple((q,) for q in range(1, spec.n_qubits + 1))
     return float(_best_restart(sigma_operator(spec), spec, parts, restarts,
                                tol, max_iter, [seed])[0])

@@ -151,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Structure-factor entanglement witnesses for N-qubit states.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, state=True, spec=True):
+    def add_common(p, state=True, spec=True, formats=("text", "json", "csv")):
         if state:
             p.add_argument("--state", required=True,
                            help="builtin (e.g. dicke:4,2) or path to a state JSON file")
@@ -160,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--c", default="1,1,1", help="coefficients cx,cy,cz")
             p.add_argument("--positions", default=None,
                            help="comma-separated site positions (default 0,1,...)")
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--output", default=None, help="write the artifact to a file")
         p.add_argument("--seed", type=int, default=None)
 
@@ -179,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bisep = sub.add_parser("bisep-bound",
                              help="see-saw bound on <Sigma> over biseparable states")
-    add_common(p_bisep, state=False)
+    add_common(p_bisep, state=False, formats=("text", "json"))
     p_bisep.add_argument("--n-qubits", type=int, required=True)
     p_bisep.add_argument("--restarts", type=int, default=bisep.DEFAULT_RESTARTS)
     p_bisep.add_argument("--tol", type=float, default=bisep.DEFAULT_TOL)
@@ -191,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_repro = sub.add_parser("reproduce-paper",
                              help="re-derive all reference values and flag each")
-    add_common(p_repro, state=False, spec=False)
+    add_common(p_repro, state=False, spec=False, formats=("text", "json"))
     p_repro.add_argument("--restarts", type=int, default=bisep.DEFAULT_RESTARTS)
     p_repro.add_argument("--shots", type=int, default=10 ** 6)
     p_repro.add_argument("--product-samples", type=int, default=10 ** 4)
@@ -245,8 +245,11 @@ def _nice_fraction(x: float) -> str:
 
 def _write(config: RunConfig, text: str) -> None:
     if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(config.output_path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write --output: {exc}") from exc
     else:
         sys.stdout.write(text)
 

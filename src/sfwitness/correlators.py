@@ -3,8 +3,10 @@ structure factor.
 
 `axis_correlations` reads every <a_i a_j> of one axis off one readout
 setting, E^T diag(p_a) E, with p_a the outcome distribution in the rotated
-basis and E the 2**n x n matrix of +-1 eigenvalues; density matrices use a
-trace gather for x and y. `two_point` (any two axes) uses the Pauli kernels.
+basis and E the 2**n x n matrix of +-1 eigenvalues (`kernels.outcome_signs`);
+density matrices use a trace gather for x and y whose flips and
+coefficients come from `kernels.pauli_rule`. `two_point` (any two axes)
+uses `kernels.pair_expectation`.
 Spin operators are bare Pauli matrices (no 1/2), so a Dicke state |N,l>
 gives sum_{i<j} <x_i x_j> = l(N-l) at k = 0.
 """
@@ -68,12 +70,12 @@ def two_point(state, i: int, j: int, a: str, b: str) -> float:
     """<sigma_i^a sigma_j^b> for a pure state or density matrix."""
     _check_pair(state.n_qubits, i, j)
     if isinstance(state, StateVector):
-        val = kernels.pair_expectation_pure(state.amplitudes, state.n_qubits, i, j, a, b)
+        arr = state.amplitudes
     elif isinstance(state, DensityMatrix):
-        val = kernels.pair_expectation_density(state.entries, state.n_qubits, i, j, a, b)
+        arr = state.entries
     else:
         raise InputError(f"unsupported state type {type(state).__name__}")
-    return _real(val)
+    return _real(kernels.pair_expectation(arr, state.n_qubits, i, j, a, b))
 
 
 def _apply_collective_spin(arr: np.ndarray, n_qubits: int, a: str) -> np.ndarray:
@@ -114,26 +116,12 @@ def readout_probabilities(state, axis: str) -> np.ndarray:
     return np.abs(amps) ** 2
 
 
-def outcome_signs(n_qubits: int) -> np.ndarray:
-    """n x 2**n matrix: row i-1 holds the +-1 eigenvalue of qubit i per outcome."""
-    signs = np.empty((n_qubits, 1 << n_qubits))
-    for row in range(n_qubits):
-        # qubit row+1 is bit n-1-row: +1 and -1 blocks of 2**(n-1-row) alternate
-        signs[row].reshape(1 << row, 2, -1)[:] = [[1.0], [-1.0]]
-    return signs
-
-
 def _density_correlations(rho: np.ndarray, n_qubits: int, axis: str) -> np.ndarray:
     """Tr(rho a_i a_j) for a in {x, y}, all pairs in one trace gather (i != j)."""
+    sites = np.arange(n_qubits)
+    flip, coef = kernels.pair_rule(n_qubits, axis, sites[:, None], sites)
     idx = np.arange(1 << n_qubits)
-    masks = 1 << np.arange(n_qubits - 1, -1, -1)
-    # a_i a_j has one nonzero per column, at the row with both bits flipped
-    gathered = rho[idx ^ (masks[:, None] | masks)[..., None], idx].real
-    if axis == "y":
-        # y_i y_j also carries the phase -z_i z_j of the column index
-        signs = outcome_signs(n_qubits)
-        gathered *= -signs[:, None] * signs
-    return gathered.sum(axis=-1)
+    return (coef * rho[idx ^ flip, idx]).real.sum(axis=-1)
 
 
 def axis_correlations(state, axis: str) -> np.ndarray:
@@ -144,7 +132,7 @@ def axis_correlations(state, axis: str) -> np.ndarray:
     else:
         probs = readout_probabilities(state, axis)
         # E^T diag(p) E, symmetrized against rounding in the matmul
-        signs = outcome_signs(state.n_qubits)
+        signs = kernels.outcome_signs(state.n_qubits)
         corr = (signs * probs) @ signs.T
         corr = 0.5 * (corr + corr.T)
     np.fill_diagonal(corr, 1.0)

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .correlators import outcome_signs, readout_probabilities
+from .correlators import readout_probabilities
 from .errors import InputError
 from .states import StateVector
 from .witness import WitnessSpec, pair_weight_matrix
@@ -61,7 +61,7 @@ def _estimate(state: StateVector, spec: WitnessSpec, shots: int,
               seed_words: tuple) -> tuple[float, float]:
     norm = math.comb(spec.n_qubits, 2)
     weights = pair_weight_matrix(spec)
-    signs = outcome_signs(state.n_qubits)
+    signs = kernels.outcome_signs(state.n_qubits)
     sigma_est = 0.0
     variance = 0.0
     for axis_pos, (axis, c) in enumerate(zip(kernels.AXES, spec.coefficients)):

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .errors import InputError, ResourceError
 
 #: Default cap on dense state-vector size (2**MAX_QUBITS amplitudes).
@@ -25,6 +26,9 @@ MAX_QUBITS = 16
 #: Cap for dense density matrices (2**n x 2**n entries).
 DENSITY_MAX_QUBITS = 12
 
+#: Cap for witness.sigma_operator, which allocates 4**n complex entries.
+OPERATOR_MAX_QUBITS = 12
+
 NORM_ATOL = 1e-12
 HERMITIAN_ATOL = 1e-12
 PSD_ATOL = 1e-10
@@ -33,15 +37,14 @@ PSD_ATOL = 1e-10
 SERIALIZATION_NORM_ATOL = 1e-9
 
 
-def _check_size(n_qubits: int, density: bool = False) -> None:
-    """Reject n_qubits < 1 or above its cap; builders call this before allocating.
+def _check_size(n_qubits: int, name: str = "MAX_QUBITS") -> None:
+    """Reject n_qubits < 1 or above the cap `name`; builders call this before allocating.
 
     The caps are read at call time, so reassigning them takes effect at once.
     """
     if n_qubits < 1:
         raise InputError("n_qubits must be positive")
-    name, cap = (("DENSITY_MAX_QUBITS", DENSITY_MAX_QUBITS) if density
-                 else ("MAX_QUBITS", MAX_QUBITS))
+    cap = globals()[name]
     if n_qubits > cap:
         raise ResourceError(f"{n_qubits} qubits exceeds the cap {name} = {cap} "
                             f"(raise states.{name} to override)")
@@ -85,7 +88,7 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        _check_size(self.n_qubits, density=True)
+        _check_size(self.n_qubits, "DENSITY_MAX_QUBITS")
         dim = 2 ** self.n_qubits
         mat = np.asarray(self.entries, dtype=complex).copy()
         if mat.shape != (dim, dim):
@@ -151,19 +154,20 @@ def make_basis_state(n_qubits: int, bits: str) -> StateVector:
     return StateVector(n_qubits, amps)
 
 
-def _check_excitations(n_qubits: int, l: int) -> None:
+def _excitations(n_qubits: int, l: int) -> tuple[np.ndarray, np.ndarray]:
+    """Excited sites (0-based) of each weight-l basis state, one row each, and its index."""
     _check_size(n_qubits)
     if not 0 <= l <= n_qubits:
         raise InputError(f"need 0 <= l <= {n_qubits}, got l={l}")
+    sites = np.array(list(itertools.combinations(range(n_qubits), l)), dtype=int)
+    return sites, kernels.site_masks(n_qubits)[sites].sum(axis=1)
 
 
 def make_dicke(n_qubits: int, l: int) -> StateVector:
     """Dicke state |N,l>: equal superposition of all weight-l basis states."""
-    _check_excitations(n_qubits, l)
+    _, index = _excitations(n_qubits, l)
     amps = np.zeros(2 ** n_qubits, dtype=complex)
-    amp = 1.0 / math.sqrt(math.comb(n_qubits, l))
-    for positions in itertools.combinations(range(n_qubits), l):
-        amps[sum(1 << (n_qubits - 1 - p) for p in positions)] = amp
+    amps[index] = 1.0 / math.sqrt(math.comb(n_qubits, l))
     return StateVector(n_qubits, amps)
 
 
@@ -177,13 +181,10 @@ def make_phased_dicke(n_qubits: int, l: int) -> StateVector:
     the sum of the (0-indexed, left-to-right) positions of the 1-bits,
     relative to the reference value l(l-1)/2.
     """
-    _check_excitations(n_qubits, l)
+    sites, index = _excitations(n_qubits, l)
     amps = np.zeros(2 ** n_qubits, dtype=complex)
     amp = 1.0 / math.sqrt(math.comb(n_qubits, l))
-    ref_parity = (l * (l - 1) // 2) % 2
-    for positions in itertools.combinations(range(n_qubits), l):
-        sign = 1.0 if sum(positions) % 2 == ref_parity else -1.0
-        amps[sum(1 << (n_qubits - 1 - p) for p in positions)] = sign * amp
+    amps[index] = np.where(sites.sum(axis=1) % 2 == (l * (l - 1) // 2) % 2, amp, -amp)
     return StateVector(n_qubits, amps)
 
 
@@ -227,7 +228,7 @@ def make_product_density(blochs) -> DensityMatrix:
     blochs = [b if isinstance(b, BlochVector) else BlochVector(*b) for b in blochs]
     if not blochs:
         raise InputError("need at least one Bloch vector")
-    _check_size(len(blochs), density=True)
+    _check_size(len(blochs), "DENSITY_MAX_QUBITS")
     rho = np.array([[1.0]], dtype=complex)
     for b in blochs:
         one = 0.5 * (np.eye(2, dtype=complex)
@@ -240,7 +241,7 @@ def mix_with_white_noise(state: StateVector, p: float) -> DensityMatrix:
     """p * identity/2^N + (1-p) |psi><psi|."""
     if not 0.0 <= p <= 1.0:
         raise InputError(f"noise fraction must be in [0, 1], got {p}")
-    _check_size(state.n_qubits, density=True)
+    _check_size(state.n_qubits, "DENSITY_MAX_QUBITS")
     dim = state.dim
     rho = (p / dim) * np.eye(dim, dtype=complex)
     rho += (1.0 - p) * np.outer(state.amplitudes, state.amplitudes.conj())

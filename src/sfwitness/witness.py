@@ -20,16 +20,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .correlators import SiteLayout, axis_correlations, outcome_signs
+from . import kernels, states
+from .correlators import SiteLayout, axis_correlations
 from .correlators import two_point  # noqa: F401 (re-export)
-from .errors import InputError, ResourceError, UnsupportedCaseError
+from .errors import InputError, UnsupportedCaseError
 from .kernels import AXES
 from .states import DensityMatrix, StateVector
 
 DETECTION_TOL = 1e-9
-
-#: Dense-operator size cap (sigma_operator allocates 4**n complex entries).
-OPERATOR_MAX_QUBITS = 12
 
 
 @dataclass(frozen=True)
@@ -193,23 +191,19 @@ def sigma_operator(spec: WitnessSpec) -> np.ndarray:
     """Dense Hermitian matrix of Sigma(k); <psi|.|psi> matches sigma_value.
 
     Every term is diagonal in a collective readout basis: z_i z_j sits on
-    the diagonal, while x_i x_j and y_i y_j flip the same two bits, y with
-    the extra phase -z_i z_j of the column index.
+    the diagonal, while x_i x_j and y_i y_j flip the same two bits
+    (kernels.pair_rule gives each pair's flip and row coefficient).
     """
     n = spec.n_qubits
-    if n > OPERATOR_MAX_QUBITS:
-        raise ResourceError(
-            f"dense operator for {n} qubits exceeds cap {OPERATOR_MAX_QUBITS}")
+    states._check_size(n, "OPERATOR_MAX_QUBITS")
     rows, cols = np.triu_indices(n, 1)
-    signs = outcome_signs(n)
-    zz = signs[rows] * signs[cols]
     weights = pair_weight_matrix(spec)[rows, cols, None]
     sx, sy, sz = (c * weights / math.comb(n, 2) for c in spec.coefficients)
+    (flip, x), (_, y), (_, z) = (kernels.pair_rule(n, axis, rows, cols) for axis in AXES)
     idx = np.arange(1 << n)
-    masks = 1 << np.arange(n - 1, -1, -1)
     mat = np.zeros((idx.size, idx.size), dtype=complex)
-    mat[idx, idx ^ (masks[rows] | masks[cols])[:, None]] = sx - sy * zz
-    mat[idx, idx] = np.sum(sz * zz, axis=0)
+    mat[idx, idx ^ flip] = sx * x + sy * y
+    mat[idx, idx] = np.sum(sz * z, axis=0)
     return mat
 
 

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from sfwitness import BlochVector, SiteLayout, StateVector, WitnessSpec
+from sfwitness import BlochVector, DensityMatrix, SiteLayout, StateVector, WitnessSpec
 
 PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -60,6 +60,15 @@ def dense_expectation(state, operator) -> complex:
 def random_pure(rng, n_qubits) -> StateVector:
     amps = rng.standard_normal(2 ** n_qubits) + 1j * rng.standard_normal(2 ** n_qubits)
     return StateVector(n_qubits, amps / np.linalg.norm(amps))
+
+
+def random_mixed(rng, n_qubits) -> DensityMatrix:
+    """Full-rank density matrix g g^dagger / Tr from a complex Gaussian g."""
+    dim = 2 ** n_qubits
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = g @ g.conj().T
+    rho = 0.5 * (rho + rho.conj().T)
+    return DensityMatrix(n_qubits, rho / np.trace(rho).real)
 
 
 def random_bloch_in_ball(rng) -> BlochVector:

@@ -122,6 +122,16 @@ class TestSeesaw:
         with pytest.raises(InputError):
             seesaw_max(PHASED_SPEC_4, Bipartition((1,), (2, 3)))
 
+    @pytest.mark.parametrize("run", [seesaw_max, bisep_bound, product_bound],
+                             ids=["seesaw_max", "bisep_bound", "product_bound"])
+    @pytest.mark.parametrize("params", [
+        {"tol": math.nan}, {"tol": -1.0}, {"tol": math.inf}, {"max_iter": 0},
+    ], ids=["tol-nan", "tol-negative", "tol-inf", "max_iter-0"])
+    def test_rejects_bad_tol_and_max_iter(self, run, params):
+        args = (Bipartition((1, 2), (3, 4)),) if run is seesaw_max else ()
+        with pytest.raises(InputError):
+            run(PHASED_SPEC_4, *args, restarts=1, **params)
+
     @pytest.mark.parametrize("search", [
         lambda spec: seesaw_max(spec, Bipartition((1, 2), (3, 4)), restarts=2),
         lambda spec: product_bound(spec, restarts=2),

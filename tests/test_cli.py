@@ -218,6 +218,30 @@ class TestExitCodes:
         assert exc_info.value.code == expected
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_unwritable_output_exits_input(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "out.txt"
+        code = run(parse_args(["eval", "--state", "dicke:4,2", "--output", str(target)]))
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not target.exists()
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_bad_seesaw_tol_exits_input(self, tol, capsys):
+        code = run(parse_args(["bisep-bound", "--n-qubits", "3", "--k", "pi",
+                               "--restarts", "1", "--tol", tol]))
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", [
+        ["bisep-bound", "--n-qubits", "3"],
+        ["reproduce-paper"],
+    ], ids=["bisep-bound", "reproduce-paper"])
+    def test_csv_format_rejected_where_unsupported(self, command, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            parse_args([*command, "--format", "csv"])
+        assert exc_info.value.code == EXIT_INPUT
+        assert "invalid choice: 'csv'" in capsys.readouterr().err
+
     def test_resource_error(self, capsys):
         code = run(parse_args(["bisep-bound", "--n-qubits", "13", "--k", "pi",
                                "--c", "1,1,1", "--restarts", "1"]))

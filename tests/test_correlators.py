@@ -10,7 +10,7 @@ from sfwitness import (InputError, SiteLayout, axis_correlations,
                        collective_spin_sq, make_basis_state, make_dicke,
                        make_product_density, mix_with_white_noise,
                        structure_factor, two_point, verify_collective_identity)
-from conftest import dense_expectation, pauli_on, random_pure
+from conftest import dense_expectation, pauli_on, random_mixed, random_pure
 
 
 class TestTwoPoint:
@@ -41,6 +41,15 @@ class TestTwoPoint:
             dense = dense_expectation(rho, pauli_on(3, {1: a, 3: b}))
             got = two_point(rho, 1, 3, a, b)
             assert got == pytest.approx(dense.real, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_mixed_state_matches_dense_oracle(self, rng, n):
+        rho = random_mixed(rng, n)
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                for a, b in itertools.product("xyz", repeat=2):
+                    dense = dense_expectation(rho, pauli_on(n, {i: a, j: b}))
+                    assert two_point(rho, i, j, a, b) == pytest.approx(dense.real, abs=1e-12)
 
     def test_bounded_by_one(self, rng):
         for _ in range(25):

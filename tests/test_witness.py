@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sfwitness import (InputError, ResourceError, SiteLayout,
+from sfwitness import (InputError, ResourceError, SiteLayout, states,
                        UnsupportedCaseError, WitnessSpec, axis_components,
                        detects, dicke_sigma_closed_form, make_basis_state,
                        make_dicke, make_phased_dicke, make_product_density,
@@ -264,6 +264,12 @@ class TestSigmaOperator:
     def test_size_cap(self):
         with pytest.raises(ResourceError):
             sigma_operator(WitnessSpec(13, 0.0, 1, 1, 1))
+
+    def test_size_cap_read_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(states, "OPERATOR_MAX_QUBITS", 3)
+        with pytest.raises(ResourceError, match="OPERATOR_MAX_QUBITS"):
+            sigma_operator(WitnessSpec(4, 0.0, 1, 1, 1))
+        assert sigma_operator(WitnessSpec(3, 0.0, 1, 1, 1)).shape == (8, 8)
 
 
 class TestScanK:
