@@ -18,6 +18,7 @@ import math
 import os
 import re
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ import numpy as np
 from . import bisep, noise, reports, sampling, states, witness
 from .correlators import SiteLayout, two_point
 from .errors import InputError, ResourceError, UnsupportedCaseError
+from .kernels import AXES
 
 SEED_ENV_VAR = "SFWITNESS_SEED"
 
@@ -37,6 +39,8 @@ EXIT_CHECK_FAILURE = 5
 
 BUILTIN_STATES = ("dicke", "phased-dicke", "ghz-superposition",
                   "dicke-ghz-superposition", "basis", "product")
+
+_Correlator = namedtuple("Correlator", "i j alpha beta value")
 
 _PI_TOKEN = re.compile(r"^([+-]?\d*\.?\d*)\s*pi\s*(?:/\s*(\d+\.?\d*))?$")
 
@@ -100,8 +104,12 @@ def parse_state(source: str):
         except (TypeError, ValueError) as exc:
             raise InputError(f"bad arguments for state {source!r}: {exc}") from exc
     if os.path.exists(source):
-        with open(source, encoding="utf-8") as handle:
-            return states.from_json(handle.read())
+        try:
+            with open(source, encoding="utf-8") as handle:
+                text = handle.read()
+        except OSError as exc:
+            raise InputError(f"cannot read state file {source!r}: {exc}") from exc
+        return states.from_json(text)
     raise InputError(
         f"unknown state {source!r}: expected one of {BUILTIN_STATES} or a file path")
 
@@ -243,7 +251,30 @@ def _nice_fraction(x: float) -> str:
     return _fmt(x)
 
 
-def _write(config: RunConfig, text: str) -> None:
+def _cell(value) -> str:
+    """One CSV cell: numbers at full precision, a nested dict as JSON."""
+    if isinstance(value, (bool, str)):
+        return str(value)
+    if isinstance(value, dict):
+        return json.dumps(value)
+    return _fmt(value)
+
+
+def _emit(config: RunConfig, record, text: str | None = None) -> int:
+    """Write one record as JSON, as CSV, or as its text rendering.
+
+    `record` is a dict (one CSV row) or a nonempty list of named tuples (one
+    row each). Where a command has no `text` rendering, text is the CSV table.
+    """
+    rows = [record] if isinstance(record, dict) else [r._asdict() for r in record]
+    if config.format == "json":
+        text = json.dumps(record if isinstance(record, dict) else rows) + "\n"
+    elif config.format == "csv" or text is None:
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(rows[0])
+        writer.writerows([_cell(v) for v in row.values()] for row in rows)
+        text = buffer.getvalue()
     if config.output_path:
         try:
             with open(config.output_path, "w", encoding="utf-8") as handle:
@@ -252,103 +283,62 @@ def _write(config: RunConfig, text: str) -> None:
             raise InputError(f"cannot write --output: {exc}") from exc
     else:
         sys.stdout.write(text)
-
-
-def _csv_text(header, rows) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
+    return EXIT_OK
 
 
 def _run_eval(config: RunConfig) -> int:
     state = config.state
     if config.correlators:
-        rows = [(i, j, a, b, _fmt(two_point(state, i, j, a, b)))
-                for i in range(1, state.n_qubits + 1)
-                for j in range(i + 1, state.n_qubits + 1)
-                for a in ("x", "y", "z") for b in ("x", "y", "z")]
-        _write(config, _csv_text(("i", "j", "alpha", "beta", "value"), rows))
-        return EXIT_OK
+        n = state.n_qubits
+        return _emit(config, [_Correlator(i, j, a, b, two_point(state, i, j, a, b))
+                              for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                              for a in AXES for b in AXES])
     sigma = witness.sigma_value(state, config.spec)
     wit = witness.witness_value(state, config.spec)
     detected = witness.detects(state, config.spec)
-    if config.format == "json":
-        _write(config, json.dumps({"sigma": sigma, "witness": wit,
-                                   "detected": detected}) + "\n")
-    elif config.format == "csv":
-        _write(config, _csv_text(("sigma", "witness", "detected"),
-                                 [(_fmt(sigma), _fmt(wit), detected)]))
-    else:
-        _write(config, (f"sigma   = {_nice_fraction(sigma)}\n"
-                        f"witness = {_nice_fraction(wit)}\n"
-                        f"entanglement detected: {'yes' if detected else 'no'}\n"))
-    return EXIT_OK
-
-
-def _write_points(config: RunConfig, points: list) -> int:
-    """Write a nonempty list of named tuples as JSON records or CSV rows."""
-    if config.format == "json":
-        _write(config, json.dumps([p._asdict() for p in points]) + "\n")
-    else:
-        _write(config, _csv_text(points[0]._fields,
-                                 [[_fmt(v) for v in p] for p in points]))
-    return EXIT_OK
+    return _emit(config, {"sigma": sigma, "witness": wit, "detected": detected},
+                 f"sigma   = {_nice_fraction(sigma)}\n"
+                 f"witness = {_nice_fraction(wit)}\n"
+                 f"entanglement detected: {'yes' if detected else 'no'}\n")
 
 
 def _run_scan(config: RunConfig) -> int:
     spec = config.spec
-    return _write_points(config, witness.scan_k(config.state, spec.c_x, spec.c_y,
-                                                spec.c_z, config.k_grid, spec.layout))
+    return _emit(config, witness.scan_k(config.state, spec.c_x, spec.c_y, spec.c_z,
+                                        config.k_grid, spec.layout))
 
 
 def _run_robustness(config: RunConfig) -> int:
     p_star = noise.collective_threshold(config.state, config.spec)
     q_star = noise.individual_threshold(config.state, config.spec)
-    spec_text = config.spec.to_json()
-    if config.format == "json":
-        _write(config, json.dumps({"state_id": config.state_source,
-                                   "spec": json.loads(spec_text),
-                                   "p_star": p_star, "q_star": q_star}) + "\n")
-    elif config.format == "csv":
-        _write(config, _csv_text(("state_id", "spec", "p_star", "q_star"),
-                                 [(config.state_source, spec_text,
-                                   _fmt(p_star), _fmt(q_star))]))
-    else:
-        _write(config, (f"p* (collective) = {_nice_fraction(p_star)}\n"
-                        f"q* (individual) = {_nice_fraction(q_star)}\n"))
-    return EXIT_OK
+    return _emit(config, {"state_id": config.state_source,
+                          "spec": json.loads(config.spec.to_json()),
+                          "p_star": p_star, "q_star": q_star},
+                 f"p* (collective) = {_nice_fraction(p_star)}\n"
+                 f"q* (individual) = {_nice_fraction(q_star)}\n")
 
 
 def _run_bisep(config: RunConfig) -> int:
     result = bisep.bisep_bound(config.spec, restarts=config.restarts,
                                tol=config.tol, seed=config.seed)
-    payload = {
+    cut = result.best_cut
+    return _emit(config, {
         "bound": result.bound,
-        "best_cut": {"part_a": list(result.best_cut.part_a),
-                     "part_b": list(result.best_cut.part_b)},
+        "best_cut": {"part_a": list(cut.part_a), "part_b": list(cut.part_b)},
         "best_state": [json.loads(states.to_json(s)) for s in result.best_state],
         "restarts_used": result.restarts_used,
         "converged": result.converged,
         "iterations": result.iterations,
         "spec": json.loads(config.spec.to_json()),
-    }
-    if config.format == "text":
-        cut = result.best_cut
-        _write(config, (f"biseparable bound = {_fmt(result.bound)}\n"
-                        f"best cut: {set(cut.part_a)} | {set(cut.part_b)}\n"
-                        f"converged: {result.converged} "
-                        f"after {result.iterations} sweeps\n"))
-    else:
-        _write(config, json.dumps(payload) + "\n")
-    return EXIT_OK
+    }, (f"biseparable bound = {_fmt(result.bound)}\n"
+        f"best cut: {set(cut.part_a)} | {set(cut.part_b)}\n"
+        f"converged: {result.converged} after {result.iterations} sweeps\n"))
 
 
 def _run_sample(config: RunConfig) -> int:
     if not isinstance(config.state, states.StateVector):
         raise InputError("sampling simulates projective readout of pure states")
-    return _write_points(config, sampling.convergence_curve(
+    return _emit(config, sampling.convergence_curve(
         config.state, config.spec, config.shot_grid, config.seed))
 
 
@@ -357,13 +347,10 @@ def _run_reproduce(config: RunConfig) -> int:
                                           restarts=config.restarts,
                                           shots=config.shots,
                                           product_samples=config.product_samples)
-    if config.format == "json":
-        _write(config, json.dumps(report.as_dict()) + "\n")
-    else:
-        lines = [check.line() for check in report.checks]
-        passed = sum(c.passed for c in report.checks)
-        lines.append(f"{passed}/{len(report.checks)} checks passed")
-        _write(config, "\n".join(lines) + "\n")
+    passed = sum(c.passed for c in report.checks)
+    _emit(config, report.as_dict(),
+          "".join(check.line() + "\n" for check in report.checks)
+          + f"{passed}/{len(report.checks)} checks passed\n")
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILURE
 
 

@@ -14,7 +14,7 @@ stay independent of the optimizer they validate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -99,28 +99,35 @@ def _cap_points(center: np.ndarray, radius: float, per_side: int) -> np.ndarray:
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
-def product_grid_max_2(spec: WitnessSpec, coarse: int = 8000, rounds: int = 3) -> float:
+def _sphere_search(values, spheres: int, coarse: int, per_side: int) -> float:
+    """Grid maximum of `values` over one or two unit spheres.
+
+    `values(*grids)` maps one (m, 3) point array per sphere to an array with
+    one axis per sphere. A Fibonacci grid of `coarse` points is refined by
+    three cap grids around the best point, each cap 8x smaller.
+    """
+    grids = [_fibonacci_sphere(coarse)] * spheres
+    radius = math.sqrt(4.0 * math.pi / coarse)
+    for _ in range(3):
+        grid_values = values(*grids)
+        top = np.unravel_index(int(np.argmax(grid_values)), grid_values.shape)
+        grids = [_cap_points(g[i], radius, per_side) for g, i in zip(grids, top)]
+        radius /= 8.0
+    return float(np.max(values(*grids)))
+
+
+def product_grid_max_2(spec: WitnessSpec) -> float:
     """Grid maximum of <Sigma> over two-qubit Bloch product states.
 
     The second Bloch vector is eliminated exactly (it aligns with the
     weighted image of the first), so only one sphere is gridded.
     """
     d = spec.pair_weight(1, 2) * np.array(spec.coefficients)
-
-    def best_over(points):
-        values = np.linalg.norm(points * d[None, :], axis=1)
-        top = int(np.argmax(values))
-        return float(values[top]), points[top]
-
-    value, center = best_over(_fibonacci_sphere(coarse))
-    radius = math.sqrt(4.0 * math.pi / coarse)
-    for _ in range(rounds):
-        value, center = best_over(_cap_points(center, radius, 41))
-        radius /= 8.0
-    return value
+    return _sphere_search(lambda points: np.linalg.norm(points * d[None, :], axis=1),
+                          1, 8000, 41)
 
 
-def product_grid_max_3(spec: WitnessSpec, coarse: int = 1200, rounds: int = 3) -> float:
+def product_grid_max_3(spec: WitnessSpec) -> float:
     """Grid maximum of <Sigma> over three-qubit Bloch product states.
 
     Grids the first two spheres; the third Bloch vector is eliminated
@@ -132,26 +139,16 @@ def product_grid_max_3(spec: WitnessSpec, coarse: int = 1200, rounds: int = 3) -
     w13 = spec.pair_weight(1, 3)
     w23 = spec.pair_weight(2, 3)
 
-    def best_over(pts1, pts2):
+    def values(pts1, pts2):
         cross = (pts1 * c[None, :]) @ (w12 * pts2.T)
         field1 = w13 * pts1 * c[None, :]
         field2 = w23 * pts2 * c[None, :]
         norm_sq = (np.sum(field1 ** 2, axis=1)[:, None]
                    + np.sum(field2 ** 2, axis=1)[None, :]
                    + 2.0 * field1 @ field2.T)
-        values = (cross + np.sqrt(np.clip(norm_sq, 0.0, None))) / 3.0
-        flat = int(np.argmax(values))
-        i, j = np.unravel_index(flat, values.shape)
-        return float(values[i, j]), pts1[i], pts2[j]
+        return (cross + np.sqrt(np.clip(norm_sq, 0.0, None))) / 3.0
 
-    sphere = _fibonacci_sphere(coarse)
-    value, c1, c2 = best_over(sphere, sphere)
-    radius = math.sqrt(4.0 * math.pi / coarse)
-    for _ in range(rounds):
-        value, c1, c2 = best_over(_cap_points(c1, radius, 25),
-                                  _cap_points(c2, radius, 25))
-        radius /= 8.0
-    return value
+    return _sphere_search(values, 2, 1200, 25)
 
 
 def _bloch_to_ket(points: np.ndarray) -> np.ndarray:
@@ -163,8 +160,7 @@ def _bloch_to_ket(points: np.ndarray) -> np.ndarray:
     return np.stack([a.astype(complex), b * np.exp(1j * phi)], axis=1)
 
 
-def cut_grid_max_3(spec: WitnessSpec, cut: bisep.Bipartition,
-                   coarse: int = 2000, rounds: int = 3) -> float:
+def cut_grid_max_3(spec: WitnessSpec, cut: bisep.Bipartition) -> float:
     """Grid maximum of <Sigma> over a 3-qubit cut with a singleton block.
 
     Grids the Bloch sphere of the lone qubit; for each point the best state
@@ -175,23 +171,18 @@ def cut_grid_max_3(spec: WitnessSpec, cut: bisep.Bipartition,
         raise ValueError("oracle written for 3 qubits")
     single, pair = ((cut.part_a, cut.part_b) if len(cut.part_a) == 1
                     else (cut.part_b, cut.part_a))
-    tensor, _ = bisep._partition_tensor(witness.sigma_operator(spec), 3,
-                                        (single, pair))
+    # one row and one column axis per block: (single, pair, single, pair)
+    order = [q - 1 for q in (*single, *pair)]
+    tensor = (witness.sigma_operator(spec).reshape((2,) * 6)
+              .transpose([*order, *(3 + ax for ax in order)]).reshape(2, 4, 2, 4))
 
-    def best_over(points):
+    def values(points):
         kets = _bloch_to_ket(points)
         eff = np.einsum("ms,sytz,mt->myz", kets.conj(), tensor, kets)
         eff = 0.5 * (eff + np.transpose(eff.conj(), (0, 2, 1)))
-        values = np.linalg.eigvalsh(eff)[:, -1]
-        top = int(np.argmax(values))
-        return float(values[top]), points[top]
+        return np.linalg.eigvalsh(eff)[:, -1]
 
-    value, center = best_over(_fibonacci_sphere(coarse))
-    radius = math.sqrt(4.0 * math.pi / coarse)
-    for _ in range(rounds):
-        value, center = best_over(_cap_points(center, radius, 41))
-        radius /= 8.0
-    return value
+    return _sphere_search(values, 1, 2000, 41)
 
 
 # --- the check battery -----------------------------------------------------
@@ -347,65 +338,45 @@ def _check_windows(report: ReferenceReport) -> None:
                    DICKE_GHZ_WINDOW_LOW)
 
 
-def _check_thresholds(report: ReferenceReport) -> None:
-    exact_ok = True
-    float_dev = 0.0
+def _threshold_cases() -> list:
+    """(state, spec, closed-form Sigma, exact p*, q*) for the robustness checks."""
+    cases = []
     for n in range(2, 11, 2):
-        sigma = witness.dicke_sigma_closed_form(n, n // 2)
-        exact_ok &= noise.collective_threshold_exact(sigma) == Fraction(2, n + 1)
-        spec = WitnessSpec(n, 0.0, 1.0, 1.0, -1.0)
-        float_dev = max(float_dev, abs(
-            noise.collective_threshold(make_dicke(n, n // 2), spec)
-            - float(Fraction(2, n + 1))))
-        sigma_xy = witness.phased_dicke_sigma_closed_form(n, n // 2, with_z=False)
-        exact_ok &= noise.collective_threshold_exact(sigma_xy) == Fraction(1, n)
-        spec_xy = WitnessSpec(n, math.pi, 1.0, 1.0, 0.0)
-        float_dev = max(float_dev, abs(
-            noise.collective_threshold(make_phased_dicke(n, n // 2), spec_xy)
-            - float(Fraction(1, n))))
-    for (n, l), p_star in (((4, 2), Fraction(4, 13)), ((6, 3), Fraction(6, 31))):
-        sigma = witness.phased_dicke_sigma_closed_form(n, l, with_z=True)
-        exact_ok &= noise.collective_threshold_exact(sigma) == p_star
-        spec = WitnessSpec(n, math.pi, 1.0, 1.0, 1.0)
-        float_dev = max(float_dev, abs(
-            noise.collective_threshold(make_phased_dicke(n, l), spec)
-            - float(p_star)))
+        cases.append((make_dicke(n, n // 2), WitnessSpec(n, 0.0, 1.0, 1.0, -1.0),
+                      witness.dicke_sigma_closed_form(n, n // 2), Fraction(2, n + 1),
+                      1.0 - math.sqrt((n - 1.0) / (n + 1.0))))
+        cases.append((make_phased_dicke(n, n // 2), WitnessSpec(n, math.pi, 1.0, 1.0, 0.0),
+                      witness.phased_dicke_sigma_closed_form(n, n // 2, with_z=False),
+                      Fraction(1, n), 1.0 - math.sqrt((n - 1.0) / n)))
+    for (n, l), p_star, q_star in (((4, 2), Fraction(4, 13), 1.0 - 3.0 / math.sqrt(13.0)),
+                                   ((6, 3), Fraction(6, 31), 1.0 - 5.0 / math.sqrt(31.0))):
+        cases.append((make_phased_dicke(n, l), WitnessSpec(n, math.pi, 1.0, 1.0, 1.0),
+                      witness.phased_dicke_sigma_closed_form(n, l, with_z=True),
+                      p_star, q_star))
+    return cases
+
+
+def _check_thresholds(report: ReferenceReport) -> None:
+    cases = _threshold_cases()
+    exact_ok = all(noise.collective_threshold_exact(sigma) == p_star
+                   for _, _, sigma, p_star, _ in cases)
+    float_dev = max(abs(noise.collective_threshold(state, spec) - float(p_star))
+                    for state, spec, _, p_star, _ in cases)
     report.add("08a_collective_thresholds", exact_ok and float_dev <= 1e-12,
                f"exact={exact_ok}, max_float_dev={float_dev:.3e}",
                "exact rationals; float path <=1e-12",
                "2/(N+1), 1/N, 4/13, 6/31")
 
-    dev = 0.0
-    for n in range(2, 11, 2):
-        spec = WitnessSpec(n, 0.0, 1.0, 1.0, -1.0)
-        dev = max(dev, abs(noise.individual_threshold(make_dicke(n, n // 2), spec)
-                           - (1.0 - math.sqrt((n - 1.0) / (n + 1.0)))))
-        spec_xy = WitnessSpec(n, math.pi, 1.0, 1.0, 0.0)
-        dev = max(dev, abs(
-            noise.individual_threshold(make_phased_dicke(n, n // 2), spec_xy)
-            - (1.0 - math.sqrt((n - 1.0) / n))))
-    for (n, l), q_star in (((4, 2), 1.0 - 3.0 / math.sqrt(13.0)),
-                           ((6, 3), 1.0 - 5.0 / math.sqrt(31.0))):
-        spec = WitnessSpec(n, math.pi, 1.0, 1.0, 1.0)
-        dev = max(dev, abs(noise.individual_threshold(make_phased_dicke(n, l), spec)
-                           - q_star))
+    dev = max(abs(noise.individual_threshold(state, spec) - q_star)
+              for state, spec, _, _, q_star in cases)
     report.add("08b_individual_thresholds", dev <= 1e-12,
                f"max_dev={dev:.3e}", "<=1e-12",
                "1-sqrt((N-1)/(N+1)), 1-sqrt((N-1)/N), 1-3/sqrt(13), 1-5/sqrt(31)")
 
-    improves = True
-    for n in range(2, 11, 2):
-        dicke = make_dicke(n, n // 2)
-        improves &= (noise.collective_threshold(dicke, WitnessSpec(n, 0.0, 1, 1, -1))
-                     > noise.collective_threshold(dicke, WitnessSpec(n, 0.0, 1, 1, 0)))
-        improves &= (noise.individual_threshold(dicke, WitnessSpec(n, 0.0, 1, 1, -1))
-                     > noise.individual_threshold(dicke, WitnessSpec(n, 0.0, 1, 1, 0)))
-    for n, l in ((4, 2), (6, 3)):
-        phased = make_phased_dicke(n, l)
-        improves &= (noise.collective_threshold(phased, WitnessSpec(n, math.pi, 1, 1, 1))
-                     > noise.collective_threshold(phased, WitnessSpec(n, math.pi, 1, 1, 0)))
-        improves &= (noise.individual_threshold(phased, WitnessSpec(n, math.pi, 1, 1, 1))
-                     > noise.individual_threshold(phased, WitnessSpec(n, math.pi, 1, 1, 0)))
+    improves = all(
+        threshold(state, spec) > threshold(state, replace(spec, c_z=0.0))
+        for state, spec, *_ in cases if spec.c_z != 0.0
+        for threshold in (noise.collective_threshold, noise.individual_threshold))
     report.add("08c_z_term_improves_robustness", improves, str(improves), "True",
                "c_z != 0 thresholds strictly exceed the c_z = 0 ones")
 

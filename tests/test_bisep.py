@@ -229,3 +229,22 @@ class TestGridOracles:
         for cut in enumerate_bipartitions(3):
             seesaw = seesaw_max(spec, cut, restarts=25, seed=10).bound
             assert seesaw == pytest.approx(cut_grid_max_3(spec, cut), abs=1e-3)
+
+    def test_oracles_do_not_use_the_seesaw(self, monkeypatch):
+        specs = [WitnessSpec(2, 0.7, 0.3, -0.9, 0.5),
+                 WitnessSpec(3, 2.1, -0.4, 0.8, 0.6)]
+        cuts = enumerate_bipartitions(3)
+
+        def oracle_values():
+            return ([product_grid_max_2(specs[0]), product_grid_max_3(specs[1])]
+                    + [cut_grid_max_3(specs[1], cut) for cut in cuts])
+
+        expected = oracle_values()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("grid oracle reached the see-saw")
+
+        for name in ("_partition_tensor", "_effective_operator", "_seesaw_once",
+                     "_best_restart"):
+            monkeypatch.setattr(bisep, name, forbidden)
+        assert oracle_values() == expected

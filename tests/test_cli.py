@@ -112,6 +112,27 @@ class TestEval:
         assert lines[0] == "i,j,alpha,beta,value"
         assert len(lines) == 1 + 3 * 9  # three pairs, nine axis combinations
 
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_correlator_table_is_the_text_and_csv_form(self, fmt, capsys):
+        argv = ["eval", "--state", "phased-dicke:4,2", "--correlators"]
+        _, table = run_cli(argv, capsys)
+        _, out = run_cli([*argv, "--format", fmt], capsys)
+        assert out == table
+
+    def test_correlator_json_records(self, capsys):
+        argv = ["eval", "--state", "phased-dicke:4,2", "--correlators"]
+        _, table = run_cli(argv, capsys)
+        code, out = run_cli([*argv, "--format", "json"], capsys)
+        assert code == EXIT_OK
+        records = json.loads(out)
+        rows = [line.split(",") for line in table.strip().splitlines()[1:]]
+        assert len(records) == len(rows) == 6 * 9
+        for record, (i, j, alpha, beta, value) in zip(records, rows):
+            assert set(record) == {"i", "j", "alpha", "beta", "value"}
+            assert (record["i"], record["j"]) == (int(i), int(j))
+            assert (record["alpha"], record["beta"]) == (alpha, beta)
+            assert record["value"] == float(value)
+
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "result.json"
         code, _ = run_cli(["eval", "--state", "dicke:4,2", "--k", "0",
@@ -217,6 +238,12 @@ class TestExitCodes:
             main(argv)
         assert exc_info.value.code == expected
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_unreadable_state_path_exits_input(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["eval", "--state", str(tmp_path)])
+        assert exc_info.value.code == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: cannot read state file")
 
     def test_unwritable_output_exits_input(self, tmp_path, capsys):
         target = tmp_path / "missing" / "out.txt"
