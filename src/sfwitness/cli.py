@@ -19,7 +19,6 @@ import os
 import re
 import sys
 from collections import namedtuple
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +29,10 @@ from .errors import InputError, ResourceError, UnsupportedCaseError
 from .kernels import AXES
 
 SEED_ENV_VAR = "SFWITNESS_SEED"
+
+# each point is an output row: 10^5 points cost `scan` ~5 s and ~60 MB on a
+# 4-qubit state (2-core VM), and the cost is linear in the count beyond that
+K_GRID_MAX_POINTS = 10 ** 5
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -43,26 +46,6 @@ BUILTIN_STATES = ("dicke", "phased-dicke", "ghz-superposition",
 _Correlator = namedtuple("Correlator", "i j alpha beta value")
 
 _PI_TOKEN = re.compile(r"^([+-]?\d*\.?\d*)\s*pi\s*(?:/\s*(\d+\.?\d*))?$")
-
-
-@dataclass
-class RunConfig:
-    """Everything one CLI invocation needs."""
-
-    command: str
-    state_source: str | None = None
-    state: states.StateVector | states.DensityMatrix | None = None
-    spec: witness.WitnessSpec | None = None
-    output_path: str | None = None
-    format: str = "text"
-    seed: int = 0
-    k_grid: list = field(default_factory=list)
-    shot_grid: list = field(default_factory=list)
-    restarts: int = bisep.DEFAULT_RESTARTS
-    tol: float = bisep.DEFAULT_TOL
-    shots: int = 10 ** 6
-    product_samples: int = 10 ** 4
-    correlators: bool = False
 
 
 def parse_angle(token: str) -> float:
@@ -145,12 +128,12 @@ def _parse_coefficients(text: str) -> tuple:
 def _parse_k_grid(text: str) -> list:
     if ":" in text:
         start, stop, num = text.split(":")
-        return list(np.linspace(parse_angle(start), parse_angle(stop), int(num)))
+        start, stop, count = parse_angle(start), parse_angle(stop), int(num)
+        if count > K_GRID_MAX_POINTS:
+            raise ResourceError(f"--k-grid asks for {count} points; "
+                                f"the cap is {K_GRID_MAX_POINTS}")
+        return list(np.linspace(start, stop, count))
     return [parse_angle(tok) for tok in text.split(",")]
-
-
-def _default_seed() -> int:
-    return int(os.environ.get(SEED_ENV_VAR, "0"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -161,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, state=True, spec=True, formats=("text", "json", "csv")):
         if state:
-            p.add_argument("--state", required=True,
+            p.add_argument("--state", dest="state_source", metavar="STATE", required=True,
                            help="builtin (e.g. dicke:4,2) or path to a state JSON file")
         if spec:
             p.add_argument("--k", default="0", help="wave vector; accepts pi tokens")
@@ -206,37 +189,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv=None) -> RunConfig:
-    ns = build_parser().parse_args(argv)
+def parse_args(argv=None) -> argparse.Namespace:
+    """argparse's namespace, with `state`, `spec`, `k_grid` and `shot_grid`
+    built once where the command has them and `seed` from $SFWITNESS_SEED."""
+    args = build_parser().parse_args(argv)
     try:
-        return _config_from(ns)
+        _build_inputs(args)
     except InputError:
         raise
     except (TypeError, ValueError) as exc:
         raise InputError(f"bad argument value: {exc}") from exc
+    return args
 
 
-def _config_from(ns: argparse.Namespace) -> RunConfig:
-    config = RunConfig(command=ns.command,
-                       state_source=getattr(ns, "state", None),
-                       output_path=ns.output, format=ns.format,
-                       seed=ns.seed if ns.seed is not None else _default_seed())
-    if config.state_source:
-        config.state = parse_state(config.state_source)
-    if hasattr(ns, "k"):
-        n = config.state.n_qubits if config.state is not None else ns.n_qubits
-        layout = (SiteLayout(tuple(float(x) for x in ns.positions.split(",")))
-                  if ns.positions else None)
-        config.spec = witness.WitnessSpec(n, parse_angle(ns.k),
-                                          *_parse_coefficients(ns.c), layout)
-    if hasattr(ns, "k_grid"):
-        config.k_grid = _parse_k_grid(ns.k_grid)
-    if hasattr(ns, "shot_grid"):
-        config.shot_grid = [int(s) for s in ns.shot_grid.split(",")]
-    for name in ("restarts", "tol", "shots", "product_samples", "correlators"):
-        if hasattr(ns, name):
-            setattr(config, name, getattr(ns, name))
-    return config
+def _build_inputs(args: argparse.Namespace) -> None:
+    if args.seed is None:
+        args.seed = int(os.environ.get(SEED_ENV_VAR, "0"))
+    source = getattr(args, "state_source", None)
+    args.state = parse_state(source) if source is not None else None
+    if hasattr(args, "k"):
+        n = args.state.n_qubits if args.state is not None else args.n_qubits
+        layout = (SiteLayout(tuple(float(x) for x in args.positions.split(",")))
+                  if args.positions else None)
+        args.spec = witness.WitnessSpec(n, parse_angle(args.k),
+                                        *_parse_coefficients(args.c), layout)
+    if hasattr(args, "k_grid"):
+        args.k_grid = _parse_k_grid(args.k_grid)
+    if hasattr(args, "shot_grid"):
+        args.shot_grid = [int(s) for s in args.shot_grid.split(",")]
+
+
+def RunConfig(command: str) -> argparse.Namespace:
+    """`command` at its defaults; `bench/workloads.py` reads reproduce-paper's."""
+    return parse_args([command])
 
 
 def _fmt(x: float) -> str:
@@ -260,24 +245,24 @@ def _cell(value) -> str:
     return _fmt(value)
 
 
-def _emit(config: RunConfig, record, text: str | None = None) -> int:
+def _emit(args: argparse.Namespace, record, text: str | None = None) -> int:
     """Write one record as JSON, as CSV, or as its text rendering.
 
     `record` is a dict (one CSV row) or a nonempty list of named tuples (one
     row each). Where a command has no `text` rendering, text is the CSV table.
     """
     rows = [record] if isinstance(record, dict) else [r._asdict() for r in record]
-    if config.format == "json":
+    if args.format == "json":
         text = json.dumps(record if isinstance(record, dict) else rows) + "\n"
-    elif config.format == "csv" or text is None:
+    elif args.format == "csv" or text is None:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(rows[0])
         writer.writerows([_cell(v) for v in row.values()] for row in rows)
         text = buffer.getvalue()
-    if config.output_path:
+    if args.output:
         try:
-            with open(config.output_path, "w", encoding="utf-8") as handle:
+            with open(args.output, "w", encoding="utf-8") as handle:
                 handle.write(text)
         except OSError as exc:
             raise InputError(f"cannot write --output: {exc}") from exc
@@ -286,69 +271,69 @@ def _emit(config: RunConfig, record, text: str | None = None) -> int:
     return EXIT_OK
 
 
-def _run_eval(config: RunConfig) -> int:
-    state = config.state
-    if config.correlators:
+def _run_eval(args: argparse.Namespace) -> int:
+    state = args.state
+    if args.correlators:
         n = state.n_qubits
-        return _emit(config, [_Correlator(i, j, a, b, two_point(state, i, j, a, b))
-                              for i in range(1, n + 1) for j in range(i + 1, n + 1)
-                              for a in AXES for b in AXES])
-    sigma = witness.sigma_value(state, config.spec)
-    wit = witness.witness_value(state, config.spec)
-    detected = witness.detects(state, config.spec)
-    return _emit(config, {"sigma": sigma, "witness": wit, "detected": detected},
+        return _emit(args, [_Correlator(i, j, a, b, two_point(state, i, j, a, b))
+                            for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                            for a in AXES for b in AXES])
+    sigma = witness.sigma_value(state, args.spec)
+    wit = witness.witness_value(state, args.spec)
+    detected = witness.detects(state, args.spec)
+    return _emit(args, {"sigma": sigma, "witness": wit, "detected": detected},
                  f"sigma   = {_nice_fraction(sigma)}\n"
                  f"witness = {_nice_fraction(wit)}\n"
                  f"entanglement detected: {'yes' if detected else 'no'}\n")
 
 
-def _run_scan(config: RunConfig) -> int:
-    spec = config.spec
-    return _emit(config, witness.scan_k(config.state, spec.c_x, spec.c_y, spec.c_z,
-                                        config.k_grid, spec.layout))
+def _run_scan(args: argparse.Namespace) -> int:
+    spec = args.spec
+    return _emit(args, witness.scan_k(args.state, spec.c_x, spec.c_y, spec.c_z,
+                                      args.k_grid, spec.layout))
 
 
-def _run_robustness(config: RunConfig) -> int:
-    p_star = noise.collective_threshold(config.state, config.spec)
-    q_star = noise.individual_threshold(config.state, config.spec)
-    return _emit(config, {"state_id": config.state_source,
-                          "spec": json.loads(config.spec.to_json()),
-                          "p_star": p_star, "q_star": q_star},
+def _run_robustness(args: argparse.Namespace) -> int:
+    p_star = noise.collective_threshold(args.state, args.spec)
+    q_star = noise.individual_threshold(args.state, args.spec)
+    return _emit(args, {"state_id": args.state_source,
+                        "spec": json.loads(args.spec.to_json()),
+                        "p_star": p_star, "q_star": q_star},
                  f"p* (collective) = {_nice_fraction(p_star)}\n"
                  f"q* (individual) = {_nice_fraction(q_star)}\n")
 
 
-def _run_bisep(config: RunConfig) -> int:
-    result = bisep.bisep_bound(config.spec, restarts=config.restarts,
-                               tol=config.tol, seed=config.seed)
+def _run_bisep(args: argparse.Namespace) -> int:
+    result = bisep.bisep_bound(args.spec, restarts=args.restarts,
+                               tol=args.tol, seed=args.seed)
     cut = result.best_cut
-    return _emit(config, {
+    return _emit(args, {
         "bound": result.bound,
         "best_cut": {"part_a": list(cut.part_a), "part_b": list(cut.part_b)},
         "best_state": [json.loads(states.to_json(s)) for s in result.best_state],
         "restarts_used": result.restarts_used,
         "converged": result.converged,
         "iterations": result.iterations,
-        "spec": json.loads(config.spec.to_json()),
+        "spec": json.loads(args.spec.to_json()),
     }, (f"biseparable bound = {_fmt(result.bound)}\n"
         f"best cut: {set(cut.part_a)} | {set(cut.part_b)}\n"
         f"converged: {result.converged} after {result.iterations} sweeps\n"))
 
 
-def _run_sample(config: RunConfig) -> int:
-    if not isinstance(config.state, states.StateVector):
+def _run_sample(args: argparse.Namespace) -> int:
+    if not isinstance(args.state, states.StateVector):
         raise InputError("sampling simulates projective readout of pure states")
-    return _emit(config, sampling.convergence_curve(
-        config.state, config.spec, config.shot_grid, config.seed))
+    return _emit(args, sampling.convergence_curve(
+        args.state, args.spec, args.shot_grid, args.seed))
 
 
-def _run_reproduce(config: RunConfig) -> int:
-    report = reports.run_reference_checks(seed=config.seed,
-                                          restarts=config.restarts,
-                                          shots=config.shots,
-                                          product_samples=config.product_samples)
+def _run_reproduce(args: argparse.Namespace) -> int:
+    report = reports.run_reference_checks(seed=args.seed,
+                                          restarts=args.restarts,
+                                          shots=args.shots,
+                                          product_samples=args.product_samples)
     passed = sum(c.passed for c in report.checks)
-    _emit(config, report.as_dict(),
+    _emit(args, report.as_dict(),
           "".join(check.line() + "\n" for check in report.checks)
           + f"{passed}/{len(report.checks)} checks passed\n")
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILURE
@@ -374,10 +359,10 @@ def exit_code_for(exc: Exception) -> int:
     raise exc
 
 
-def run(config: RunConfig) -> int:
+def run(args: argparse.Namespace) -> int:
     """Execute one parsed invocation; returns the exit code."""
     try:
-        return _RUNNERS[config.command](config)
+        return _RUNNERS[args.command](args)
     except (InputError, ResourceError, UnsupportedCaseError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return exit_code_for(exc)
@@ -385,11 +370,11 @@ def run(config: RunConfig) -> int:
 
 def main(argv=None) -> None:
     try:
-        config = parse_args(argv)
+        args = parse_args(argv)
     except (InputError, ResourceError, UnsupportedCaseError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         sys.exit(exit_code_for(exc))
-    sys.exit(run(config))
+    sys.exit(run(args))
 
 
 if __name__ == "__main__":

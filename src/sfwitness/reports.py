@@ -64,6 +64,11 @@ class ReferenceReport:
         self.checks.append(CheckResult(name, bool(passed), str(value),
                                        str(expected), detail))
 
+    def add_max_dev(self, name, deviations, tol: str, detail, fmt=".3e"):
+        """Pass when the largest deviation is within `tol` (as printed); a NaN fails."""
+        worst = float(np.max(list(deviations)))
+        self.add(name, worst <= float(tol), f"max_dev={worst:{fmt}}", f"<={tol}", detail)
+
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
@@ -208,63 +213,47 @@ def _sign_table(state) -> dict:
 
 
 def _check_dicke_closed_forms(report: ReferenceReport) -> None:
-    worst = 0.0
-    for n in range(2, 11):
-        spec = WitnessSpec(n, 0.0, 1.0, 1.0, -1.0)
-        for l in range(n + 1):
-            got = witness.sigma_value(make_dicke(n, l), spec)
-            want = witness.dicke_sigma_closed_form(n, l)
-            worst = max(worst, abs(got - float(want)))
-    report.add("01_dicke_sigma_closed_form", worst <= 1e-12,
-               f"max_dev={worst:.3e}", "<=1e-12",
-               "N=2..10, all l; includes (N+1)/(N-1) and 17/15 for (6,2)")
+    report.add_max_dev(
+        "01_dicke_sigma_closed_form",
+        (abs(witness.sigma_value(make_dicke(n, l), WitnessSpec(n, 0.0, 1.0, 1.0, -1.0))
+             - float(witness.dicke_sigma_closed_form(n, l)))
+         for n in range(2, 11) for l in range(n + 1)),
+        "1e-12", "N=2..10, all l; includes (N+1)/(N-1) and 17/15 for (6,2)")
 
 
 def _check_structure_identities(report: ReferenceReport, seed: int) -> None:
-    worst = 0.0
-    for n in range(2, 11):
-        for l in range(n + 1):
-            state = make_dicke(n, l)
-            xx = structure_factor(state, 0.0, "x", "x").real
-            yy = structure_factor(state, 0.0, "y", "y").real
-            zz = structure_factor(state, 0.0, "z", "z").real
-            worst = max(worst, abs(xx - l * (n - l)), abs(yy - l * (n - l)),
-                        abs(zz - ((n - 2 * l) ** 2 - n) / 2.0))
-    report.add("02a_dicke_structure_factors", worst <= 1e-12,
-               f"max_dev={worst:.3e}", "<=1e-12",
-               "S^xx(0)=S^yy(0)=l(N-l), S^zz(0)=((N-2l)^2-N)/2, N<=10")
+    report.add_max_dev(
+        "02a_dicke_structure_factors",
+        (abs(structure_factor(make_dicke(n, l), 0.0, axis, axis).real - want)
+         for n in range(2, 11) for l in range(n + 1)
+         for axis, want in (("x", l * (n - l)), ("y", l * (n - l)),
+                            ("z", ((n - 2 * l) ** 2 - n) / 2.0))),
+        "1e-12", "S^xx(0)=S^yy(0)=l(N-l), S^zz(0)=((N-2l)^2-N)/2, N<=10")
     rng = np.random.default_rng([seed, 2])
-    worst = 0.0
-    for _ in range(100):
-        n = int(rng.integers(2, 7))
-        state = random_state_vector(n, rng)
-        axis = ("x", "y", "z")[rng.integers(3)]
-        lhs, rhs = verify_collective_identity(state, axis)
-        worst = max(worst, abs(lhs - rhs))
-    report.add("02b_collective_spin_identity", worst <= 1e-10,
-               f"max_dev={worst:.3e}", "<=1e-10",
-               "pair sum vs (4 J^2 - N)/2 on 100 random states, N<=6")
+
+    def deviation():
+        state = random_state_vector(int(rng.integers(2, 7)), rng)
+        lhs, rhs = verify_collective_identity(state, ("x", "y", "z")[rng.integers(3)])
+        return abs(lhs - rhs)
+
+    report.add_max_dev("02b_collective_spin_identity", (deviation() for _ in range(100)),
+                       "1e-10", "pair sum vs (4 J^2 - N)/2 on 100 random states, N<=6")
 
 
 def _check_phased_values(report: ReferenceReport) -> None:
-    worst = 0.0
-    for n in range(2, 11):
-        ls = [n // 2] if n % 2 == 0 else [(n - 1) // 2, (n + 1) // 2]
-        for l in ls:
-            got = witness.sigma_value(make_phased_dicke(n, l),
-                                      WitnessSpec(n, math.pi, 1.0, 1.0, 0.0))
-            want = witness.phased_dicke_sigma_closed_form(n, l, with_z=False)
-            worst = max(worst, abs(got - float(want)))
-    report.add("03a_phased_dicke_xy_values", worst <= 1e-12,
-               f"max_dev={worst:.3e}", "<=1e-12",
-               "N/(N-1) even, (N+1)/N odd, k=pi, c=(1,1,0), N<=10")
-    worst = 0.0
-    for (n, l), want in (((4, 2), Fraction(13, 9)), ((6, 3), Fraction(31, 25))):
-        got = witness.sigma_value(make_phased_dicke(n, l),
-                                  WitnessSpec(n, math.pi, 1.0, 1.0, 1.0))
-        worst = max(worst, abs(got - float(want)))
-    report.add("03b_phased_dicke_xyz_values", worst <= 1e-12,
-               f"max_dev={worst:.3e}", "<=1e-12", "13/9 and 31/25 with c=(1,1,1)")
+    report.add_max_dev(
+        "03a_phased_dicke_xy_values",
+        (abs(witness.sigma_value(make_phased_dicke(n, l), WitnessSpec(n, math.pi, 1.0, 1.0, 0.0))
+             - float(witness.phased_dicke_sigma_closed_form(n, l, with_z=False)))
+         for n in range(2, 11)
+         for l in ([n // 2] if n % 2 == 0 else [(n - 1) // 2, (n + 1) // 2])),
+        "1e-12", "N/(N-1) even, (N+1)/N odd, k=pi, c=(1,1,0), N<=10")
+    report.add_max_dev(
+        "03b_phased_dicke_xyz_values",
+        (abs(witness.sigma_value(make_phased_dicke(n, l), WitnessSpec(n, math.pi, 1.0, 1.0, 1.0))
+             - float(want))
+         for (n, l), want in (((4, 2), Fraction(13, 9)), ((6, 3), Fraction(31, 25)))),
+        "1e-12", "13/9 and 31/25 with c=(1,1,1)")
 
 
 def _check_sign_patterns(report: ReferenceReport) -> None:
@@ -367,11 +356,11 @@ def _check_thresholds(report: ReferenceReport) -> None:
                "exact rationals; float path <=1e-12",
                "2/(N+1), 1/N, 4/13, 6/31")
 
-    dev = max(abs(noise.individual_threshold(state, spec) - q_star)
-              for state, spec, _, _, q_star in cases)
-    report.add("08b_individual_thresholds", dev <= 1e-12,
-               f"max_dev={dev:.3e}", "<=1e-12",
-               "1-sqrt((N-1)/(N+1)), 1-sqrt((N-1)/N), 1-3/sqrt(13), 1-5/sqrt(31)")
+    report.add_max_dev(
+        "08b_individual_thresholds",
+        (abs(noise.individual_threshold(state, spec) - q_star)
+         for state, spec, _, _, q_star in cases),
+        "1e-12", "1-sqrt((N-1)/(N+1)), 1-sqrt((N-1)/N), 1-3/sqrt(13), 1-5/sqrt(31)")
 
     improves = all(
         threshold(state, spec) > threshold(state, replace(spec, c_z=0.0))
@@ -383,16 +372,16 @@ def _check_thresholds(report: ReferenceReport) -> None:
 
 def _check_kraus(report: ReferenceReport, seed: int) -> None:
     rng = np.random.default_rng([seed, 9])
-    worst = 0.0
-    for _ in range(100):
+
+    def deviation():
         n = int(rng.integers(2, 7))
         state = random_state_vector(n, rng)
         sides = noise.kraus_crosscheck(state, _random_spec(rng, n),
                                        float(rng.integers(0, 11)) / 10.0)
-        worst = max(worst, abs(sides[0] - sides[1]))
-    report.add("09_kraus_channel_equivalence", worst <= 1e-12,
-               f"max_dev={worst:.3e}", "<=1e-12",
-               "factor law vs explicit Kraus, 100 random (state, spec, q)")
+        return abs(sides[0] - sides[1])
+
+    report.add_max_dev("09_kraus_channel_equivalence", (deviation() for _ in range(100)),
+                       "1e-12", "factor law vs explicit Kraus, 100 random (state, spec, q)")
 
 
 def _check_bisep(report: ReferenceReport, seed: int, restarts: int) -> None:
@@ -411,13 +400,9 @@ def _check_bisep(report: ReferenceReport, seed: int, restarts: int) -> None:
         gme_ok &= bisep.gme_detected(make_phased_dicke(n, l), spec, result)
     report.add("10_gme_detected", gme_ok, str(gme_ok), "True",
                "phased Dicke states exceed the biseparable bounds")
-    prod_ok = True
-    worst = -np.inf
-    for n, (spec, _) in results.items():
-        value = bisep.product_bound(spec, restarts=restarts, seed=seed)
-        worst = max(worst, value)
-        prod_ok &= value <= 1.0 + 1e-6
-    report.add("10_product_bound_cap", prod_ok, f"max={worst:.9f}", "<=1+1e-6")
+    worst = float(np.max([bisep.product_bound(spec, restarts=restarts, seed=seed)
+                          for spec, _ in results.values()]))
+    report.add("10_product_bound_cap", worst <= 1.0 + 1e-6, f"max={worst:.9f}", "<=1+1e-6")
 
     sound = True
     for n, (spec, result) in results.items():
@@ -426,21 +411,22 @@ def _check_bisep(report: ReferenceReport, seed: int, restarts: int) -> None:
     report.add("11a_seesaw_soundness", sound, str(sound), "True",
                "bounds re-verified on the stored achieving states")
 
-    worst = 0.0
+    report.add_max_dev("11b_small_n_grid_agreement", _grid_deviations(seed), "1e-3",
+                       "see-saw vs grid-search oracles, N=2 and N=3", fmt=".2e")
+
+
+def _grid_deviations(seed: int):
     rng = np.random.default_rng([seed, 11])
-    for trial in range(3):
+    for _ in range(3):
         spec2 = _random_spec(rng, 2)
-        got = bisep.bisep_bound(spec2, restarts=30, seed=seed).bound
-        worst = max(worst, abs(got - product_grid_max_2(spec2)))
+        yield abs(bisep.bisep_bound(spec2, restarts=30, seed=seed).bound
+                  - product_grid_max_2(spec2))
         spec3 = _random_spec(rng, 3)
-        got = bisep.product_bound(spec3, restarts=30, seed=seed)
-        worst = max(worst, abs(got - product_grid_max_3(spec3)))
+        yield abs(bisep.product_bound(spec3, restarts=30, seed=seed)
+                  - product_grid_max_3(spec3))
         for cut in bisep.enumerate_bipartitions(3):
-            got = bisep.seesaw_max(spec3, cut, restarts=30, seed=seed).bound
-            worst = max(worst, abs(got - cut_grid_max_3(spec3, cut)))
-    report.add("11b_small_n_grid_agreement", worst <= 1e-3,
-               f"max_dev={worst:.2e}", "<=1e-3",
-               "see-saw vs grid-search oracles, N=2 and N=3")
+            yield abs(bisep.seesaw_max(spec3, cut, restarts=30, seed=seed).bound
+                      - cut_grid_max_3(spec3, cut))
 
 
 def _check_sampling(report: ReferenceReport, seed: int, shots: int) -> None:

@@ -9,8 +9,9 @@ import pytest
 from sfwitness import (DensityMatrix, InputError, ResourceError, StateVector,
                        UnsupportedCaseError, from_json, make_dicke, to_json)
 from sfwitness.cli import (EXIT_CHECK_FAILURE, EXIT_INPUT, EXIT_OK,
-                           EXIT_RESOURCE, EXIT_UNSUPPORTED, exit_code_for,
-                           main, parse_angle, parse_args, parse_state, run)
+                           EXIT_RESOURCE, EXIT_UNSUPPORTED, RunConfig,
+                           exit_code_for, main, parse_angle, parse_args,
+                           parse_state, run)
 
 
 def run_cli(argv, capsys):
@@ -230,7 +231,8 @@ class TestExitCodes:
         (["eval", "--state", "dicke:4,2", "--positions", "0,1,x,3"], None, EXIT_INPUT),
         (["eval", "--state", "dicke:4,2"], "abc", EXIT_INPUT),
         (["eval", "--state", "basis:" + "0" * 41], None, EXIT_RESOURCE),
-    ], ids=["c", "k-grid", "shot-grid", "positions", "seed-env", "basis-cap"])
+        (["eval", "--state", ""], None, EXIT_INPUT),
+    ], ids=["c", "k-grid", "shot-grid", "positions", "seed-env", "basis-cap", "empty-state"])
     def test_bad_values_exit_typed(self, argv, env_seed, expected, monkeypatch, capsys):
         if env_seed is not None:
             monkeypatch.setenv("SFWITNESS_SEED", env_seed)
@@ -238,6 +240,25 @@ class TestExitCodes:
             main(argv)
         assert exc_info.value.code == expected
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_k_grid_count_capped_before_allocation(self, monkeypatch, capsys):
+        import sfwitness.cli as cli
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("np.linspace ran on an uncapped count")
+
+        monkeypatch.setattr(cli.np, "linspace", forbidden)
+        with pytest.raises(SystemExit) as exc_info:
+            main(["scan", "--state", "dicke:4,2",
+                  "--k-grid", f"0:pi:{cli.K_GRID_MAX_POINTS + 1}"])
+        assert exc_info.value.code == EXIT_RESOURCE
+        assert capsys.readouterr().err.startswith("error: --k-grid asks for")
+
+    def test_k_grid_count_at_cap_accepted(self):
+        import sfwitness.cli as cli
+        args = parse_args(["scan", "--state", "dicke:2,1",
+                           "--k-grid", f"0:pi:{cli.K_GRID_MAX_POINTS}"])
+        assert len(args.k_grid) == cli.K_GRID_MAX_POINTS
 
     def test_unreadable_state_path_exits_input(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc_info:
@@ -301,6 +322,11 @@ class TestReproduceCommand:
         assert not by_name["07b_dicke_ghz_superposition_boundary"]["passed"]
         assert code == EXIT_CHECK_FAILURE
         assert not payload["all_passed"]
+
+    def test_defaults_namespace(self):
+        # the benchmark reads the reproduce-paper shot count through RunConfig
+        defaults = RunConfig("reproduce-paper")
+        assert (defaults.shots, defaults.product_samples) == (10 ** 6, 10 ** 4)
 
     def test_seed_deterministic(self, capsys):
         argv = ["reproduce-paper", "--restarts", "8", "--shots", "2000",

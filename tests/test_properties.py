@@ -105,3 +105,19 @@ def test_sigma_invariant_under_weight_automorphism(case, seed):
     assert sigma_value(swapped, spec) == pytest.approx(sigma_value(state, spec), abs=1e-12)
     operator = sigma_operator(spec)
     assert np.allclose(operator[np.ix_(swap, swap)], operator, rtol=0.0, atol=1e-12)
+
+
+@SETTINGS
+@given(specs(max_n=5), seeds)
+def test_sigma_invariant_under_chain_mirror(spec, seed):
+    # reversing the sites and mapping r -> -r keeps the layout increasing and every |r_j - r_i|
+    n = spec.n_qubits
+    mirrored = WitnessSpec(n, spec.k, *spec.coefficients,
+                           SiteLayout(tuple(-r for r in reversed(spec.layout.positions))))
+    reverse = np.arange(2 ** n).reshape((2,) * n).transpose(range(n - 1, -1, -1)).reshape(-1)
+    state = random_pure(np.random.default_rng(seed), n)
+    reversed_state = StateVector(n, state.amplitudes[reverse])
+    assert sigma_value(reversed_state, mirrored) == pytest.approx(
+        sigma_value(state, spec), abs=1e-12)
+    assert np.allclose(sigma_operator(mirrored), sigma_operator(spec)[np.ix_(reverse, reverse)],
+                       rtol=0.0, atol=1e-12)
