@@ -12,19 +12,24 @@ across single cuts, and <Sigma> is linear in the state, so the maximum
 over pure product-across-a-cut states already bounds all biseparable
 states. The see-saw returns attained values, i.e. lower bounds on that
 maximum; restarts make them sharp in practice.
+
+Cuts run on the dense operator. For fully product states every factor is a
+qubit whose effective operator is h.sigma + const, with h = c o sum_j W_ij n_j
+over the other Bloch vectors n_j; its top eigenvector is the Bloch direction
+h/|h|, so that see-saw runs on N Bloch vectors (a zero field leaves n_i).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
+from . import states
 from .errors import InputError
 from .states import StateVector
-from .witness import WitnessSpec, sigma_operator, sigma_value
+from .witness import WitnessSpec, pair_weight_matrix, sigma_operator, sigma_value
 
 DEFAULT_RESTARTS = 200
 DEFAULT_TOL = 1e-10
@@ -84,62 +89,40 @@ def enumerate_bipartitions(n_qubits: int) -> list[Bipartition]:
     return cuts
 
 
-def _partition_tensor(matrix: np.ndarray, n_qubits: int, parts) -> tuple[np.ndarray, list]:
-    """Reshape the dense operator to one row and one col axis per block."""
-    order = [q - 1 for part in parts for q in part]
-    tensor = matrix.reshape((2,) * (2 * n_qubits))
-    tensor = tensor.transpose([*order, *(n_qubits + ax for ax in order)])
-    dims = [2 ** len(part) for part in parts]
-    return tensor.reshape(*dims, *dims), dims
+def _cut_tensor(matrix: np.ndarray, cut: Bipartition) -> np.ndarray:
+    """Reshape the dense operator to axes (row A, row B, col A, col B)."""
+    n = cut.n_qubits
+    order = [q - 1 for q in (*cut.part_a, *cut.part_b)]
+    dims = (2 ** len(cut.part_a), 2 ** len(cut.part_b))
+    tensor = matrix.reshape((2,) * (2 * n)).transpose([*order, *(n + ax for ax in order)])
+    return tensor.reshape(*dims, *dims)
 
 
-def _effective_operator(tensor: np.ndarray, vectors: list, hold: int) -> np.ndarray:
-    """Contract <v|...|v> over every block except `hold`."""
-    n_parts = len(vectors)
-    args = [tensor, list(range(2 * n_parts))]
-    for pos, vec in enumerate(vectors):
-        if pos != hold:
-            args += [vec.conj(), [pos], vec, [n_parts + pos]]
-    eff = np.einsum(*args, [hold, n_parts + hold])
+def _effective_operator(tensor: np.ndarray, factors, hold: int) -> np.ndarray:
+    """Contract <v|...|v> over the block other than `hold` (0 for A, 1 for B)."""
+    fixed = factors[1 - hold]
+    eff = np.einsum(("abcd,b,d->ac", "abcd,a,c->bd")[hold], tensor, fixed.conj(), fixed)
     return 0.5 * (eff + eff.conj().T)
 
 
-def _random_factors(dims, rng: np.random.Generator) -> list:
-    factors = []
-    for d in dims:
-        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        factors.append(v / np.linalg.norm(v))
-    return factors
-
-
-def _seesaw_once(tensor: np.ndarray, dims, rng: np.random.Generator,
+def _seesaw_once(tensor: np.ndarray, cut: Bipartition, rng: np.random.Generator,
                  tol: float, max_iter: int):
     """One restart. Returns (value, factors, iterations, converged, trace)."""
-    factors = _random_factors(dims, rng)
+    factors = [states.random_state_vector(len(part), rng).amplitudes
+               for part in (cut.part_a, cut.part_b)]
     trace = []
     value = -np.inf
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        for hold in range(len(dims)):
+    for iterations in range(1, max_iter + 1):  # max_iter >= 1 (_check_run_params)
+        for hold in range(2):
             eff = _effective_operator(tensor, factors, hold)
             eigvals, eigvecs = np.linalg.eigh(eff)
             factors[hold] = eigvecs[:, -1]
             trace.append(float(eigvals[-1]))
-        if trace[-1] - value < tol:
-            value = trace[-1]
-            converged = True
-            break
+        converged = trace[-1] - value < tol
         value = trace[-1]
+        if converged:
+            break
     return value, factors, iterations, converged, trace
-
-
-def _assemble(n_qubits: int, parts, factors) -> StateVector:
-    """Tensor the block factors back together in global qubit order."""
-    order = [q - 1 for part in parts for q in part]
-    full = reduce(np.kron, factors)
-    amps = full.reshape((2,) * n_qubits).transpose(np.argsort(order)).reshape(-1)
-    return StateVector(n_qubits, amps / np.linalg.norm(amps))
 
 
 def assemble_cut_state(cut: Bipartition, state_a: StateVector,
@@ -147,42 +130,34 @@ def assemble_cut_state(cut: Bipartition, state_a: StateVector,
     """Product state |a> x |b> across the cut, as a full register state."""
     if (len(cut.part_a), len(cut.part_b)) != (state_a.n_qubits, state_b.n_qubits):
         raise InputError("factor sizes do not match the cut")
-    return _assemble(cut.n_qubits, (cut.part_a, cut.part_b),
-                     (state_a.amplitudes, state_b.amplitudes))
+    order = [q - 1 for q in (*cut.part_a, *cut.part_b)]
+    full = np.kron(state_a.amplitudes, state_b.amplitudes)
+    amps = full.reshape((2,) * cut.n_qubits).transpose(np.argsort(order)).reshape(-1)
+    return StateVector(cut.n_qubits, amps / np.linalg.norm(amps))
 
 
-def _check_cut(spec: WitnessSpec, cut: Bipartition) -> None:
-    if cut.n_qubits != spec.n_qubits:
-        raise InputError(
-            f"cut covers {cut.n_qubits} sites, spec has {spec.n_qubits}")
-
-
-def _best_restart(matrix: np.ndarray, spec: WitnessSpec, parts, restarts: int,
-                  tol: float, max_iter: int, seed_words: list):
-    """First best of `restarts` see-saw runs, run r seeded by [*seed_words, r].
-
-    Raises ArithmeticError unless <Sigma> of the assembled winner matches it.
-    """
-    tensor, dims = _partition_tensor(matrix, spec.n_qubits, parts)
-    best = max((_seesaw_once(tensor, dims, np.random.default_rng([*seed_words, r]),
-                             tol, max_iter) for r in range(restarts)),
-               key=lambda run: run[0])
-    recheck = sigma_value(_assemble(spec.n_qubits, parts, best[1]), spec)
-    if abs(recheck - best[0]) > BOUND_RECHECK_ATOL:
+def _recheck(value: float, state, spec: WitnessSpec) -> float:
+    """Return `value`, or raise ArithmeticError unless <Sigma> on `state` matches it."""
+    recheck = sigma_value(state, spec)
+    if abs(recheck - value) > BOUND_RECHECK_ATOL:
         raise ArithmeticError(
-            f"see-saw value {best[0]!r} disagrees with recomputed {recheck!r}")
-    return best
+            f"see-saw value {value!r} disagrees with recomputed {recheck!r}")
+    return float(value)
 
 
 def _seesaw_cut(matrix: np.ndarray, spec: WitnessSpec, cut: Bipartition,
                 restarts: int, tol: float, max_iter: int, seed: int,
                 cut_index: int) -> BisepResult:
-    value, factors, iterations, converged, _ = _best_restart(
-        matrix, spec, (cut.part_a, cut.part_b), restarts, tol, max_iter,
-        [seed, cut_index])
-    return BisepResult(bound=float(value), best_cut=cut,
-                       best_state=(StateVector(len(cut.part_a), factors[0]),
-                                   StateVector(len(cut.part_b), factors[1])),
+    """First best of `restarts` see-saw runs, run r seeded by [seed, cut_index, r]."""
+    tensor = _cut_tensor(matrix, cut)
+    value, factors, iterations, converged, _ = max(
+        (_seesaw_once(tensor, cut, np.random.default_rng([seed, cut_index, r]),
+                      tol, max_iter) for r in range(restarts)),
+        key=lambda run: run[0])
+    best_state = (StateVector(len(cut.part_a), factors[0]),
+                  StateVector(len(cut.part_b), factors[1]))
+    return BisepResult(bound=_recheck(value, assemble_cut_state(cut, *best_state), spec),
+                       best_cut=cut, best_state=best_state,
                        restarts_used=restarts, converged=converged,
                        iterations=iterations, spec=spec)
 
@@ -202,7 +177,8 @@ def seesaw_max(spec: WitnessSpec, cut: Bipartition,
                restarts: int = DEFAULT_RESTARTS, tol: float = DEFAULT_TOL,
                max_iter: int = DEFAULT_MAX_ITER, seed: int = 0) -> BisepResult:
     """Maximize <Sigma> over pure states product across one cut."""
-    _check_cut(spec, cut)
+    if cut.n_qubits != spec.n_qubits:
+        raise InputError(f"cut covers {cut.n_qubits} sites, spec has {spec.n_qubits}")
     _check_run_params(restarts, seed, tol, max_iter)
     return _seesaw_cut(sigma_operator(spec), spec, cut,
                        restarts, tol, max_iter, seed, cut_index=0)
@@ -211,20 +187,36 @@ def seesaw_max(spec: WitnessSpec, cut: Bipartition,
 def bisep_bound(spec: WitnessSpec, restarts: int = DEFAULT_RESTARTS,
                 tol: float = DEFAULT_TOL, seed: int = 0,
                 max_iter: int = DEFAULT_MAX_ITER) -> BisepResult:
-    """Maximum of seesaw_max over every canonical cut.
+    """Maximum of seesaw_max over every canonical cut (the first best cut wins).
 
     The result bounds <Sigma> on all biseparable states (see module notes);
     exceeding it certifies genuine multipartite entanglement.
     """
     _check_run_params(restarts, seed, tol, max_iter)
     matrix = sigma_operator(spec)
-    best = None
-    for cut_index, cut in enumerate(enumerate_bipartitions(spec.n_qubits)):
-        result = _seesaw_cut(matrix, spec, cut, restarts, tol, max_iter,
-                             seed, cut_index)
-        if best is None or result.bound > best.bound:
-            best = result
-    return best
+    return max((_seesaw_cut(matrix, spec, cut, restarts, tol, max_iter, seed, cut_index)
+                for cut_index, cut in enumerate(enumerate_bipartitions(spec.n_qubits))),
+               key=lambda result: result.bound)
+
+
+def _bloch_once(weights: np.ndarray, coefficients: np.ndarray,
+                rng: np.random.Generator, tol: float, max_iter: int):
+    """One product restart on N Bloch vectors; returns (value, blochs)."""
+    a, b = np.array([states.random_state_vector(1, rng).amplitudes for _ in weights]).T
+    blochs = np.column_stack([2 * (a.conj() * b).real, 2 * (a.conj() * b).imag,
+                              np.abs(a) ** 2 - np.abs(b) ** 2])
+    value = -np.inf
+    for _ in range(max_iter):
+        for i in range(len(weights)):
+            field = coefficients * (weights[i] @ blochs)
+            norm = np.linalg.norm(field)
+            if norm > 0.0:
+                blochs[i] = field / norm
+        previous = value
+        value = 0.5 * float(np.sum(coefficients * blochs * (weights @ blochs)))
+        if value - previous < tol:
+            break
+    return value, blochs
 
 
 def product_bound(spec: WitnessSpec, restarts: int = DEFAULT_RESTARTS,
@@ -232,13 +224,18 @@ def product_bound(spec: WitnessSpec, restarts: int = DEFAULT_RESTARTS,
                   max_iter: int = DEFAULT_MAX_ITER) -> float:
     """Best <Sigma> found over fully product states (N single-qubit factors).
 
-    Cannot exceed 1 beyond numerical slack; useful as a sanity anchor for
-    the analytic product bound.
+    Restart r starts from the Bloch vectors of N random kets drawn from
+    default_rng([seed, r]). Cannot exceed 1 beyond numerical slack; useful
+    as a sanity anchor for the analytic product bound.
     """
     _check_run_params(restarts, seed, tol, max_iter)
-    parts = tuple((q,) for q in range(1, spec.n_qubits + 1))
-    return float(_best_restart(sigma_operator(spec), spec, parts, restarts,
-                               tol, max_iter, [seed])[0])
+    states._check_size(spec.n_qubits, "DENSITY_MAX_QUBITS")  # the recheck's density matrix
+    weights = pair_weight_matrix(spec) / math.comb(spec.n_qubits, 2)
+    coefficients = np.array(spec.coefficients)
+    value, blochs = max((_bloch_once(weights, coefficients, np.random.default_rng([seed, r]),
+                                     tol, max_iter) for r in range(restarts)),
+                        key=lambda run: run[0])
+    return _recheck(value, states.make_product_density(blochs), spec)
 
 
 def gme_detected(state, spec: WitnessSpec, bisep: BisepResult,

@@ -65,14 +65,6 @@ def parse_angle(token: str) -> float:
         raise InputError(f"cannot parse angle {token!r}") from None
 
 
-def _parse_sign(token: str):
-    if token in ("+", "+1"):
-        return +1
-    if token in ("-", "-1"):
-        return -1
-    raise InputError(f"sign must be '+' or '-', got {token!r}")
-
-
 def parse_state(source: str):
     """Build a state from 'name:args' or load one from a JSON file.
 
@@ -106,10 +98,10 @@ def _build_state(name: str, args: str):
         return states.make_phased_dicke(n, l)
     if name == "ghz-superposition":
         theta, sign = args.split(",")
-        return states.make_ghz_superposition(parse_angle(theta), _parse_sign(sign))
+        return states.make_ghz_superposition(parse_angle(theta), sign)
     if name == "dicke-ghz-superposition":
         theta, sign = args.split(",")
-        return states.make_dicke_ghz_superposition(parse_angle(theta), _parse_sign(sign))
+        return states.make_dicke_ghz_superposition(parse_angle(theta), sign)
     if name == "basis":
         return states.make_basis_state(len(args), args)
     # product: semicolon-separated Bloch triples, e.g. 0,0,1;1,0,0

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import bisep, noise, sampling, witness
 from .correlators import structure_factor, verify_collective_identity
+from .errors import InputError
 from .states import (BlochVector, make_dicke, make_dicke_ghz_superposition,
                      make_ghz_superposition, make_phased_dicke,
                      make_product_density, random_state_vector)
@@ -30,6 +31,9 @@ GHZ_WINDOW_LOW = math.pi / 4
 DICKE_GHZ_WINDOW_LOW = math.acos(3.0 * math.sqrt(2.0 / 19.0))
 BISEP_BOUND_4 = 1.187
 BISEP_BOUND_6 = 1.158
+
+#: Fewest shots for check 12b: its grid 100, 1000, ... up to `shots` then has two points.
+MIN_SHOTS = 1000
 
 PHASED_4_SIGNS = {
     "0011": 1, "1100": 1, "0110": 1, "1001": 1, "0101": -1, "1010": -1,
@@ -452,7 +456,11 @@ def _check_sampling(report: ReferenceReport, seed: int, shots: int) -> None:
 def run_reference_checks(seed: int = 0, restarts: int = bisep.DEFAULT_RESTARTS,
                          shots: int = 10 ** 6,
                          product_samples: int = 10 ** 4) -> ReferenceReport:
-    """Run the full battery; see the module docstring."""
+    """Run the full battery, sizes checked before any check; see the module docstring."""
+    for name, value, least in (("restarts", restarts, 1), ("shots", shots, MIN_SHOTS),
+                               ("product_samples", product_samples, 1)):
+        if value < least:
+            raise InputError(f"{name} must be >= {least}, got {value}")
     report = ReferenceReport()
     _check_dicke_closed_forms(report)
     _check_structure_identities(report, seed)

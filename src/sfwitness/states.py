@@ -127,14 +127,11 @@ class BlochVector:
     def norm_sq(self) -> float:
         return self.n_x ** 2 + self.n_y ** 2 + self.n_z ** 2
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.n_x, self.n_y, self.n_z])
-
 
 def _sign_factor(sign) -> float:
-    if sign in (+1, "+", 1.0):
+    if sign in (+1, "+", "+1"):
         return 1.0
-    if sign in (-1, "-", -1.0):
+    if sign in (-1, "-", "-1"):
         return -1.0
     raise InputError(f"sign must be +1/-1 or '+'/'-', got {sign!r}")
 

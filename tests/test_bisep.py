@@ -6,16 +6,42 @@ import numpy as np
 import pytest
 
 import sfwitness.bisep as bisep
-from sfwitness import (Bipartition, InputError, WitnessSpec,
-                       assemble_cut_state, bisep_bound, enumerate_bipartitions,
+import sfwitness.states as states
+import sfwitness.witness as witness
+from sfwitness import (Bipartition, InputError, ResourceError, SiteLayout,
+                       WitnessSpec, assemble_cut_state, bisep_bound,
+                       enumerate_bipartitions,
                        gme_detected, make_dicke, make_phased_dicke,
                        make_product_density, product_bound, seesaw_max,
                        sigma_operator, sigma_value)
-from sfwitness.bisep import _effective_operator, _partition_tensor, _seesaw_once
+from sfwitness.bisep import _cut_tensor, _effective_operator, _seesaw_once
 from sfwitness.reports import cut_grid_max_3, product_grid_max_2, product_grid_max_3
 from conftest import random_spec
 
 PHASED_SPEC_4 = WitnessSpec(4, math.pi, 1, 1, 1)
+
+# (spec args, restarts, seed, product_bound) from the dense N-block see-saw
+PRODUCT_PINS = [
+    ((3, math.pi, 1, 1, 1), 20, 0, 0.9999999999999746),
+    ((4, math.pi, 1, 1, 1), 20, 1, 0.9999999999999685),
+    ((6, math.pi, 1, 1, 1), 10, 2, 0.9999999999999806),
+    ((8, math.pi, 1, 1, 1), 3, 3, 0.9999999999999263),
+    ((3, 0.0, 0, 0, 0), 3, 0, 0.0),
+    ((4, 0.0, 1, 1, -1), 15, 4, 0.9999999999995433),
+    ((5, 0.7, 0.3, -0.9, 0.5, SiteLayout((0, 1, 2.5, 4, 4.5))), 15, 5, 0.2785938675947037),
+    ((4, 2.1, -0.4, 0.8, 0.6, SiteLayout((0, 0.3, 1.7, 2))), 15, 6, 0.6540429088146156),
+    ((6, 1.3, 0.9, 0.2, -0.7, SiteLayout((0, 0.5, 1.75, 2, 3.1, 4))), 10, 7,
+     0.41892919749142055),
+]
+
+# (PRODUCT_PINS index, max_iter, seed, value) of one restart stopped after its first
+# sweeps, so the start points and the iterates are pinned, not only the maximum
+SWEEP_PINS = [
+    (6, 1, 0, 0.18210904314896476),
+    (6, 2, 11, 0.24868375145065613),
+    (8, 1, 11, 0.40317186317710096),
+    (8, 2, 0, 0.41721340382556843),
+]
 
 
 class TestBipartition:
@@ -60,19 +86,21 @@ class TestEnumeration:
 
 class TestEffectiveOperator:
     def test_against_naive_partial_contraction(self, rng):
-        # explicit double loop over assembled basis indices, n <= 4
+        # explicit double loop over assembled basis indices, n <= 4, either block held
         for n in (3, 4):
             spec = random_spec(rng, n)
             matrix = sigma_operator(spec)
             cut = enumerate_bipartitions(n)[1]
             parts = (cut.part_a, cut.part_b)
-            tensor, dims = _partition_tensor(matrix, n, parts)
+            tensor = _cut_tensor(matrix, cut)
+            dims = [2 ** len(part) for part in parts]
             vec_b = rng.standard_normal(dims[1]) + 1j * rng.standard_normal(dims[1])
             vec_b /= np.linalg.norm(vec_b)
             vec_a = rng.standard_normal(dims[0]) + 1j * rng.standard_normal(dims[0])
             vec_a /= np.linalg.norm(vec_a)
 
-            def global_index(bits_a, bits_b):
+            def global_index(free, fixed, hold):
+                bits_a, bits_b = (free, fixed) if hold == 0 else (fixed, free)
                 bits = {}
                 for pos, site in enumerate(parts[0]):
                     bits[site] = (bits_a >> (len(parts[0]) - 1 - pos)) & 1
@@ -80,16 +108,19 @@ class TestEffectiveOperator:
                     bits[site] = (bits_b >> (len(parts[1]) - 1 - pos)) & 1
                 return sum(bits[s] << (n - s) for s in range(1, n + 1))
 
-            naive = np.zeros((dims[0], dims[0]), dtype=complex)
-            for x in range(dims[0]):
-                for xp in range(dims[0]):
-                    for y in range(dims[1]):
-                        for yp in range(dims[1]):
-                            naive[x, xp] += (vec_b[y].conjugate() * vec_b[yp]
-                                             * matrix[global_index(x, y),
-                                                      global_index(xp, yp)])
-            eff = _effective_operator(tensor, [vec_a, vec_b], hold=0)
-            assert np.allclose(eff, naive, atol=1e-12)
+            for hold in (0, 1):
+                # x, xp index the free block and y, yp the held one
+                held = (vec_a, vec_b)[1 - hold]
+                naive = np.zeros((dims[hold], dims[hold]), dtype=complex)
+                for x in range(dims[hold]):
+                    for xp in range(dims[hold]):
+                        for y in range(dims[1 - hold]):
+                            for yp in range(dims[1 - hold]):
+                                naive[x, xp] += (held[y].conjugate() * held[yp]
+                                                 * matrix[global_index(x, y, hold),
+                                                          global_index(xp, yp, hold)])
+                eff = _effective_operator(tensor, [vec_a, vec_b], hold=hold)
+                assert np.allclose(eff, naive, atol=1e-12)
 
 
 class TestSeesaw:
@@ -105,9 +136,10 @@ class TestSeesaw:
 
     def test_monotone_ascent_per_half_step(self, rng):
         spec = random_spec(rng, 4)
-        tensor, dims = _partition_tensor(sigma_operator(spec), 4, ((1, 3), (2, 4)))
+        cut = Bipartition((1, 3), (2, 4))
+        tensor = _cut_tensor(sigma_operator(spec), cut)
         for restart in range(5):
-            trace = _seesaw_once(tensor, dims, np.random.default_rng(restart),
+            trace = _seesaw_once(tensor, cut, np.random.default_rng(restart),
                                  tol=1e-10, max_iter=200)[4]
             assert all(b >= a - 1e-12 for a, b in zip(trace, trace[1:]))
 
@@ -188,6 +220,40 @@ class TestProductBound:
         assert product_bound(WitnessSpec(3, 0.0, 0, 0, 0),
                              restarts=3, seed=0) == pytest.approx(0.0)
 
+    @pytest.mark.parametrize("args, restarts, seed, expected", PRODUCT_PINS,
+                             ids=[f"case{i}" for i in range(len(PRODUCT_PINS))])
+    def test_pinned_values(self, args, restarts, seed, expected):
+        # values of the dense-operator see-saw that product_bound replaced
+        assert product_bound(WitnessSpec(*args), restarts=restarts,
+                             seed=seed) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("pin, max_iter, seed, expected", SWEEP_PINS)
+    def test_first_sweeps_match_the_dense_seesaw(self, pin, max_iter, seed, expected):
+        spec = WitnessSpec(*PRODUCT_PINS[pin][0])
+        assert product_bound(spec, restarts=1, seed=seed, max_iter=max_iter) == (
+            pytest.approx(expected, abs=1e-12))
+
+    def test_no_dense_operator_and_no_eigh(self, monkeypatch):
+        # the recheck's DensityMatrix still validates with eigvalsh
+        def forbidden(*args, **kwargs):
+            raise AssertionError("product_bound built sigma_operator or called eigh")
+
+        monkeypatch.setattr(bisep, "sigma_operator", forbidden)
+        monkeypatch.setattr(witness, "sigma_operator", forbidden)
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        args, restarts, seed, expected = PRODUCT_PINS[2]
+        assert product_bound(WitnessSpec(*args), restarts=restarts,
+                             seed=seed) == pytest.approx(expected, abs=1e-12)
+
+    def test_density_cap_checked_before_iterating(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("product_bound iterated above the cap")
+
+        monkeypatch.setattr(states, "DENSITY_MAX_QUBITS", 3)
+        monkeypatch.setattr(bisep, "_bloch_once", forbidden)
+        with pytest.raises(ResourceError, match="DENSITY_MAX_QUBITS"):
+            product_bound(WitnessSpec(4, math.pi, 1, 1, 1), restarts=2)
+
 
 class TestGmeDetected:
     def test_phased_dicke_exceeds_bound(self):
@@ -254,7 +320,7 @@ class TestGridOracles:
         def forbidden(*args, **kwargs):
             raise AssertionError("grid oracle reached the see-saw")
 
-        for name in ("_partition_tensor", "_effective_operator", "_seesaw_once",
-                     "_best_restart"):
+        for name in ("_cut_tensor", "_effective_operator", "_seesaw_once",
+                     "_seesaw_cut", "_bloch_once"):
             monkeypatch.setattr(bisep, name, forbidden)
         assert oracle_values() == expected

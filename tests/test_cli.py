@@ -100,6 +100,21 @@ class TestEval:
         assert payload["witness"] == pytest.approx(-2 / 3)
         assert payload["detected"] is True
 
+    @pytest.mark.parametrize("family", ["ghz-superposition", "dicke-ghz-superposition"])
+    @pytest.mark.parametrize("short, numeric", [("+", "+1"), ("-", "-1")])
+    def test_numeric_sign_token(self, family, short, numeric, capsys):
+        outputs = [run_cli(["eval", "--state", f"{family}:pi/3,{sign}"], capsys)
+                   for sign in (short, numeric)]
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == EXIT_OK
+
+    def test_bad_sign_exits_input(self, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["eval", "--state", "ghz-superposition:pi/3,x"])
+        assert exc_info.value.code == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "error: sign must be +1/-1 or '+'/'-', got 'x'\n")
+
     def test_product_state_source(self, capsys):
         code, out = run_cli(["eval", "--state", "product:0,0,1;0,0,1", "--k", "0",
                              "--c", "0,0,1", "--format", "json"], capsys)
@@ -322,6 +337,20 @@ class TestReproduceCommand:
         assert not by_name["07b_dicke_ghz_superposition_boundary"]["passed"]
         assert code == EXIT_CHECK_FAILURE
         assert not payload["all_passed"]
+
+    @pytest.mark.parametrize("option, value", [
+        ("--product-samples", "0"), ("--shots", "999"), ("--restarts", "0"),
+    ], ids=["product-samples", "shots", "restarts"])
+    def test_bad_battery_size_exits_before_any_check(self, option, value,
+                                                     monkeypatch, capsys):
+        import sfwitness.reports as reports
+
+        def forbidden(*args):
+            raise AssertionError("a reference check ran")
+
+        monkeypatch.setattr(reports, "_check_dicke_closed_forms", forbidden)
+        code, out = run_cli(["reproduce-paper", option, value], capsys)
+        assert (code, out) == (EXIT_INPUT, "")
 
     def test_defaults_namespace(self):
         # the benchmark reads the reproduce-paper shot count through RunConfig

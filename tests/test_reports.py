@@ -1,9 +1,11 @@
-"""Reference battery bookkeeping: the shared max-deviation check."""
+"""Reference battery bookkeeping: the shared max-deviation check and the size checks."""
 
 import math
 
 import pytest
 
+import sfwitness.reports as reports
+from sfwitness import InputError
 from sfwitness.reports import ReferenceReport
 
 
@@ -38,3 +40,31 @@ def test_nan_deviation_fails(devs):
     check = add_one(devs)
     assert not check.passed
     assert check.value == "max_dev=nan"
+
+
+def forbid_every_check(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a reference check ran")
+
+    for name in dir(reports):
+        if name.startswith("_check_"):
+            monkeypatch.setattr(reports, name, forbidden)
+
+
+@pytest.mark.parametrize("sizes, message", [
+    ({"product_samples": 0}, "product_samples must be >= 1, got 0"),
+    ({"shots": 100}, "shots must be >= 1000, got 100"),
+    ({"shots": reports.MIN_SHOTS - 1}, "shots must be >= 1000, got 999"),
+    ({"restarts": 0}, "restarts must be >= 1, got 0"),
+], ids=["product-samples", "shots-100", "shots-999", "restarts"])
+def test_battery_sizes_rejected_before_any_check(sizes, message, monkeypatch):
+    forbid_every_check(monkeypatch)
+    with pytest.raises(InputError) as exc_info:
+        reports.run_reference_checks(**sizes)
+    assert str(exc_info.value) == message
+
+
+def test_smallest_battery_sizes_reach_the_checks(monkeypatch):
+    forbid_every_check(monkeypatch)
+    with pytest.raises(AssertionError, match="a reference check ran"):
+        reports.run_reference_checks(restarts=1, shots=reports.MIN_SHOTS, product_samples=1)
