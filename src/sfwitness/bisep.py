@@ -17,6 +17,9 @@ Cuts run on the dense operator. For fully product states every factor is a
 qubit whose effective operator is h.sigma + const, with h = c o sum_j W_ij n_j
 over the other Bloch vectors n_j; its top eigenvector is the Bloch direction
 h/|h|, so that see-saw runs on N Bloch vectors (a zero field leaves n_i).
+
+Both see-saws run through one restart driver, `_best_run`, which owns the
+seeding, the sweep loop, the `tol` stop and the first-best choice.
 """
 
 from __future__ import annotations
@@ -105,24 +108,21 @@ def _effective_operator(tensor: np.ndarray, factors, hold: int) -> np.ndarray:
     return 0.5 * (eff + eff.conj().T)
 
 
-def _seesaw_once(tensor: np.ndarray, cut: Bipartition, rng: np.random.Generator,
-                 tol: float, max_iter: int):
-    """One restart. Returns (value, factors, iterations, converged, trace)."""
-    factors = [states.random_state_vector(len(part), rng).amplitudes
-               for part in (cut.part_a, cut.part_b)]
-    trace = []
-    value = -np.inf
-    for iterations in range(1, max_iter + 1):  # max_iter >= 1 (_check_run_params)
-        for hold in range(2):
-            eff = _effective_operator(tensor, factors, hold)
-            eigvals, eigvecs = np.linalg.eigh(eff)
-            factors[hold] = eigvecs[:, -1]
-            trace.append(float(eigvals[-1]))
-        converged = trace[-1] - value < tol
-        value = trace[-1]
-        if converged:
-            break
-    return value, factors, iterations, converged, trace
+def _best_run(start, sweep, seed_words: tuple, restarts: int, tol: float, max_iter: int):
+    """First best (value, point, sweeps, converged) of `restarts` runs. Run r starts at
+    point = start(default_rng([*seed_words, r])); sweep(point) updates it in place and
+    returns the new value, until a sweep gains < tol or max_iter sweeps are done."""
+    best = None
+    for r in range(restarts):
+        point, value = start(np.random.default_rng([*seed_words, r])), -np.inf
+        for sweeps in range(1, max_iter + 1):  # max_iter >= 1 (_check_run_params)
+            previous, value = value, sweep(point)
+            converged = value - previous < tol
+            if converged:
+                break
+        if best is None or value > best[0]:
+            best = (value, point, sweeps, converged)
+    return best
 
 
 def assemble_cut_state(cut: Bipartition, state_a: StateVector,
@@ -145,15 +145,23 @@ def _recheck(value: float, state, spec: WitnessSpec) -> float:
     return float(value)
 
 
-def _seesaw_cut(matrix: np.ndarray, spec: WitnessSpec, cut: Bipartition,
-                restarts: int, tol: float, max_iter: int, seed: int,
-                cut_index: int) -> BisepResult:
+def _seesaw_cut(matrix: np.ndarray, spec: WitnessSpec, cut: Bipartition, restarts: int,
+                tol: float, max_iter: int, seed: int, cut_index: int) -> BisepResult:
     """First best of `restarts` see-saw runs, run r seeded by [seed, cut_index, r]."""
     tensor = _cut_tensor(matrix, cut)
-    value, factors, iterations, converged, _ = max(
-        (_seesaw_once(tensor, cut, np.random.default_rng([seed, cut_index, r]),
-                      tol, max_iter) for r in range(restarts)),
-        key=lambda run: run[0])
+
+    def start(rng):
+        return [states.random_state_vector(len(part), rng).amplitudes
+                for part in (cut.part_a, cut.part_b)]
+
+    def sweep(factors):
+        for hold in range(2):
+            eigvals, eigvecs = np.linalg.eigh(_effective_operator(tensor, factors, hold))
+            factors[hold] = eigvecs[:, -1]
+        return float(eigvals[-1])
+
+    value, factors, iterations, converged = _best_run(start, sweep, (seed, cut_index),
+                                                      restarts, tol, max_iter)
     best_state = (StateVector(len(cut.part_a), factors[0]),
                   StateVector(len(cut.part_b), factors[1]))
     return BisepResult(bound=_recheck(value, assemble_cut_state(cut, *best_state), spec),
@@ -199,26 +207,6 @@ def bisep_bound(spec: WitnessSpec, restarts: int = DEFAULT_RESTARTS,
                key=lambda result: result.bound)
 
 
-def _bloch_once(weights: np.ndarray, coefficients: np.ndarray,
-                rng: np.random.Generator, tol: float, max_iter: int):
-    """One product restart on N Bloch vectors; returns (value, blochs)."""
-    a, b = np.array([states.random_state_vector(1, rng).amplitudes for _ in weights]).T
-    blochs = np.column_stack([2 * (a.conj() * b).real, 2 * (a.conj() * b).imag,
-                              np.abs(a) ** 2 - np.abs(b) ** 2])
-    value = -np.inf
-    for _ in range(max_iter):
-        for i in range(len(weights)):
-            field = coefficients * (weights[i] @ blochs)
-            norm = np.linalg.norm(field)
-            if norm > 0.0:
-                blochs[i] = field / norm
-        previous = value
-        value = 0.5 * float(np.sum(coefficients * blochs * (weights @ blochs)))
-        if value - previous < tol:
-            break
-    return value, blochs
-
-
 def product_bound(spec: WitnessSpec, restarts: int = DEFAULT_RESTARTS,
                   tol: float = DEFAULT_TOL, seed: int = 0,
                   max_iter: int = DEFAULT_MAX_ITER) -> float:
@@ -232,9 +220,21 @@ def product_bound(spec: WitnessSpec, restarts: int = DEFAULT_RESTARTS,
     states._check_size(spec.n_qubits, "DENSITY_MAX_QUBITS")  # the recheck's density matrix
     weights = pair_weight_matrix(spec) / math.comb(spec.n_qubits, 2)
     coefficients = np.array(spec.coefficients)
-    value, blochs = max((_bloch_once(weights, coefficients, np.random.default_rng([seed, r]),
-                                     tol, max_iter) for r in range(restarts)),
-                        key=lambda run: run[0])
+
+    def start(rng):
+        a, b = np.array([states.random_state_vector(1, rng).amplitudes for _ in weights]).T
+        return np.column_stack([2 * (a.conj() * b).real, 2 * (a.conj() * b).imag,
+                                np.abs(a) ** 2 - np.abs(b) ** 2])
+
+    def sweep(blochs):
+        for i in range(len(weights)):
+            field = coefficients * (weights[i] @ blochs)
+            norm = np.linalg.norm(field)
+            if norm > 0.0:
+                blochs[i] = field / norm
+        return 0.5 * float(np.sum(coefficients * blochs * (weights @ blochs)))
+
+    value, blochs, _, _ = _best_run(start, sweep, (seed,), restarts, tol, max_iter)
     return _recheck(value, states.make_product_density(blochs), spec)
 
 

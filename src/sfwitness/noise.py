@@ -92,6 +92,8 @@ def kraus_crosscheck(state: StateVector, spec: WitnessSpec, q: float,
     explicit per-qubit Kraus application to the density matrix. The two are
     equal up to rounding; tests assert it.
     """
+    if not isinstance(state, StateVector):
+        raise InputError(f"kraus_crosscheck needs a StateVector, got {type(state).__name__}")
     if not 0.0 <= q <= 1.0:
         raise InputError(f"q must be in [0, 1], got {q}")
     n = state.n_qubits

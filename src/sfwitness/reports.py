@@ -457,7 +457,8 @@ def run_reference_checks(seed: int = 0, restarts: int = bisep.DEFAULT_RESTARTS,
                          shots: int = 10 ** 6,
                          product_samples: int = 10 ** 4) -> ReferenceReport:
     """Run the full battery, sizes checked before any check; see the module docstring."""
-    for name, value, least in (("restarts", restarts, 1), ("shots", shots, MIN_SHOTS),
+    for name, value, least in (("seed", seed, 0), ("restarts", restarts, 1),
+                               ("shots", shots, MIN_SHOTS),
                                ("product_samples", product_samples, 1)):
         if value < least:
             raise InputError(f"{name} must be >= {least}, got {value}")

@@ -59,6 +59,9 @@ def _count_statistics(values: np.ndarray, counts: np.ndarray) -> tuple[float, fl
 
 def _estimate(state: StateVector, spec: WitnessSpec, shots: int,
               seed_words: tuple) -> tuple[float, float]:
+    if state.n_qubits != spec.n_qubits:
+        raise InputError(
+            f"state has {state.n_qubits} qubits, spec expects {spec.n_qubits}")
     norm = math.comb(spec.n_qubits, 2)
     weights = pair_weight_matrix(spec)
     signs = kernels.outcome_signs(state.n_qubits)
@@ -89,9 +92,6 @@ def estimate_witness(state: StateVector, spec: WitnessSpec,
     Deterministic for a fixed plan: the RNG substream of each setting is
     derived from (seed, axis index).
     """
-    if state.n_qubits != spec.n_qubits:
-        raise InputError(
-            f"state has {state.n_qubits} qubits, spec expects {spec.n_qubits}")
     return _estimate(state, spec, plan.shots_per_setting, (plan.seed,))
 
 

@@ -213,11 +213,7 @@ def make_dicke_ghz_superposition(theta: float, sign=+1) -> StateVector:
     return StateVector(4, amps)
 
 
-_PAULI = {
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+_PAULI = {a: kernels.apply_pauli(np.eye(2, dtype=complex), 1, 1, a) for a in kernels.AXES}
 
 
 def make_product_density(blochs) -> DensityMatrix:

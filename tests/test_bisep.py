@@ -14,7 +14,7 @@ from sfwitness import (Bipartition, InputError, ResourceError, SiteLayout,
                        gme_detected, make_dicke, make_phased_dicke,
                        make_product_density, product_bound, seesaw_max,
                        sigma_operator, sigma_value)
-from sfwitness.bisep import _cut_tensor, _effective_operator, _seesaw_once
+from sfwitness.bisep import _cut_tensor, _effective_operator
 from sfwitness.reports import cut_grid_max_3, product_grid_max_2, product_grid_max_3
 from conftest import random_spec
 
@@ -41,6 +41,19 @@ SWEEP_PINS = [
     (6, 2, 11, 0.24868375145065613),
     (8, 1, 11, 0.40317186317710096),
     (8, 2, 0, 0.41721340382556843),
+]
+
+# (spec args, restarts, seed, max_iter, bisep_bound: bound, best cut, iterations,
+# converged); the max_iter=3 case pins an unconverged winner
+CUT_PINS = [
+    ((4, math.pi, 1, 1, 1), 20, 0, 500, 1.187184270936279, ((1, 2, 3), (4,)), 2, True),
+    ((6, math.pi, 1, 1, 1), 4, 1, 500, 1.1577968558559653, ((1, 2, 3, 4, 5), (6,)), 2,
+     True),
+    ((5, 0.7, 0.3, -0.9, 0.5, SiteLayout((0, 1, 2.5, 4, 4.5))), 10, 5, 500,
+     0.36690440593714413, ((1, 2, 4, 5), (3,)), 9, True),
+    ((4, 2.1, -0.4, 0.8, 0.6, SiteLayout((0, 0.3, 1.7, 2))), 5, 6, 3,
+     0.6952888071750903, ((1, 2), (3, 4)), 3, False),
+    ((3, 0.0, 0, 0, 0), 3, 0, 500, 0.0, ((1,), (2, 3)), 2, True),
 ]
 
 
@@ -134,14 +147,34 @@ class TestSeesaw:
         for cut in enumerate_bipartitions(3):
             assert seesaw_max(spec, cut, restarts=3, seed=0).bound == pytest.approx(0.0)
 
-    def test_monotone_ascent_per_half_step(self, rng):
+    def test_monotone_ascent_per_half_step(self, rng, monkeypatch):
+        # every eigh of a one-restart run is one half-step; record its top eigenvalue
         spec = random_spec(rng, 4)
         cut = Bipartition((1, 3), (2, 4))
-        tensor = _cut_tensor(sigma_operator(spec), cut)
-        for restart in range(5):
-            trace = _seesaw_once(tensor, cut, np.random.default_rng(restart),
-                                 tol=1e-10, max_iter=200)[4]
-            assert all(b >= a - 1e-12 for a, b in zip(trace, trace[1:]))
+        eigh = np.linalg.eigh
+        tops = []
+
+        def recording_eigh(matrix):
+            eigvals, eigvecs = eigh(matrix)
+            tops.append(float(eigvals[-1]))
+            return eigvals, eigvecs
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        for seed in range(5):
+            tops.clear()
+            result = seesaw_max(spec, cut, restarts=1, tol=1e-10, max_iter=200, seed=seed)
+            assert len(tops) == 2 * result.iterations
+            assert tops[-1] == result.bound
+            assert all(b >= a - 1e-12 for a, b in zip(tops, tops[1:]))
+
+    def test_restart_driver_stop_rule_and_first_best(self):
+        # run 1 gains exactly tol on its second sweep, so it does not stop there;
+        # run 2 ties with run 1, and the first best run wins
+        runs = iter(range(3))
+        values = iter([2.0, 2.0, 3.0, 3.5, 3.5, 3.5, 3.5])
+        best = bisep._best_run(lambda rng: [next(runs)], lambda point: next(values),
+                               (0,), restarts=3, tol=0.5, max_iter=5)
+        assert best == (3.5, [1], 3, True)
 
     def test_reproducible_for_fixed_seed(self):
         runs = [seesaw_max(PHASED_SPEC_4, Bipartition((1, 2), (3, 4)),
@@ -201,6 +234,16 @@ class TestBisepBound:
             assert product <= bisep + 1e-9
             assert bisep <= top + 1e-9
 
+    @pytest.mark.parametrize("args, restarts, seed, max_iter, bound, cut, iterations, "
+                             "converged", CUT_PINS,
+                             ids=[f"case{i}" for i in range(len(CUT_PINS))])
+    def test_pinned_results(self, args, restarts, seed, max_iter, bound, cut,
+                            iterations, converged):
+        result = bisep_bound(WitnessSpec(*args), restarts=restarts, seed=seed,
+                             max_iter=max_iter)
+        assert (result.bound, result.best_cut, result.iterations, result.converged) == (
+            bound, Bipartition(*cut), iterations, converged)
+
 
 class TestProductBound:
     def test_never_exceeds_one(self, rng):
@@ -250,7 +293,7 @@ class TestProductBound:
             raise AssertionError("product_bound iterated above the cap")
 
         monkeypatch.setattr(states, "DENSITY_MAX_QUBITS", 3)
-        monkeypatch.setattr(bisep, "_bloch_once", forbidden)
+        monkeypatch.setattr(bisep, "_best_run", forbidden)
         with pytest.raises(ResourceError, match="DENSITY_MAX_QUBITS"):
             product_bound(WitnessSpec(4, math.pi, 1, 1, 1), restarts=2)
 
@@ -320,7 +363,6 @@ class TestGridOracles:
         def forbidden(*args, **kwargs):
             raise AssertionError("grid oracle reached the see-saw")
 
-        for name in ("_cut_tensor", "_effective_operator", "_seesaw_once",
-                     "_seesaw_cut", "_bloch_once"):
+        for name in ("_cut_tensor", "_effective_operator", "_seesaw_cut", "_best_run"):
             monkeypatch.setattr(bisep, name, forbidden)
         assert oracle_values() == expected

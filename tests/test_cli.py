@@ -340,7 +340,8 @@ class TestReproduceCommand:
 
     @pytest.mark.parametrize("option, value", [
         ("--product-samples", "0"), ("--shots", "999"), ("--restarts", "0"),
-    ], ids=["product-samples", "shots", "restarts"])
+        ("--seed", "-1"),
+    ], ids=["product-samples", "shots", "restarts", "seed"])
     def test_bad_battery_size_exits_before_any_check(self, option, value,
                                                      monkeypatch, capsys):
         import sfwitness.reports as reports

@@ -167,6 +167,11 @@ class TestKrausCrosscheck:
         with pytest.raises(ResourceError):
             kraus_crosscheck(make_dicke(6, 3), PHASED_SPEC_6, 0.1, site_cap=4)
 
+    def test_rejects_density_matrix(self):
+        rho = mix_with_white_noise(make_dicke(4, 2), 0.1)
+        with pytest.raises(InputError, match="needs a StateVector, got DensityMatrix"):
+            kraus_crosscheck(rho, PHASED_SPEC_4, 0.1)
+
     def test_rejects_bad_strength(self):
         with pytest.raises(InputError):
             kraus_crosscheck(make_dicke(3, 1), WitnessSpec(3, 0.0, 1, 1, -1), 1.3)

@@ -56,7 +56,8 @@ def forbid_every_check(monkeypatch):
     ({"shots": 100}, "shots must be >= 1000, got 100"),
     ({"shots": reports.MIN_SHOTS - 1}, "shots must be >= 1000, got 999"),
     ({"restarts": 0}, "restarts must be >= 1, got 0"),
-], ids=["product-samples", "shots-100", "shots-999", "restarts"])
+    ({"seed": -1}, "seed must be >= 0, got -1"),
+], ids=["product-samples", "shots-100", "shots-999", "restarts", "seed"])
 def test_battery_sizes_rejected_before_any_check(sizes, message, monkeypatch):
     forbid_every_check(monkeypatch)
     with pytest.raises(InputError) as exc_info:

@@ -87,6 +87,10 @@ class TestEstimateWitness:
         with pytest.raises(InputError):
             estimate_witness(make_dicke(3, 1), DICKE_SPEC_4, ShotPlan(10, seed=0))
 
+    def test_curve_dimension_mismatch(self):
+        with pytest.raises(InputError, match="state has 4 qubits, spec expects 5"):
+            convergence_curve(make_dicke(4, 2), WitnessSpec(5, 0.0, 1, 1, 1), [100])
+
     def test_shots_far_above_outcome_count(self):
         # 10^7 shots over 16 outcomes: counts keep memory at O(2^N)
         est, err = estimate_witness(make_phased_dicke(4, 2), PHASED_SPEC_4,
