@@ -20,6 +20,15 @@ h/|h|, so that see-saw runs on N Bloch vectors (a zero field leaves n_i).
 
 Both see-saws run through one restart driver, `_best_run`, which owns the
 seeding, the sweep loop, the `tol` stop and the first-best choice.
+
+A site permutation p with W[p][:, p] == W (W = pair_weight_matrix) maps Sigma
+to itself, so every cut in p's orbit has the same maximum. `bisep_bound` runs
+the see-saw only on the first cut of each orbit, in `enumerate_bipartitions`
+order and with that cut's own seeds, and reports in `orbit_size` how many cuts
+the best one stands for. `best_cut` is therefore that orbit's first cut, not
+necessarily the member a run over every cut would have picked. The
+automorphisms come from an exact search (bit-equal weights) with a fixed node
+budget; stopping at the budget only leaves smaller orbits, which stay sound.
 """
 
 from __future__ import annotations
@@ -39,6 +48,12 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 500
 
 BOUND_RECHECK_ATOL = 1e-9
+
+#: Partial site maps the automorphism search may extend before it stops.
+AUTOMORPHISM_NODE_BUDGET = 20_000
+
+# at most this many (cut, automorphism) images are held at once by `_cut_orbits`
+_ORBIT_CHUNK_ENTRIES = 2 ** 12
 
 
 @dataclass(frozen=True)
@@ -77,6 +92,7 @@ class BisepResult:
     converged: bool
     iterations: int
     spec: WitnessSpec
+    orbit_size: int = 1
 
 
 def enumerate_bipartitions(n_qubits: int) -> list[Bipartition]:
@@ -90,6 +106,68 @@ def enumerate_bipartitions(n_qubits: int) -> list[Bipartition]:
         part_b = tuple(q for pos, q in enumerate(others) if not mask >> pos & 1)
         cuts.append(Bipartition(part_a, part_b))
     return cuts
+
+
+def _automorphisms(weights: np.ndarray) -> list[tuple]:
+    """Site permutations p (0-based) with weights[p][:, p] bit-equal to weights.
+
+    Site i may map only to a site with the same sorted row; a depth-first
+    search maps sites 0, 1, ... in turn, keeping a partial map only while the
+    weights among the mapped sites are preserved. It stops after
+    AUTOMORPHISM_NODE_BUDGET partial maps and returns what it found.
+    """
+    n = len(weights)
+    rows = weights.tolist()
+    classes = [sorted(row) for row in rows]
+    candidates = [[j for j in range(n) if classes[j] == classes[i]] for i in range(n)]
+    found, nodes = [], 0
+
+    def extend(image):
+        nonlocal nodes
+        i = len(image)
+        if i == n:
+            if np.array_equal(weights[np.ix_(image, image)], weights):
+                found.append(tuple(image))
+            return True
+        for j in candidates[i]:
+            if j not in image and all(rows[j][image[s]] == rows[i][s] for s in range(i)):
+                nodes += 1
+                if nodes > AUTOMORPHISM_NODE_BUDGET or not extend(image + [j]):
+                    return False
+        return True
+
+    extend([])
+    return found
+
+
+def _cut_orbits(weights: np.ndarray) -> list[tuple[int, int]]:
+    """(cut_index, orbit size) of the first cut of each orbit, in cut order.
+
+    Union-find over the cuts of `enumerate_bipartitions` joins each cut with
+    its canonical image under every automorphism `_automorphisms` found.
+    Cut c holds site 1 and site q + 2 for each bit q of c in part_a.
+    """
+    n = len(weights)
+    count = 2 ** (n - 1) - 1
+    members = (np.arange(count)[:, None] << 1 | 1) >> np.arange(n) & 1
+    automorphisms = np.array(_automorphisms(weights))
+    parent = np.arange(count)
+    step = max(1, _ORBIT_CHUNK_ENTRIES // count)
+    for start in range(0, len(automorphisms), step):
+        images = members @ (1 << automorphisms[start:start + step]).T
+        images = np.where(images & 1, images, (2 ** n - 1) ^ images) >> 1
+        while True:
+            roots_a, roots_b = np.broadcast_arrays(parent[:, None], parent[images])
+            apart = roots_a != roots_b
+            if not apart.any():
+                break
+            # hook the larger root under the smaller, then compress every path
+            np.minimum.at(parent, np.maximum(roots_a, roots_b)[apart],
+                          np.minimum(roots_a, roots_b)[apart])
+            while not np.array_equal(parent[parent], parent):
+                parent = parent[parent]
+    representatives, sizes = np.unique(parent, return_counts=True)
+    return list(zip(representatives.tolist(), sizes.tolist()))
 
 
 def _cut_tensor(matrix: np.ndarray, cut: Bipartition) -> np.ndarray:
@@ -146,7 +224,8 @@ def _recheck(value: float, state, spec: WitnessSpec) -> float:
 
 
 def _seesaw_cut(matrix: np.ndarray, spec: WitnessSpec, cut: Bipartition, restarts: int,
-                tol: float, max_iter: int, seed: int, cut_index: int) -> BisepResult:
+                tol: float, max_iter: int, seed: int, cut_index: int,
+                orbit_size: int = 1) -> BisepResult:
     """First best of `restarts` see-saw runs, run r seeded by [seed, cut_index, r]."""
     tensor = _cut_tensor(matrix, cut)
 
@@ -167,7 +246,7 @@ def _seesaw_cut(matrix: np.ndarray, spec: WitnessSpec, cut: Bipartition, restart
     return BisepResult(bound=_recheck(value, assemble_cut_state(cut, *best_state), spec),
                        best_cut=cut, best_state=best_state,
                        restarts_used=restarts, converged=converged,
-                       iterations=iterations, spec=spec)
+                       iterations=iterations, spec=spec, orbit_size=orbit_size)
 
 
 def _check_run_params(restarts: int, seed: int, tol: float, max_iter: int) -> None:
@@ -195,15 +274,17 @@ def seesaw_max(spec: WitnessSpec, cut: Bipartition,
 def bisep_bound(spec: WitnessSpec, restarts: int = DEFAULT_RESTARTS,
                 tol: float = DEFAULT_TOL, seed: int = 0,
                 max_iter: int = DEFAULT_MAX_ITER) -> BisepResult:
-    """Maximum of seesaw_max over every canonical cut (the first best cut wins).
+    """Maximum of seesaw_max over one cut per symmetry orbit (the first best wins).
 
     The result bounds <Sigma> on all biseparable states (see module notes);
     exceeding it certifies genuine multipartite entanglement.
     """
     _check_run_params(restarts, seed, tol, max_iter)
     matrix = sigma_operator(spec)
-    return max((_seesaw_cut(matrix, spec, cut, restarts, tol, max_iter, seed, cut_index)
-                for cut_index, cut in enumerate(enumerate_bipartitions(spec.n_qubits))),
+    cuts = enumerate_bipartitions(spec.n_qubits)
+    return max((_seesaw_cut(matrix, spec, cuts[index], restarts, tol, max_iter, seed,
+                            index, size)
+                for index, size in _cut_orbits(pair_weight_matrix(spec))),
                key=lambda result: result.bound)
 
 

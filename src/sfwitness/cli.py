@@ -306,6 +306,7 @@ def _run_bisep(args: argparse.Namespace) -> int:
         "restarts_used": result.restarts_used,
         "converged": result.converged,
         "iterations": result.iterations,
+        "orbit_size": result.orbit_size,
         "spec": json.loads(args.spec.to_json()),
     }, (f"biseparable bound = {_fmt(result.bound)}\n"
         f"best cut: {set(cut.part_a)} | {set(cut.part_b)}\n"

@@ -462,6 +462,7 @@ def run_reference_checks(seed: int = 0, restarts: int = bisep.DEFAULT_RESTARTS,
                                ("product_samples", product_samples, 1)):
         if value < least:
             raise InputError(f"{name} must be >= {least}, got {value}")
+    sampling._check_shots(shots)
     report = ReferenceReport()
     _check_dicke_closed_forms(report)
     _check_structure_identities(report, seed)

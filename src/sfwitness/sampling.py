@@ -25,6 +25,9 @@ from .states import StateVector
 from .witness import WitnessSpec, pair_weight_matrix
 
 
+_MAX_SHOTS = int(np.iinfo(np.int64).max)
+
+
 @dataclass(frozen=True)
 class ShotPlan:
     """Number of projective shots per measurement setting, plus the seed."""
@@ -33,10 +36,15 @@ class ShotPlan:
     seed: int = 0
 
     def __post_init__(self):
-        if self.shots_per_setting < 1:
-            raise InputError("shots_per_setting must be >= 1")
+        _check_shots(self.shots_per_setting)
         if self.seed < 0:
             raise InputError("seed must be non-negative")
+
+
+def _check_shots(shots: int) -> None:
+    """Reject shot counts the int64 multinomial draw cannot take."""
+    if not 1 <= shots <= _MAX_SHOTS:
+        raise InputError(f"shot counts must be in [1, {_MAX_SHOTS}], got {shots}")
 
 
 class CurvePoint(NamedTuple):
@@ -105,8 +113,8 @@ def convergence_curve(state: StateVector, spec: WitnessSpec, shot_grid,
     shot_grid = [int(s) for s in shot_grid]
     if not shot_grid:
         raise InputError("shot grid must be nonempty")
-    if min(shot_grid) < 1:
-        raise InputError("shot counts must be >= 1")
+    for shots in shot_grid:
+        _check_shots(shots)
     if seed < 0:
         raise InputError("seed must be non-negative")
     return [CurvePoint(shots, *_estimate(state, spec, shots, (seed, pos)))

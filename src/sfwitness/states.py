@@ -88,26 +88,41 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        _check_size(self.n_qubits, "DENSITY_MAX_QUBITS")
-        dim = 2 ** self.n_qubits
-        mat = np.asarray(self.entries, dtype=complex).copy()
-        if mat.shape != (dim, dim):
-            raise InputError(f"expected shape {(dim, dim)}, got {mat.shape}")
-        if not np.isfinite(mat).all():
-            raise InputError("density-matrix entries must be finite")
-        if np.max(np.abs(mat - mat.conj().T)) > HERMITIAN_ATOL:
-            raise InputError("matrix is not Hermitian")
-        tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > NORM_ATOL:
-            raise InputError(f"trace must be 1, got {tr!r}")
+        mat = _checked_entries(self.n_qubits, self.entries)
         if float(np.linalg.eigvalsh(mat)[0]) < -PSD_ATOL:
             raise InputError("matrix has a significantly negative eigenvalue")
-        mat.flags.writeable = False
         object.__setattr__(self, "entries", mat)
+
+    @classmethod
+    def _psd_by_construction(cls, n_qubits: int, entries) -> "DensityMatrix":
+        """All checks of the constructor but the eigenvalue one, for builders whose
+        output is positive semidefinite by construction."""
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "n_qubits", n_qubits)
+        object.__setattr__(rho, "entries", _checked_entries(n_qubits, entries))
+        return rho
 
     @property
     def dim(self) -> int:
         return 2 ** self.n_qubits
+
+
+def _checked_entries(n_qubits: int, entries) -> np.ndarray:
+    """Read-only copy of `entries`, checked for size, finiteness, Hermiticity and trace."""
+    _check_size(n_qubits, "DENSITY_MAX_QUBITS")
+    dim = 2 ** n_qubits
+    mat = np.asarray(entries, dtype=complex).copy()
+    if mat.shape != (dim, dim):
+        raise InputError(f"expected shape {(dim, dim)}, got {mat.shape}")
+    if not np.isfinite(mat).all():
+        raise InputError("density-matrix entries must be finite")
+    if np.max(np.abs(mat - mat.conj().T)) > HERMITIAN_ATOL:
+        raise InputError("matrix is not Hermitian")
+    tr = complex(np.trace(mat))
+    if abs(tr - 1.0) > NORM_ATOL:
+        raise InputError(f"trace must be 1, got {tr!r}")
+    mat.flags.writeable = False
+    return mat
 
 
 @dataclass(frozen=True)
@@ -227,7 +242,7 @@ def make_product_density(blochs) -> DensityMatrix:
         one = 0.5 * (np.eye(2, dtype=complex)
                      + b.n_x * _PAULI["x"] + b.n_y * _PAULI["y"] + b.n_z * _PAULI["z"])
         rho = np.kron(rho, one)
-    return DensityMatrix(len(blochs), rho)
+    return DensityMatrix._psd_by_construction(len(blochs), rho)
 
 
 def mix_with_white_noise(state: StateVector, p: float) -> DensityMatrix:
@@ -238,7 +253,7 @@ def mix_with_white_noise(state: StateVector, p: float) -> DensityMatrix:
     dim = state.dim
     rho = (p / dim) * np.eye(dim, dtype=complex)
     rho += (1.0 - p) * np.outer(state.amplitudes, state.amplitudes.conj())
-    return DensityMatrix(state.n_qubits, rho)
+    return DensityMatrix._psd_by_construction(state.n_qubits, rho)
 
 
 def random_state_vector(n_qubits: int, rng: np.random.Generator) -> StateVector:

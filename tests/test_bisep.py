@@ -46,8 +46,8 @@ SWEEP_PINS = [
 # (spec args, restarts, seed, max_iter, bisep_bound: bound, best cut, iterations,
 # converged); the max_iter=3 case pins an unconverged winner
 CUT_PINS = [
-    ((4, math.pi, 1, 1, 1), 20, 0, 500, 1.187184270936279, ((1, 2, 3), (4,)), 2, True),
-    ((6, math.pi, 1, 1, 1), 4, 1, 500, 1.1577968558559653, ((1, 2, 3, 4, 5), (6,)), 2,
+    ((4, math.pi, 1, 1, 1), 20, 0, 500, 1.1871842709362774, ((1,), (2, 3, 4)), 2, True),
+    ((6, math.pi, 1, 1, 1), 4, 1, 500, 1.1577968558559635, ((1,), (2, 3, 4, 5, 6)), 2,
      True),
     ((5, 0.7, 0.3, -0.9, 0.5, SiteLayout((0, 1, 2.5, 4, 4.5))), 10, 5, 500,
      0.36690440593714413, ((1, 2, 4, 5), (3,)), 9, True),
@@ -55,6 +55,20 @@ CUT_PINS = [
      0.6952888071750903, ((1, 2), (3, 4)), 3, False),
     ((3, 0.0, 0, 0, 0), 3, 0, 500, 0.0, ((1,), (2, 3)), 2, True),
 ]
+
+# (CUT_PINS index, bound, best cut) when every cut ran its own see-saw; the best cut
+# moved to the first cut of its symmetry orbit, which runs on its own seeds
+ALL_CUT_PINS = [
+    (0, 1.187184270936279, ((1, 2, 3), (4,))),
+    (1, 1.1577968558559653, ((1, 2, 3, 4, 5), (6,))),
+]
+
+
+def cut_image(perm, cut):
+    """Canonical image of a cut under the 0-based site permutation `perm`."""
+    moved = {perm[q - 1] + 1 for q in cut.part_a}
+    rest = set(range(1, cut.n_qubits + 1)) - moved
+    return Bipartition(*((moved, rest) if 1 in moved else (rest, moved)))
 
 
 class TestBipartition:
@@ -244,6 +258,54 @@ class TestBisepBound:
         assert (result.bound, result.best_cut, result.iterations, result.converged) == (
             bound, Bipartition(*cut), iterations, converged)
 
+    @pytest.mark.parametrize("pin, all_cut_bound, all_cut_best", ALL_CUT_PINS)
+    def test_orbit_pins_match_the_run_over_every_cut(self, pin, all_cut_bound,
+                                                     all_cut_best):
+        args, _, _, _, bound, cut, _, _ = CUT_PINS[pin]
+        assert abs(bound - all_cut_bound) <= 1e-9
+        automorphisms = bisep._automorphisms(witness.pair_weight_matrix(WitnessSpec(*args)))
+        assert Bipartition(*cut) in {cut_image(p, Bipartition(*all_cut_best))
+                                     for p in automorphisms}
+
+    @pytest.mark.parametrize("args, orbits", [
+        ((4, math.pi, 1, 1, 1), [(0, 4), (1, 2), (2, 1)]),
+        ((4, 0.3, 0.2, -0.5, 0.9), [(0, 2), (1, 1), (2, 1), (4, 1), (5, 2)]),
+        ((4, 2.1, -0.4, 0.8, 0.6, SiteLayout((0, 0.3, 1.7, 2))),
+         [(index, 1) for index in range(7)]),
+    ], ids=["k-pi", "mirror", "no-symmetry"])
+    def test_one_seesaw_per_orbit(self, args, orbits, monkeypatch):
+        # the layout (0, 0.3, 1.7, 2) looks mirror-symmetric, but 2 - 1.7 != 0.3 in floats
+        spec = WitnessSpec(*args)
+        seesaw_cut = bisep._seesaw_cut
+        runs = []
+
+        def recording(matrix, spec, cut, *rest):
+            runs.append(rest[-2:])
+            return seesaw_cut(matrix, spec, cut, *rest)
+
+        monkeypatch.setattr(bisep, "_seesaw_cut", recording)
+        result = bisep_bound(spec, restarts=3, seed=2)
+        assert runs == orbits
+        cuts = enumerate_bipartitions(4)
+        assert (cuts.index(result.best_cut), result.orbit_size) in orbits
+        best = max(seesaw_cut(sigma_operator(spec), spec, cuts[index], 3, bisep.DEFAULT_TOL,
+                              bisep.DEFAULT_MAX_ITER, 2, index).bound for index, _ in orbits)
+        assert result.bound == best
+
+    @pytest.mark.parametrize("budget, automorphisms, orbits", [
+        (0, 0, 31), (10, 2, 23), (40, 10, 11), (100, 25, 5), (276, 72, 5)])
+    def test_budget_leaves_finer_orbits(self, budget, automorphisms, orbits, monkeypatch):
+        # the full search at k = pi, N = 6 takes 276 nodes
+        weights = witness.pair_weight_matrix(WitnessSpec(6, math.pi, 1, 1, 1))
+        every = bisep._automorphisms(weights)
+        monkeypatch.setattr(bisep, "AUTOMORPHISM_NODE_BUDGET", budget)
+        found = bisep._automorphisms(weights)
+        assert len(found) == automorphisms
+        sizes = [size for _, size in bisep._cut_orbits(weights)]
+        assert (len(sizes), sum(sizes)) == (orbits, 31)
+        # only true automorphisms, so each orbit lies inside one full orbit
+        assert set(found) <= set(every)
+
 
 class TestProductBound:
     def test_never_exceeds_one(self, rng):
@@ -277,13 +339,15 @@ class TestProductBound:
             pytest.approx(expected, abs=1e-12))
 
     def test_no_dense_operator_and_no_eigh(self, monkeypatch):
-        # the recheck's DensityMatrix still validates with eigvalsh
+        # the recheck's product density is PSD by construction, so no eigvalsh either
         def forbidden(*args, **kwargs):
-            raise AssertionError("product_bound built sigma_operator or called eigh")
+            raise AssertionError("product_bound built sigma_operator or called an "
+                                 "eigensolver")
 
         monkeypatch.setattr(bisep, "sigma_operator", forbidden)
         monkeypatch.setattr(witness, "sigma_operator", forbidden)
         monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
         args, restarts, seed, expected = PRODUCT_PINS[2]
         assert product_bound(WitnessSpec(*args), restarts=restarts,
                              seed=seed) == pytest.approx(expected, abs=1e-12)

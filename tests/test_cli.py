@@ -201,6 +201,9 @@ class TestBisepBound:
         assert payload["restarts_used"] == 25
         factor = from_json(json.dumps(payload["best_state"][0]))
         assert factor.n_qubits == len(payload["best_cut"]["part_a"])
+        # the best cut (1)|(2,3,4) stands for its k = pi orbit of four cuts
+        assert payload["best_cut"] == {"part_a": [1], "part_b": [2, 3, 4]}
+        assert payload["orbit_size"] == 4
 
 
 class TestSample:
@@ -243,11 +246,14 @@ class TestExitCodes:
         (["eval", "--state", "dicke:4,2", "--c", "a,b,c"], None, EXIT_INPUT),
         (["scan", "--state", "dicke:4,2", "--k-grid", "0:pi:x"], None, EXIT_INPUT),
         (["sample", "--state", "dicke:4,2", "--shot-grid", "1e3"], None, EXIT_INPUT),
+        (["sample", "--state", "dicke:4,2", "--shot-grid", "100000000000000000000"], None,
+         EXIT_INPUT),
         (["eval", "--state", "dicke:4,2", "--positions", "0,1,x,3"], None, EXIT_INPUT),
         (["eval", "--state", "dicke:4,2"], "abc", EXIT_INPUT),
         (["eval", "--state", "basis:" + "0" * 41], None, EXIT_RESOURCE),
         (["eval", "--state", ""], None, EXIT_INPUT),
-    ], ids=["c", "k-grid", "shot-grid", "positions", "seed-env", "basis-cap", "empty-state"])
+    ], ids=["c", "k-grid", "shot-grid", "shot-count-overflow", "positions", "seed-env",
+            "basis-cap", "empty-state"])
     def test_bad_values_exit_typed(self, argv, env_seed, expected, monkeypatch, capsys):
         if env_seed is not None:
             monkeypatch.setenv("SFWITNESS_SEED", env_seed)

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from sfwitness import (SiteLayout, StateVector, WitnessSpec, axis_components,
                        kraus_crosscheck, make_product_density, mix_with_white_noise,
-                       sigma_operator, sigma_value)
+                       pair_weight_matrix, sigma_operator, sigma_value)
+from sfwitness.bisep import _automorphisms, _cut_orbits
 from conftest import dense_expectation, random_bloch_in_ball, random_pure
 
 # N <= 6 keeps each example in the millisecond range; derandomized so reruns agree
@@ -82,29 +83,47 @@ def test_kraus_channel_matches_factor_law(spec, seed, q):
 
 
 @st.composite
-def parity_swaps(draw):
-    """A k = pi spec on unit spacing and two distinct sites of equal parity."""
-    n = draw(st.integers(3, 5))
-    i = draw(st.integers(1, n - 2))
-    j = draw(st.sampled_from(range(i + 2, n + 1, 2)))
-    spec = WitnessSpec(n, math.pi, draw(coefficient), draw(coefficient), draw(coefficient))
-    return spec, i, j
+def symmetric_specs(draw):
+    """Specs whose weights have symmetries: k = pi, k = 0 or a generic k, on unit
+    spacing or on gaps from {0.5, 1, 2}, whose positions and separations are exact."""
+    n = draw(st.integers(2, 6))
+    k = draw(st.sampled_from([math.pi, 0.0, 0.3, 2.2]))
+    gaps = draw(st.one_of(st.just([1.0] * (n - 1)),
+                          st.lists(st.sampled_from([0.5, 1.0, 2.0]),
+                                   min_size=n - 1, max_size=n - 1)))
+    layout = SiteLayout(tuple(np.concatenate(([0.0], np.cumsum(gaps)))))
+    return WitnessSpec(n, k, draw(coefficient), draw(coefficient), draw(coefficient), layout)
 
 
 @SETTINGS
-@given(parity_swaps(), seeds)
-def test_sigma_invariant_under_weight_automorphism(case, seed):
-    # at k = pi, W_ij = (-1)^(j-i), so swapping two sites of equal parity maps W to itself
-    spec, i, j = case
+@given(symmetric_specs(), seeds)
+def test_sigma_invariant_under_weight_automorphism(spec, seed):
+    # every site permutation the search returns maps W, <Sigma> and Sigma to themselves
     n = spec.n_qubits
-    axes = list(range(n))
-    axes[i - 1], axes[j - 1] = axes[j - 1], axes[i - 1]
-    swap = np.arange(2 ** n).reshape((2,) * n).transpose(axes).reshape(-1)
+    weights = pair_weight_matrix(spec)
     state = random_pure(np.random.default_rng(seed), n)
-    swapped = StateVector(n, state.amplitudes[swap])
-    assert sigma_value(swapped, spec) == pytest.approx(sigma_value(state, spec), abs=1e-12)
-    operator = sigma_operator(spec)
-    assert np.allclose(operator[np.ix_(swap, swap)], operator, rtol=0.0, atol=1e-12)
+    value, operator = sigma_value(state, spec), sigma_operator(spec)
+    basis = np.arange(2 ** n).reshape((2,) * n)
+    for perm in _automorphisms(weights):
+        assert np.array_equal(weights[np.ix_(perm, perm)], weights)
+        moved = basis.transpose(perm).reshape(-1)
+        assert sigma_value(StateVector(n, state.amplitudes[moved]), spec) == pytest.approx(
+            value, abs=1e-12)
+        assert np.allclose(operator[np.ix_(moved, moved)], operator, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n, automorphisms, orbits", [(4, 8, 3), (6, 72, 5), (8, 1152, 8)])
+def test_k_pi_symmetry_counts(n, automorphisms, orbits):
+    # W_ij = (-1)^(j-i): permute odd and even sites within their class, or swap the classes
+    weights = pair_weight_matrix(WitnessSpec(n, math.pi, 1, 1, 1))
+    assert len(_automorphisms(weights)) == automorphisms
+    assert len(_cut_orbits(weights)) == orbits
+
+
+@pytest.mark.parametrize("n", [3, 4, 6, 8])
+def test_generic_k_has_only_the_mirror(n):
+    weights = pair_weight_matrix(WitnessSpec(n, 0.3, 1, 1, 1))
+    assert _automorphisms(weights) == [tuple(range(n)), tuple(range(n - 1, -1, -1))]
 
 
 @SETTINGS

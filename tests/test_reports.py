@@ -57,7 +57,9 @@ def forbid_every_check(monkeypatch):
     ({"shots": reports.MIN_SHOTS - 1}, "shots must be >= 1000, got 999"),
     ({"restarts": 0}, "restarts must be >= 1, got 0"),
     ({"seed": -1}, "seed must be >= 0, got -1"),
-], ids=["product-samples", "shots-100", "shots-999", "restarts", "seed"])
+    ({"shots": 10 ** 20},
+     "shot counts must be in [1, 9223372036854775807], got 100000000000000000000"),
+], ids=["product-samples", "shots-100", "shots-999", "restarts", "seed", "shots-int64"])
 def test_battery_sizes_rejected_before_any_check(sizes, message, monkeypatch):
     forbid_every_check(monkeypatch)
     with pytest.raises(InputError) as exc_info:

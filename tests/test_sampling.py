@@ -14,10 +14,28 @@ DICKE_SPEC_4 = WitnessSpec(4, 0.0, 1, 1, -1)
 PHASED_SPEC_4 = WitnessSpec(4, math.pi, 1, 1, 1)
 
 
+INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 class TestShotPlan:
     def test_rejects_zero_shots(self):
         with pytest.raises(InputError):
             ShotPlan(0, seed=1)
+
+    @pytest.mark.parametrize("shots", [INT64_MAX + 1, 10 ** 20])
+    def test_rejects_shot_counts_beyond_int64(self, shots):
+        with pytest.raises(InputError, match="shot counts"):
+            ShotPlan(shots)
+        with pytest.raises(InputError, match="shot counts"):
+            convergence_curve(make_dicke(4, 2), DICKE_SPEC_4, [100, shots])
+
+    def test_largest_int64_shot_count_runs(self):
+        # one multinomial draw per setting, so the largest count costs no more than 100
+        estimate, error = estimate_witness(make_dicke(4, 2), DICKE_SPEC_4,
+                                           ShotPlan(INT64_MAX))
+        assert estimate == pytest.approx(witness_value(make_dicke(4, 2), DICKE_SPEC_4),
+                                         abs=1e-8)
+        assert 0.0 < error < 1e-8
 
 
 class TestSettings:

@@ -13,6 +13,7 @@ from sfwitness import (BlochVector, DensityMatrix, InputError, ResourceError,
                        make_dicke_ghz_superposition, make_ghz_superposition,
                        make_phased_dicke, make_product_density,
                        mix_with_white_noise, random_state_vector, to_json)
+from conftest import random_bloch_in_ball, random_pure
 
 
 def amplitude(state, bits):
@@ -280,9 +281,34 @@ class TestDensityMatrixInvariants:
             DensityMatrix(1, [[math.nan, 0.0], [0.0, 1.0]])
 
     def test_rejects_negative_eigenvalue(self):
-        mat = np.diag([1.5, -0.5]).astype(complex)
-        with pytest.raises(InputError):
-            DensityMatrix(1, mat)
+        # the second matrix has eigenvalues 1.1 and -0.1
+        for mat in (np.diag([1.5, -0.5]), np.array([[0.5, 0.6j], [-0.6j, 0.5]])):
+            with pytest.raises(InputError, match="negative eigenvalue"):
+                DensityMatrix(1, mat.astype(complex))
+
+    def test_builders_are_psd(self, rng):
+        for n in range(1, 6):
+            blochs = [random_bloch_in_ball(rng) for _ in range(n)]
+            for rho in (make_product_density(blochs),
+                        mix_with_white_noise(random_pure(rng, n), float(rng.random()))):
+                assert np.linalg.eigvalsh(rho.entries)[0] >= -states.PSD_ATOL
+
+    def test_builders_skip_only_the_eigenvalue_check(self, rng, monkeypatch):
+        # PSD by construction: no eigvalsh, while the public constructor keeps it
+        def forbidden(*args, **kwargs):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        rho = make_product_density([(0.0, 0.6, 0.8), (1.0, 0.0, 0.0)])
+        noisy = mix_with_white_noise(random_pure(rng, 3), 0.25)
+        for built in (rho, noisy):
+            assert not built.entries.flags.writeable
+            with pytest.raises(AssertionError, match="eigvalsh"):
+                DensityMatrix(built.n_qubits, built.entries)
+        with pytest.raises(ResourceError):
+            states.DensityMatrix._psd_by_construction(states.DENSITY_MAX_QUBITS + 1, [[1.0]])
+        with pytest.raises(InputError, match="not Hermitian"):
+            states.DensityMatrix._psd_by_construction(1, [[0.5, 0.5], [0.0, 0.5]])
 
 
 class TestSerialization:
