@@ -5,7 +5,8 @@ The optimizer is an alternating see-saw: with all tensor factors but one
 held fixed, Sigma contracts to an effective Hermitian operator on the free
 factor, whose top eigenvector is the exact best update. Each half-step is
 therefore non-decreasing and the iteration converges to a local maximum;
-random restarts guard against bad basins.
+random restarts guard against bad basins. Both see-saws run through one
+restart driver, `_best_run`.
 
 A mixed biseparable state is a convex mixture of pure states product
 across single cuts, and <Sigma> is linear in the state, so the maximum
@@ -13,21 +14,18 @@ over pure product-across-a-cut states already bounds all biseparable
 states. The see-saw returns attained values, i.e. lower bounds on that
 maximum; restarts make them sharp in practice.
 
-Cuts run on the dense operator. For fully product states every factor is a
-qubit whose effective operator is h.sigma + const, with h = c o sum_j W_ij n_j
-over the other Bloch vectors n_j; its top eigenvector is the Bloch direction
-h/|h|, so that see-saw runs on N Bloch vectors (a zero field leaves n_i).
+W_ij = u_i u_j + v_i v_j with u_j = cos(k r_j) and v_j = sin(k r_j), so across a
+cut A|B Sigma is each block's own pair sum plus sum_a c_a (U_A^a U_B^a +
+V_A^a V_B^a) / C(N,2), where U^a + i V^a = sum_j e^{i k r_j} sigma_j^a is a
+block's structure-factor amplitude: cuts run on block operators, never on a 4^N
+one. A fully product state's factors are qubits with effective operator
+h.sigma + const, h = c o sum_j W_ij n_j over the other Bloch vectors n_j, so that
+see-saw moves n_i to h/|h| (a zero field leaves n_i).
 
-Both see-saws run through one restart driver, `_best_run`, which owns the
-seeding, the sweep loop, the `tol` stop and the first-best choice.
-
-A site permutation p with W[p][:, p] == W (W = pair_weight_matrix) maps Sigma
-to itself, so every cut in p's orbit has the same maximum. `bisep_bound` runs
-the see-saw only on the first cut of each orbit, in `enumerate_bipartitions`
-order and with that cut's own seeds, and reports in `orbit_size` how many cuts
-the best one stands for. `best_cut` is therefore that orbit's first cut, not
-necessarily the member a run over every cut would have picked. The
-automorphisms come from an exact search (bit-equal weights) with a fixed node
+A site permutation p with W[p][:, p] == W maps Sigma to itself, so all cuts of its
+orbit share one maximum: `bisep_bound` runs the first cut of each orbit only, on
+that cut's own seeds, and `orbit_size` counts the cuts its `best_cut` stands for.
+The automorphisms come from an exact search (bit-equal weights) with a fixed node
 budget; stopping at the budget only leaves smaller orbits, which stay sound.
 """
 
@@ -38,10 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import states
+from . import kernels, states, witness
 from .errors import InputError
 from .states import StateVector
-from .witness import WitnessSpec, pair_weight_matrix, sigma_operator, sigma_value
+from .witness import WitnessSpec, pair_weight_matrix, sigma_value
 
 DEFAULT_RESTARTS = 200
 DEFAULT_TOL = 1e-10
@@ -170,20 +168,29 @@ def _cut_orbits(weights: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(representatives.tolist(), sizes.tolist()))
 
 
-def _cut_tensor(matrix: np.ndarray, cut: Bipartition) -> np.ndarray:
-    """Reshape the dense operator to axes (row A, row B, col A, col B)."""
-    n = cut.n_qubits
-    order = [q - 1 for q in (*cut.part_a, *cut.part_b)]
-    dims = (2 ** len(cut.part_a), 2 ** len(cut.part_b))
-    tensor = matrix.reshape((2,) * (2 * n)).transpose([*order, *(n + ax for ax in order)])
-    return tensor.reshape(*dims, *dims)
+def _cut_half_step(spec: WitnessSpec, cut: Bipartition):
+    """half_step(held, hold) -> (operator, shift), <held|Sigma|held> = operator + shift on
+    block `hold` (0: A); each block's (own, U^xyz, V^xyz) is built once, on its sites in order."""
+    norm = math.comb(spec.n_qubits, 2)
+    weights, phases = pair_weight_matrix(spec), spec.k * np.array(spec.layout.positions)
+    coupling, blocks = np.tile(spec.coefficients, 2) / norm, []
+    for part in (cut.part_a, cut.part_b):
+        sites, rows = [q - 1 for q in part], np.arange(1 << len(part))
+        ops = np.zeros((7, rows.size, rows.size), dtype=complex)
+        ops[0] = witness._pair_operator(weights[np.ix_(sites, sites)], spec.coefficients, norm)
+        masks, signs = kernels.site_masks(len(part))[:, None], kernels.outcome_signs(len(part))
+        flips, coefs = map(np.array, zip(*(kernels.pauli_rule(axis, masks, signs)
+                                           for axis in kernels.AXES)))
+        trig = np.array([np.cos(phases[sites]), np.sin(phases[sites])])[:, None, :, None]
+        np.add.at(ops, (np.arange(1, 7).reshape(2, 3, 1, 1), rows, rows ^ flips), trig * coefs)
+        blocks.append((ops.reshape(7 * rows.size, -1), ops[0], ops[1:].reshape(6, -1)))
 
+    def half_step(held, hold):
+        moments = ((blocks[1 - hold][0] @ held).reshape(7, -1) @ held.conj()).real
+        _, own, amplitudes = blocks[hold]
+        return own + ((coupling * moments[1:]) @ amplitudes).reshape(own.shape), moments[0]
 
-def _effective_operator(tensor: np.ndarray, factors, hold: int) -> np.ndarray:
-    """Contract <v|...|v> over the block other than `hold` (0 for A, 1 for B)."""
-    fixed = factors[1 - hold]
-    eff = np.einsum(("abcd,b,d->ac", "abcd,a,c->bd")[hold], tensor, fixed.conj(), fixed)
-    return 0.5 * (eff + eff.conj().T)
+    return half_step
 
 
 def _best_run(start, sweep, seed_words: tuple, restarts: int, tol: float, max_iter: int):
@@ -223,11 +230,10 @@ def _recheck(value: float, state, spec: WitnessSpec) -> float:
     return float(value)
 
 
-def _seesaw_cut(matrix: np.ndarray, spec: WitnessSpec, cut: Bipartition, restarts: int,
-                tol: float, max_iter: int, seed: int, cut_index: int,
-                orbit_size: int = 1) -> BisepResult:
+def _seesaw_cut(spec: WitnessSpec, cut: Bipartition, restarts: int, tol: float,
+                max_iter: int, seed: int, cut_index: int, orbit_size: int = 1) -> BisepResult:
     """First best of `restarts` see-saw runs, run r seeded by [seed, cut_index, r]."""
-    tensor = _cut_tensor(matrix, cut)
+    half_step = _cut_half_step(spec, cut)
 
     def start(rng):
         return [states.random_state_vector(len(part), rng).amplitudes
@@ -235,9 +241,10 @@ def _seesaw_cut(matrix: np.ndarray, spec: WitnessSpec, cut: Bipartition, restart
 
     def sweep(factors):
         for hold in range(2):
-            eigvals, eigvecs = np.linalg.eigh(_effective_operator(tensor, factors, hold))
+            operator, shift = half_step(factors[1 - hold], hold)
+            eigvals, eigvecs = np.linalg.eigh(operator)
             factors[hold] = eigvecs[:, -1]
-        return float(eigvals[-1])
+        return float(eigvals[-1] + shift)
 
     value, factors, iterations, converged = _best_run(start, sweep, (seed, cut_index),
                                                       restarts, tol, max_iter)
@@ -267,8 +274,8 @@ def seesaw_max(spec: WitnessSpec, cut: Bipartition,
     if cut.n_qubits != spec.n_qubits:
         raise InputError(f"cut covers {cut.n_qubits} sites, spec has {spec.n_qubits}")
     _check_run_params(restarts, seed, tol, max_iter)
-    return _seesaw_cut(sigma_operator(spec), spec, cut,
-                       restarts, tol, max_iter, seed, cut_index=0)
+    states._check_size(spec.n_qubits, "OPERATOR_MAX_QUBITS")
+    return _seesaw_cut(spec, cut, restarts, tol, max_iter, seed, cut_index=0)
 
 
 def bisep_bound(spec: WitnessSpec, restarts: int = DEFAULT_RESTARTS,
@@ -280,10 +287,9 @@ def bisep_bound(spec: WitnessSpec, restarts: int = DEFAULT_RESTARTS,
     exceeding it certifies genuine multipartite entanglement.
     """
     _check_run_params(restarts, seed, tol, max_iter)
-    matrix = sigma_operator(spec)
+    states._check_size(spec.n_qubits, "OPERATOR_MAX_QUBITS")
     cuts = enumerate_bipartitions(spec.n_qubits)
-    return max((_seesaw_cut(matrix, spec, cuts[index], restarts, tol, max_iter, seed,
-                            index, size)
+    return max((_seesaw_cut(spec, cuts[index], restarts, tol, max_iter, seed, index, size)
                 for index, size in _cut_orbits(pair_weight_matrix(spec))),
                key=lambda result: result.bound)
 

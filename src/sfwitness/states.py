@@ -26,7 +26,7 @@ MAX_QUBITS = 16
 #: Cap for dense density matrices (2**n x 2**n entries).
 DENSITY_MAX_QUBITS = 12
 
-#: Cap for witness.sigma_operator, which allocates 4**n complex entries.
+#: Cap for witness.sigma_operator (4**n complex entries) and for the cut see-saw.
 OPERATOR_MAX_QUBITS = 12
 
 NORM_ATOL = 1e-12

@@ -162,49 +162,43 @@ def dicke_sigma_closed_form(n_qubits: int, l: int) -> Fraction:
 
 
 def phased_dicke_sigma_closed_form(n_qubits: int, l: int, with_z: bool) -> Fraction:
-    """<Sigma(pi)> on the phased Dicke state |N,l^ph>, as an exact rational.
-
-    Without the z term (c = (1, 1, 0)) the value 2 l (N-l) / C(N,2) holds for
-    the half-filled cases l = N/2 (even N) and l = (N+-1)/2 (odd N); with
-    c = (1, 1, 1) only the four- and six-qubit half-filled cases are known.
-    """
+    """<Sigma(pi)> on the half-filled (l = N/2, or (N+-1)/2 for odd N) phased Dicke state
+    |N,l^ph>, as an exact rational: 2 l (N-l) / C(N,2) for c = (1, 1, 0). With c = (1, 1, 1)
+    the z part (<M_s^2> - N) / (2 C(N,2)), M_s = sum_j (-1)^j z_j, adds 1/(N-1)^2 (even N)
+    or 1/N^2 (odd N), for (N^2-N+1)/(N-1)^2 or (N^2+N+1)/N^2."""
     n = n_qubits
     if n < 2:
         raise InputError("closed form needs at least 2 qubits")
     if not 0 <= l <= n:
         raise InputError(f"need 0 <= l <= {n}, got l={l}")
-    if with_z:
-        known = {(4, 2): Fraction(13, 9), (6, 3): Fraction(31, 25)}
-        try:
-            return known[(n, l)]
-        except KeyError:
-            raise UnsupportedCaseError(
-                f"no closed form with the z term for (N={n}, l={l})") from None
     half_filled = (l == n / 2) if n % 2 == 0 else (2 * l in (n - 1, n + 1))
     if not half_filled:
         raise UnsupportedCaseError(
             f"closed form established only for half-filled l, got (N={n}, l={l})")
-    return Fraction(2 * l * (n - l), math.comb(n, 2))
+    z_part = Fraction(1, (n - 1 if n % 2 == 0 else n) ** 2) if with_z else 0
+    return Fraction(2 * l * (n - l), math.comb(n, 2)) + z_part
 
 
-def sigma_operator(spec: WitnessSpec) -> np.ndarray:
-    """Dense Hermitian matrix of Sigma(k); <psi|.|psi> matches sigma_value.
-
-    Every term is diagonal in a collective readout basis: z_i z_j sits on
-    the diagonal, while x_i x_j and y_i y_j flip the same two bits
-    (kernels.pair_rule gives each pair's flip and row coefficient).
-    """
-    n = spec.n_qubits
-    states._check_size(n, "OPERATOR_MAX_QUBITS")
+def _pair_operator(weights: np.ndarray, coefficients, norm: int) -> np.ndarray:
+    """Dense sum_{i<j} w_ij sum_a c_a sigma_i^a sigma_j^a / norm on len(weights) qubits: z_i z_j
+    sits on the diagonal, x_i x_j and y_i y_j on the same two-bit flip (kernels.pair_rule)."""
+    n = len(weights)
     rows, cols = np.triu_indices(n, 1)
-    weights = pair_weight_matrix(spec)[rows, cols, None]
-    sx, sy, sz = (c * weights / math.comb(n, 2) for c in spec.coefficients)
+    weights = weights[rows, cols, None]
+    sx, sy, sz = (c * weights / norm for c in coefficients)
     (flip, x), (_, y), (_, z) = (kernels.pair_rule(n, axis, rows, cols) for axis in AXES)
     idx = np.arange(1 << n)
     mat = np.zeros((idx.size, idx.size), dtype=complex)
     mat[idx, idx ^ flip] = sx * x + sy * y
     mat[idx, idx] = np.sum(sz * z, axis=0)
     return mat
+
+
+def sigma_operator(spec: WitnessSpec) -> np.ndarray:
+    """Dense Hermitian matrix of Sigma(k); <psi|.|psi> matches sigma_value."""
+    states._check_size(spec.n_qubits, "OPERATOR_MAX_QUBITS")
+    return _pair_operator(pair_weight_matrix(spec), spec.coefficients,
+                          math.comb(spec.n_qubits, 2))
 
 
 class ScanPoint(NamedTuple):

@@ -9,12 +9,11 @@ import sfwitness.bisep as bisep
 import sfwitness.states as states
 import sfwitness.witness as witness
 from sfwitness import (Bipartition, InputError, ResourceError, SiteLayout,
-                       WitnessSpec, assemble_cut_state, bisep_bound,
+                       StateVector, WitnessSpec, assemble_cut_state, bisep_bound,
                        enumerate_bipartitions,
                        gme_detected, make_dicke, make_phased_dicke,
                        make_product_density, product_bound, seesaw_max,
                        sigma_operator, sigma_value)
-from sfwitness.bisep import _cut_tensor, _effective_operator
 from sfwitness.reports import cut_grid_max_3, product_grid_max_2, product_grid_max_3
 from conftest import random_spec
 
@@ -46,13 +45,13 @@ SWEEP_PINS = [
 # (spec args, restarts, seed, max_iter, bisep_bound: bound, best cut, iterations,
 # converged); the max_iter=3 case pins an unconverged winner
 CUT_PINS = [
-    ((4, math.pi, 1, 1, 1), 20, 0, 500, 1.1871842709362774, ((1,), (2, 3, 4)), 2, True),
-    ((6, math.pi, 1, 1, 1), 4, 1, 500, 1.1577968558559635, ((1,), (2, 3, 4, 5, 6)), 2,
+    ((4, math.pi, 1, 1, 1), 20, 0, 500, 1.1871842709362779, ((1,), (2, 3, 4)), 2, True),
+    ((6, math.pi, 1, 1, 1), 4, 1, 500, 1.157796855855963, ((1,), (2, 3, 4, 5, 6)), 2,
      True),
     ((5, 0.7, 0.3, -0.9, 0.5, SiteLayout((0, 1, 2.5, 4, 4.5))), 10, 5, 500,
-     0.36690440593714413, ((1, 2, 4, 5), (3,)), 9, True),
+     0.366904405937144, ((1, 2, 4, 5), (3,)), 9, True),
     ((4, 2.1, -0.4, 0.8, 0.6, SiteLayout((0, 0.3, 1.7, 2))), 5, 6, 3,
-     0.6952888071750903, ((1, 2), (3, 4)), 3, False),
+     0.6952888071750901, ((1, 2), (3, 4)), 3, False),
     ((3, 0.0, 0, 0, 0), 3, 0, 500, 0.0, ((1,), (2, 3)), 2, True),
 ]
 
@@ -113,13 +112,16 @@ class TestEnumeration:
 
 class TestEffectiveOperator:
     def test_against_naive_partial_contraction(self, rng):
-        # explicit double loop over assembled basis indices, n <= 4, either block held
-        for n in (3, 4):
-            spec = random_spec(rng, n)
+        # explicit double loop over the dense operator at assembled basis indices, n <= 4,
+        # either block held; the last case has a non-uniform layout and k not in {0, pi}
+        cases = [(random_spec(rng, 3), 1), (random_spec(rng, 4), 1),
+                 (WitnessSpec(4, 2.1, -0.4, 0.8, 0.6, SiteLayout((0, 0.3, 1.7, 2))), 2)]
+        for spec, cut_index in cases:
+            n = spec.n_qubits
             matrix = sigma_operator(spec)
-            cut = enumerate_bipartitions(n)[1]
+            cut = enumerate_bipartitions(n)[cut_index]
             parts = (cut.part_a, cut.part_b)
-            tensor = _cut_tensor(matrix, cut)
+            half_step = bisep._cut_half_step(spec, cut)
             dims = [2 ** len(part) for part in parts]
             vec_b = rng.standard_normal(dims[1]) + 1j * rng.standard_normal(dims[1])
             vec_b /= np.linalg.norm(vec_b)
@@ -146,8 +148,8 @@ class TestEffectiveOperator:
                                 naive[x, xp] += (held[y].conjugate() * held[yp]
                                                  * matrix[global_index(x, y, hold),
                                                           global_index(xp, yp, hold)])
-                eff = _effective_operator(tensor, [vec_a, vec_b], hold=hold)
-                assert np.allclose(eff, naive, atol=1e-12)
+                operator, shift = half_step(held, hold)
+                assert np.allclose(operator + shift * np.eye(dims[hold]), naive, atol=1e-12)
 
 
 class TestSeesaw:
@@ -162,24 +164,37 @@ class TestSeesaw:
             assert seesaw_max(spec, cut, restarts=3, seed=0).bound == pytest.approx(0.0)
 
     def test_monotone_ascent_per_half_step(self, rng, monkeypatch):
-        # every eigh of a one-restart run is one half-step; record its top eigenvalue
+        # every eigh of a one-restart run is one half-step that replaces block A, then B,
+        # with its top eigenvector; <Sigma> after each is recomputed by sigma_value
         spec = random_spec(rng, 4)
         cut = Bipartition((1, 3), (2, 4))
-        eigh = np.linalg.eigh
-        tops = []
+        eigh, draw = np.linalg.eigh, states.random_state_vector
+        starts, tops = [], []
+
+        def recording_draw(n_qubits, rng):
+            state = draw(n_qubits, rng)
+            starts.append(state.amplitudes)
+            return state
 
         def recording_eigh(matrix):
             eigvals, eigvecs = eigh(matrix)
-            tops.append(float(eigvals[-1]))
+            tops.append(eigvecs[:, -1])
             return eigvals, eigvecs
 
+        monkeypatch.setattr(states, "random_state_vector", recording_draw)
         monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
         for seed in range(5):
+            starts.clear()
             tops.clear()
             result = seesaw_max(spec, cut, restarts=1, tol=1e-10, max_iter=200, seed=seed)
             assert len(tops) == 2 * result.iterations
-            assert tops[-1] == result.bound
-            assert all(b >= a - 1e-12 for a, b in zip(tops, tops[1:]))
+            factors, values = list(starts), []
+            for step, top in enumerate(tops):
+                factors[step % 2] = top
+                values.append(sigma_value(assemble_cut_state(
+                    cut, *(StateVector(2, factor) for factor in factors)), spec))
+            assert values[-1] == pytest.approx(result.bound, abs=1e-12)
+            assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_restart_driver_stop_rule_and_first_best(self):
         # run 1 gains exactly tol on its second sweep, so it does not stop there;
@@ -258,6 +273,51 @@ class TestBisepBound:
         assert (result.bound, result.best_cut, result.iterations, result.converged) == (
             bound, Bipartition(*cut), iterations, converged)
 
+    @pytest.mark.parametrize("args, restarts, seed, max_iter, bound, cut, iterations, "
+                             "converged", CUT_PINS,
+                             ids=[f"case{i}" for i in range(len(CUT_PINS))])
+    def test_pins_without_the_dense_operator(self, args, restarts, seed, max_iter, bound,
+                                             cut, iterations, converged, monkeypatch):
+        # no sigma_operator, and every pair operator a cut builds is one block's own
+        spec = WitnessSpec(*args)
+        pair_operator = witness._pair_operator
+        sizes = []
+
+        def forbidden(*_, **__):
+            raise AssertionError("the cut see-saw built sigma_operator")
+
+        def recording(weights, *rest):
+            sizes.append(len(weights))
+            return pair_operator(weights, *rest)
+
+        monkeypatch.setattr(witness, "sigma_operator", forbidden)
+        monkeypatch.setattr(bisep, "sigma_operator", forbidden, raising=False)
+        monkeypatch.setattr(witness, "_pair_operator", recording)
+        result = bisep_bound(spec, restarts=restarts, seed=seed, max_iter=max_iter)
+        assert (result.bound, result.best_cut, result.iterations, result.converged) == (
+            bound, Bipartition(*cut), iterations, converged)
+        # seesaw_max seeds its cut as cut index 0, so it repeats the pins won there
+        if Bipartition(*cut) == enumerate_bipartitions(spec.n_qubits)[0]:
+            single = seesaw_max(spec, Bipartition(*cut), restarts=restarts, seed=seed,
+                                max_iter=max_iter)
+            assert (single.bound, single.iterations, single.converged) == (
+                bound, iterations, converged)
+        assert max(sizes) < spec.n_qubits
+
+    @pytest.mark.parametrize("search", [
+        lambda spec: bisep_bound(spec, restarts=2),
+        lambda spec: seesaw_max(spec, Bipartition((1, 2), (3, 4)), restarts=2),
+    ], ids=["bisep_bound", "seesaw_max"])
+    def test_operator_cap_checked_before_any_sweep(self, search, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the see-saw ran above the cap")
+
+        monkeypatch.setattr(states, "OPERATOR_MAX_QUBITS", 3)
+        monkeypatch.setattr(bisep, "_best_run", forbidden)
+        monkeypatch.setattr(bisep, "_cut_half_step", forbidden)
+        with pytest.raises(ResourceError, match="OPERATOR_MAX_QUBITS"):
+            search(PHASED_SPEC_4)
+
     @pytest.mark.parametrize("pin, all_cut_bound, all_cut_best", ALL_CUT_PINS)
     def test_orbit_pins_match_the_run_over_every_cut(self, pin, all_cut_bound,
                                                      all_cut_best):
@@ -279,17 +339,17 @@ class TestBisepBound:
         seesaw_cut = bisep._seesaw_cut
         runs = []
 
-        def recording(matrix, spec, cut, *rest):
+        def recording(spec, cut, *rest):
             runs.append(rest[-2:])
-            return seesaw_cut(matrix, spec, cut, *rest)
+            return seesaw_cut(spec, cut, *rest)
 
         monkeypatch.setattr(bisep, "_seesaw_cut", recording)
         result = bisep_bound(spec, restarts=3, seed=2)
         assert runs == orbits
         cuts = enumerate_bipartitions(4)
         assert (cuts.index(result.best_cut), result.orbit_size) in orbits
-        best = max(seesaw_cut(sigma_operator(spec), spec, cuts[index], 3, bisep.DEFAULT_TOL,
-                              bisep.DEFAULT_MAX_ITER, 2, index).bound for index, _ in orbits)
+        best = max(seesaw_cut(spec, cuts[index], 3, bisep.DEFAULT_TOL, bisep.DEFAULT_MAX_ITER,
+                              2, index).bound for index, _ in orbits)
         assert result.bound == best
 
     @pytest.mark.parametrize("budget, automorphisms, orbits", [
@@ -344,7 +404,7 @@ class TestProductBound:
             raise AssertionError("product_bound built sigma_operator or called an "
                                  "eigensolver")
 
-        monkeypatch.setattr(bisep, "sigma_operator", forbidden)
+        monkeypatch.setattr(bisep, "sigma_operator", forbidden, raising=False)
         monkeypatch.setattr(witness, "sigma_operator", forbidden)
         monkeypatch.setattr(np.linalg, "eigh", forbidden)
         monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
@@ -427,6 +487,6 @@ class TestGridOracles:
         def forbidden(*args, **kwargs):
             raise AssertionError("grid oracle reached the see-saw")
 
-        for name in ("_cut_tensor", "_effective_operator", "_seesaw_cut", "_best_run"):
+        for name in ("_cut_half_step", "_seesaw_cut", "_best_run"):
             monkeypatch.setattr(bisep, name, forbidden)
         assert oracle_values() == expected

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import sfwitness.bisep as bisep
 from sfwitness import (DensityMatrix, InputError, ResourceError, StateVector,
                        UnsupportedCaseError, from_json, make_dicke, to_json)
 from sfwitness.cli import (EXIT_CHECK_FAILURE, EXIT_INPUT, EXIT_OK,
@@ -311,10 +312,18 @@ class TestExitCodes:
         assert exc_info.value.code == EXIT_INPUT
         assert "invalid choice: 'csv'" in capsys.readouterr().err
 
-    def test_resource_error(self, capsys):
+    def test_resource_error(self, capsys, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the see-saw ran above the cap")
+
+        monkeypatch.setattr(bisep, "_best_run", forbidden)
         code = run(parse_args(["bisep-bound", "--n-qubits", "13", "--k", "pi",
                                "--c", "1,1,1", "--restarts", "1"]))
         assert code == EXIT_RESOURCE
+        assert "OPERATOR_MAX_QUBITS" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc_info:
+            main(["bisep-bound", "--n-qubits", "13"])
+        assert exc_info.value.code == EXIT_RESOURCE
 
     def test_mapping_covers_unsupported_case(self):
         assert exit_code_for(InputError("x")) == EXIT_INPUT

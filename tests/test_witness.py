@@ -8,8 +8,8 @@ import pytest
 
 from sfwitness import (InputError, ResourceError, SiteLayout, states,
                        UnsupportedCaseError, WitnessSpec, axis_components,
-                       detects, dicke_sigma_closed_form, make_basis_state,
-                       make_dicke, make_phased_dicke, make_product_density,
+                       collective_threshold_exact, detects, dicke_sigma_closed_form,
+                       make_basis_state, make_dicke, make_phased_dicke, make_product_density,
                        mix_with_white_noise, pair_weight_matrix,
                        phased_dicke_sigma_closed_form, scan_k, sigma_operator,
                        sigma_value, two_point, witness_value)
@@ -208,19 +208,24 @@ class TestClosedForms:
         assert phased_dicke_sigma_closed_form(6, 3, True) == Fraction(31, 25)
         assert phased_dicke_sigma_closed_form(5, 2, False) == Fraction(6, 5)
         assert phased_dicke_sigma_closed_form(5, 3, False) == Fraction(6, 5)
+        assert phased_dicke_sigma_closed_form(8, 4, True) == Fraction(57, 49)
+        assert collective_threshold_exact(Fraction(57, 49)) == Fraction(8, 57)
 
     def test_phased_unsupported_cases(self):
         with pytest.raises(UnsupportedCaseError):
             phased_dicke_sigma_closed_form(4, 1, False)
         with pytest.raises(UnsupportedCaseError):
-            phased_dicke_sigma_closed_form(8, 4, True)
+            phased_dicke_sigma_closed_form(8, 3, True)
 
     def test_phased_agreement_with_pipeline(self):
-        for n, l in ((4, 2), (6, 3)):
-            spec = WitnessSpec(n, math.pi, 1, 1, 1)
-            exact = phased_dicke_sigma_closed_form(n, l, True)
-            got = sigma_value(make_phased_dicke(n, l), spec)
-            assert got == pytest.approx(float(exact), abs=1e-12)
+        # every half filling, l = N/2 for even N and both (N+-1)/2 for odd N
+        for n in range(2, 15):
+            for l in sorted({n // 2, (n + 1) // 2}):
+                state = make_phased_dicke(n, l)
+                for with_z in (False, True):
+                    spec = WitnessSpec(n, math.pi, 1, 1, float(with_z))
+                    exact = phased_dicke_sigma_closed_form(n, l, with_z)
+                    assert sigma_value(state, spec) == pytest.approx(float(exact), abs=1e-12)
 
 
 class TestSigmaOperator:
