@@ -1,12 +1,12 @@
 """Two-point Pauli correlators, collective-spin moments, and the static
 structure factor.
 
-`axis_correlations` reads every <a_i a_j> of one axis off one readout
-setting, E^T diag(p_a) E, with p_a the outcome distribution in the rotated
-basis and E the 2**n x n matrix of +-1 eigenvalues (`kernels.outcome_signs`);
-density matrices use a trace gather for x and y whose flips and
-coefficients come from `kernels.pauli_rule`. `two_point` (any two axes)
-uses `kernels.pair_expectation`.
+`correlation_matrices` reads every <a_i a_j> of each asked axis off one
+readout setting, E^T diag(p_a) E, with p_a the outcome distribution in the
+rotated basis and E the 2**n x n matrix of +-1 eigenvalues
+(`kernels.outcome_signs`); density matrices share one real trace gather for
+x and y, over the bit masks of `kernels.site_masks`. `two_point` (any two
+axes) uses `kernels.pair_expectation`.
 Spin operators are bare Pauli matrices (no 1/2), so a Dicke state |N,l>
 gives sum_{i<j} <x_i x_j> = l(N-l) at k = 0.
 """
@@ -116,27 +116,32 @@ def readout_probabilities(state, axis: str) -> np.ndarray:
     return np.abs(amps) ** 2
 
 
-def _density_correlations(rho: np.ndarray, n_qubits: int, axis: str) -> np.ndarray:
-    """Tr(rho a_i a_j) for a in {x, y}, all pairs in one trace gather (i != j)."""
-    sites = np.arange(n_qubits)
-    flip, coef = kernels.pair_rule(n_qubits, axis, sites[:, None], sites)
-    idx = np.arange(1 << n_qubits)
-    return (coef * rho[idx ^ flip, idx]).real.sum(axis=-1)
+def correlation_matrices(state, axes) -> dict:
+    """{a: axis_correlations(state, a)} for the sequence `axes`, from one sign table E: density
+    matrices read x and y off one real trace gather rho[c ^ m_i ^ m_j, c], scaled by -z_i z_j
+    for y; pure states and z use E^T diag(p_a) E, p_a the readout distribution."""
+    if not isinstance(state, (StateVector, DensityMatrix)):
+        raise InputError(f"unsupported state type {type(state).__name__}")
+    n = state.n_qubits
+    signs, flipped, out = kernels.outcome_signs(n), None, {}
+    for axis in axes:
+        kernels.check_axis(axis)
+        if isinstance(state, DensityMatrix) and axis != "z":
+            if flipped is None:
+                masks, idx = kernels.site_masks(n), np.arange(1 << n)
+                flipped = state.entries[(masks[:, None] ^ masks)[..., None] ^ idx, idx].real
+            corr = (flipped if axis == "x" else flipped * (signs[:, None] * -signs)).sum(axis=-1)
+        else:
+            corr = (signs * readout_probabilities(state, axis)) @ signs.T
+            corr = 0.5 * (corr + corr.T)  # symmetrized against rounding in the matmul
+        np.fill_diagonal(corr, 1.0)
+        out[axis] = corr
+    return out
 
 
 def axis_correlations(state, axis: str) -> np.ndarray:
     """Symmetric n x n matrix of <sigma_i^a sigma_j^a> (unit diagonal)."""
-    kernels.check_axis(axis)
-    if isinstance(state, DensityMatrix) and axis != "z":
-        corr = _density_correlations(state.entries, state.n_qubits, axis)
-    else:
-        probs = readout_probabilities(state, axis)
-        # E^T diag(p) E, symmetrized against rounding in the matmul
-        signs = kernels.outcome_signs(state.n_qubits)
-        corr = (signs * probs) @ signs.T
-        corr = 0.5 * (corr + corr.T)
-    np.fill_diagonal(corr, 1.0)
-    return corr
+    return correlation_matrices(state, (axis,))[axis]
 
 
 def structure_factor(state, k: float, a: str, b: str, layout: SiteLayout | None = None) -> complex:

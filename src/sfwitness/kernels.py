@@ -59,12 +59,6 @@ def pauli_action(n_qubits: int, site: int, axis: str) -> tuple:
                       outcome_signs(n_qubits, (site,))[0])
 
 
-def pair_rule(n_qubits: int, axis: str, rows, cols) -> tuple:
-    """(flip, coef) of sigma_i^axis sigma_j^axis for 0-based site index arrays (i != j)."""
-    flips, coefs = pauli_rule(axis, site_masks(n_qubits)[:, None], outcome_signs(n_qubits))
-    return flips[rows] ^ flips[cols], coefs[rows] * coefs[cols]
-
-
 def apply_pauli(arr: np.ndarray, n_qubits: int, site: int, axis: str) -> np.ndarray:
     """Return sigma_site^axis applied to axis 0 of `arr` (a vector or a matrix)."""
     flip, coef = pauli_action(n_qubits, site, axis)

@@ -14,6 +14,7 @@ stay independent of the optimizer they validate.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -53,6 +54,7 @@ class CheckResult:
     value: str
     expected: str
     detail: str = ""
+    seconds: float | None = None
 
     def line(self) -> str:
         flag = "PASS" if self.passed else "FAIL"
@@ -456,7 +458,7 @@ def _check_sampling(report: ReferenceReport, seed: int, shots: int) -> None:
 def run_reference_checks(seed: int = 0, restarts: int = bisep.DEFAULT_RESTARTS,
                          shots: int = 10 ** 6,
                          product_samples: int = 10 ** 4) -> ReferenceReport:
-    """Run the full battery, sizes checked before any check; see the module docstring."""
+    """Run the full battery, sizes checked first; each check's `seconds` times its check group."""
     for name, value, least in (("seed", seed, 0), ("restarts", restarts, 1),
                                ("shots", shots, MIN_SHOTS),
                                ("product_samples", product_samples, 1)):
@@ -464,15 +466,14 @@ def run_reference_checks(seed: int = 0, restarts: int = bisep.DEFAULT_RESTARTS,
             raise InputError(f"{name} must be >= {least}, got {value}")
     sampling._check_shots(shots)
     report = ReferenceReport()
-    _check_dicke_closed_forms(report)
-    _check_structure_identities(report, seed)
-    _check_phased_values(report)
-    _check_sign_patterns(report)
-    _check_cross_detection(report)
-    _check_product_bound(report, seed, product_samples)
-    _check_windows(report)
-    _check_thresholds(report)
-    _check_kraus(report, seed)
-    _check_bisep(report, seed, restarts)
-    _check_sampling(report, seed, shots)
+    for check, *args in ((_check_dicke_closed_forms,), (_check_structure_identities, seed),
+                         (_check_phased_values,), (_check_sign_patterns,),
+                         (_check_cross_detection,), (_check_product_bound, seed, product_samples),
+                         (_check_windows,), (_check_thresholds,), (_check_kraus, seed),
+                         (_check_bisep, seed, restarts), (_check_sampling, seed, shots)):
+        first, start = len(report.checks), time.perf_counter()
+        check(report, *args)
+        seconds = time.perf_counter() - start
+        for result in report.checks[first:]:
+            result.seconds = seconds
     return report

@@ -96,10 +96,10 @@ class DensityMatrix:
     @classmethod
     def _psd_by_construction(cls, n_qubits: int, entries) -> "DensityMatrix":
         """All checks of the constructor but the eigenvalue one, for builders whose
-        output is positive semidefinite by construction."""
+        output is positive semidefinite by construction; takes their fresh array uncopied."""
         rho = object.__new__(cls)
         object.__setattr__(rho, "n_qubits", n_qubits)
-        object.__setattr__(rho, "entries", _checked_entries(n_qubits, entries))
+        object.__setattr__(rho, "entries", _checked_entries(n_qubits, entries, copy=False))
         return rho
 
     @property
@@ -107,11 +107,11 @@ class DensityMatrix:
         return 2 ** self.n_qubits
 
 
-def _checked_entries(n_qubits: int, entries) -> np.ndarray:
-    """Read-only copy of `entries`, checked for size, finiteness, Hermiticity and trace."""
+def _checked_entries(n_qubits: int, entries, copy: bool = True) -> np.ndarray:
+    """Read-only `entries` (copied if `copy`), checked for size, finiteness, Hermiticity, trace."""
     _check_size(n_qubits, "DENSITY_MAX_QUBITS")
     dim = 2 ** n_qubits
-    mat = np.asarray(entries, dtype=complex).copy()
+    mat = (np.array if copy else np.asarray)(entries, dtype=complex)
     if mat.shape != (dim, dim):
         raise InputError(f"expected shape {(dim, dim)}, got {mat.shape}")
     if not np.isfinite(mat).all():
@@ -228,7 +228,7 @@ def make_dicke_ghz_superposition(theta: float, sign=+1) -> StateVector:
     return StateVector(4, amps)
 
 
-_PAULI = {a: kernels.apply_pauli(np.eye(2, dtype=complex), 1, 1, a) for a in kernels.AXES}
+_PAULI = np.stack([kernels.apply_pauli(np.eye(2, dtype=complex), 1, 1, a) for a in kernels.AXES])
 
 
 def make_product_density(blochs) -> DensityMatrix:
@@ -237,11 +237,11 @@ def make_product_density(blochs) -> DensityMatrix:
     if not blochs:
         raise InputError("need at least one Bloch vector")
     _check_size(len(blochs), "DENSITY_MAX_QUBITS")
-    rho = np.array([[1.0]], dtype=complex)
-    for b in blochs:
-        one = 0.5 * (np.eye(2, dtype=complex)
-                     + b.n_x * _PAULI["x"] + b.n_y * _PAULI["y"] + b.n_z * _PAULI["z"])
-        rho = np.kron(rho, one)
+    vectors = [(b.n_x, b.n_y, b.n_z) for b in blochs]
+    factors = 0.5 * (np.eye(2) + np.einsum("na,aij->nij", vectors, _PAULI))
+    rho = factors[0]
+    for one in factors[1:]:  # the Kronecker product rho (x) one, by broadcasting
+        rho = (rho[:, None, :, None] * one[None, :, None, :]).reshape(2 * len(rho), -1)
     return DensityMatrix._psd_by_construction(len(blochs), rho)
 
 

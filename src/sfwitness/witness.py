@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels, states
-from .correlators import SiteLayout, axis_correlations
+from .correlators import SiteLayout, correlation_matrices
 from .correlators import two_point  # noqa: F401 (re-export)
 from .errors import InputError, UnsupportedCaseError
 from .kernels import AXES
@@ -105,8 +105,7 @@ def pair_weight_matrix(spec: WitnessSpec) -> np.ndarray:
 
 
 def _correlations(state, coefficients) -> dict:
-    return {axis: axis_correlations(state, axis)
-            for c, axis in zip(coefficients, AXES) if c != 0.0}
+    return correlation_matrices(state, [axis for c, axis in zip(coefficients, AXES) if c != 0.0])
 
 
 def _axis_sums(spec: WitnessSpec, correlations: dict) -> dict:
@@ -181,16 +180,17 @@ def phased_dicke_sigma_closed_form(n_qubits: int, l: int, with_z: bool) -> Fract
 
 def _pair_operator(weights: np.ndarray, coefficients, norm: int) -> np.ndarray:
     """Dense sum_{i<j} w_ij sum_a c_a sigma_i^a sigma_j^a / norm on len(weights) qubits: z_i z_j
-    sits on the diagonal, x_i x_j and y_i y_j on the same two-bit flip (kernels.pair_rule)."""
+    on the diagonal, x_i x_j and y_i y_j on one flip of bits m_i ^ m_j, times 1 and -z_i z_j."""
     n = len(weights)
     rows, cols = np.triu_indices(n, 1)
     weights = weights[rows, cols, None]
     sx, sy, sz = (c * weights / norm for c in coefficients)
-    (flip, x), (_, y), (_, z) = (kernels.pair_rule(n, axis, rows, cols) for axis in AXES)
+    masks, signs = kernels.site_masks(n), kernels.outcome_signs(n)
+    zz = signs[rows] * signs[cols]
     idx = np.arange(1 << n)
     mat = np.zeros((idx.size, idx.size), dtype=complex)
-    mat[idx, idx ^ flip] = sx * x + sy * y
-    mat[idx, idx] = np.sum(sz * z, axis=0)
+    mat[idx, idx ^ (masks[rows] ^ masks[cols])[:, None]] = sx - sy * zz
+    mat[idx, idx] = np.sum(sz * zz, axis=0)
     return mat
 
 

@@ -374,8 +374,29 @@ class TestReproduceCommand:
         assert (defaults.shots, defaults.product_samples) == (10 ** 6, 10 ** 4)
 
     def test_seed_deterministic(self, capsys):
+        # everything but the wall times (`seconds`) repeats
         argv = ["reproduce-paper", "--restarts", "8", "--shots", "2000",
                 "--product-samples", "50", "--format", "json", "--seed", "5"]
-        _, first = run_cli(argv, capsys)
-        _, second = run_cli(argv, capsys)
-        assert first == second
+
+        def untimed():
+            payload = json.loads(run_cli(argv, capsys)[1])
+            for check in payload["checks"]:
+                del check["seconds"]
+            return payload
+
+        assert untimed() == untimed()
+
+    def test_json_times_each_check_and_text_does_not(self, capsys):
+        argv = ["reproduce-paper", "--restarts", "8", "--shots", "2000",
+                "--product-samples", "50", "--seed", "5"]
+        code, text = run_cli(argv, capsys)
+        _, out = run_cli([*argv, "--format", "json"], capsys)
+        checks = json.loads(out)["checks"]
+        assert all(isinstance(c["seconds"], float) and c["seconds"] >= 0.0 for c in checks)
+        lines = [f"[{'PASS' if c['passed'] else 'FAIL'}] {c['name']}: value={c['value']} "
+                 f"expected={c['expected']}" + (f"  ({c['detail']})" if c["detail"] else "")
+                 for c in checks]
+        passed = sum(c["passed"] for c in checks)
+        summary = f"{passed}/{len(checks)} checks passed\n"
+        assert text == "".join(line + "\n" for line in lines) + summary
+        assert code == EXIT_CHECK_FAILURE

@@ -10,6 +10,7 @@ from sfwitness import (InputError, SiteLayout, axis_correlations,
                        collective_spin_sq, make_basis_state, make_dicke,
                        make_product_density, mix_with_white_noise,
                        structure_factor, two_point, verify_collective_identity)
+from sfwitness.correlators import correlation_matrices
 from conftest import dense_expectation, pauli_on, random_mixed, random_pure
 
 
@@ -230,3 +231,21 @@ class TestCollectiveIdentity:
         rho = make_product_density([(0.3, 0.2, 0.5), (0.0, 0.0, 1.0)])
         lhs, rhs = verify_collective_identity(rho, "y")
         assert lhs == pytest.approx(rhs, abs=1e-10)
+
+
+class TestCorrelationMatrices:
+    @pytest.mark.parametrize("axes", ["xyz", "zyx", "y", "xz", ""])
+    def test_each_matrix_equals_its_own_axis_call(self, rng, axes):
+        for state in (random_pure(rng, 4),
+                      mix_with_white_noise(random_pure(rng, 4), 0.3),
+                      make_product_density([(0.3, 0.2, 0.5), (0.0, 0.6, -0.8), (-1.0, 0.0, 0.0)])):
+            got = correlation_matrices(state, axes)
+            assert list(got) == list(axes)
+            for axis in axes:
+                assert np.array_equal(got[axis], axis_correlations(state, axis))
+
+    def test_bad_axis_and_state(self):
+        with pytest.raises(InputError):
+            correlation_matrices(make_dicke(3, 1), ("x", "q"))
+        with pytest.raises(InputError):
+            correlation_matrices(np.ones(4) / 2.0, "xy")

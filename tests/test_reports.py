@@ -1,7 +1,9 @@
 """Reference battery bookkeeping: the shared max-deviation check and the size checks."""
 
+import hashlib
 import math
 
+import numpy as np
 import pytest
 
 import sfwitness.reports as reports
@@ -71,3 +73,44 @@ def test_smallest_battery_sizes_reach_the_checks(monkeypatch):
     forbid_every_check(monkeypatch)
     with pytest.raises(AssertionError, match="a reference check ran"):
         reports.run_reference_checks(restarts=1, shots=reports.MIN_SHOTS, product_samples=1)
+
+
+def test_product_bound_pins_its_exact_values(monkeypatch):
+    # every witness value of check 06 goes through the generic density path; a change
+    # in rounding anywhere along it moves one of the 500 floats, so their digest changes
+    seen = []
+    evaluate = reports.witness.witness_value
+
+    def recorded(state, spec):
+        seen.append(evaluate(state, spec))
+        return seen[-1]
+
+    monkeypatch.setattr(reports.witness, "witness_value", recorded)
+    report = ReferenceReport()
+    reports._check_product_bound(report, 0, 500)
+    assert len(seen) == 500
+    assert min(seen) == 0.48498654394437246
+    digest = hashlib.sha256(np.array(seen, dtype="<f8").tobytes()).hexdigest()
+    assert digest == "74c86e50e5954e7b8c2dae519ea42ff6fec864f93c86eb00732bfcdd9075c99c"
+    assert report.checks[0].value == "min_witness=4.850e-01"
+
+
+def test_checks_carry_the_time_of_their_group(monkeypatch):
+    def two_checks(report, *args):
+        report.add("a", True, 1, 1)
+        report.add("b", True, 2, 2)
+
+    def one_check(report, *args):
+        report.add("c", True, 3, 3)
+
+    for name in dir(reports):
+        if name.startswith("_check_"):
+            monkeypatch.setattr(reports, name, one_check)
+    monkeypatch.setattr(reports, "_check_product_bound", two_checks)
+    checks = reports.run_reference_checks(restarts=1, shots=reports.MIN_SHOTS,
+                                          product_samples=1).checks
+    assert len(checks) == 12
+    assert all(isinstance(c.seconds, float) and c.seconds >= 0.0 for c in checks)
+    pair = [c for c in checks if c.name in ("a", "b")]
+    assert pair[0].seconds == pair[1].seconds
+    assert "seconds" not in checks[0].line()

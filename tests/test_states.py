@@ -13,7 +13,7 @@ from sfwitness import (BlochVector, DensityMatrix, InputError, ResourceError,
                        make_dicke_ghz_superposition, make_ghz_superposition,
                        make_phased_dicke, make_product_density,
                        mix_with_white_noise, random_state_vector, to_json)
-from conftest import random_bloch_in_ball, random_pure
+from conftest import PAULI, kron_chain, random_bloch_in_ball, random_pure
 
 
 def amplitude(state, bits):
@@ -52,8 +52,9 @@ class TestStateVector:
         lambda n: make_product_density([(0, 0, 1)] * n),
     ], ids=["basis", "dicke", "phased-dicke", "random", "product-density"])
     def test_cap_checked_before_allocation(self, build, monkeypatch):
-        # 2**40 amplitudes cannot be allocated; np.kron would build 4**n entries
-        monkeypatch.setattr(np, "kron", None)
+        # 2**40 amplitudes cannot be allocated; the product-density builder's first
+        # allocating call is np.einsum (its factors), ahead of the 4**n Kronecker chain
+        monkeypatch.setattr(np, "einsum", None)
         with pytest.raises(ResourceError):
             build(40)
 
@@ -234,6 +235,20 @@ class TestProductDensity:
         with pytest.raises(InputError):
             make_product_density([(1.0, 0.5, 0.0)])
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_equals_kron_chain_of_factors(self, rng, n):
+        # bit for bit: the broadcast chain multiplies the same entries in the same order
+        for _ in range(5):
+            # pure factors on the unit sphere, mixed ones inside the ball
+            surface = [rng.standard_normal(3) for _ in range(n)]
+            blochs = [BlochVector(*(v / np.linalg.norm(v))) if rng.random() < 0.5
+                      else random_bloch_in_ball(rng) for v in surface]
+            factors = [0.5 * (PAULI["i"] + b.n_x * PAULI["x"] + b.n_y * PAULI["y"]
+                              + b.n_z * PAULI["z"]) for b in blochs]
+            rho = make_product_density(blochs).entries
+            assert rho.dtype == complex
+            assert np.array_equal(rho, kron_chain(factors))
+
     def test_rejects_non_finite_bloch_vector(self):
         with pytest.raises(InputError):
             BlochVector(math.nan, 0.0, 0.0)
@@ -271,6 +286,12 @@ class TestDensityMatrixInvariants:
         mat[0, 1] = 0.5
         with pytest.raises(InputError):
             DensityMatrix(1, mat)
+
+    def test_constructor_copies_its_input(self):
+        mat = np.eye(2, dtype=complex) / 2
+        rho = DensityMatrix(1, mat)
+        mat[0, 0] = 1.0
+        assert rho.entries[0, 0] == 0.5
 
     def test_rejects_bad_trace(self):
         with pytest.raises(InputError):
