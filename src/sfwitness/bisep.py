@@ -31,6 +31,7 @@ budget; stopping at the budget only leaves smaller orbits, which stay sound.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -304,7 +305,7 @@ def product_bound(spec: WitnessSpec, restarts: int = DEFAULT_RESTARTS,
     as a sanity anchor for the analytic product bound.
     """
     _check_run_params(restarts, seed, tol, max_iter)
-    states._check_size(spec.n_qubits, "DENSITY_MAX_QUBITS")  # the recheck's density matrix
+    states._check_size(spec.n_qubits)  # the recheck's product ket
     weights = pair_weight_matrix(spec) / math.comb(spec.n_qubits, 2)
     coefficients = np.array(spec.coefficients)
 
@@ -322,7 +323,8 @@ def product_bound(spec: WitnessSpec, restarts: int = DEFAULT_RESTARTS,
         return 0.5 * float(np.sum(coefficients * blochs * (weights @ blochs)))
 
     value, blochs, _, _ = _best_run(start, sweep, (seed,), restarts, tol, max_iter)
-    return _recheck(value, states.make_product_density(blochs), spec)
+    ket = functools.reduce(np.kron, states._bloch_to_ket(blochs))
+    return _recheck(value, StateVector(spec.n_qubits, ket), spec)
 
 
 def gme_detected(state, spec: WitnessSpec, bisep: BisepResult,

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import bisep, noise, sampling, witness
+from . import bisep, noise, sampling, states, witness
 from .correlators import structure_factor, verify_collective_identity
 from .errors import InputError
 from .states import (BlochVector, make_dicke, make_dicke_ghz_superposition,
@@ -162,15 +162,6 @@ def product_grid_max_3(spec: WitnessSpec) -> float:
     return _sphere_search(values, 2, 1200, 25)
 
 
-def _bloch_to_ket(points: np.ndarray) -> np.ndarray:
-    """Pure single-qubit states |n> for unit Bloch vectors (batched)."""
-    nz = np.clip(points[:, 2], -1.0, 1.0)
-    a = np.sqrt((1.0 + nz) / 2.0)
-    b = np.sqrt((1.0 - nz) / 2.0)
-    phi = np.arctan2(points[:, 1], points[:, 0])
-    return np.stack([a.astype(complex), b * np.exp(1j * phi)], axis=1)
-
-
 def cut_grid_max_3(spec: WitnessSpec, cut: bisep.Bipartition) -> float:
     """Grid maximum of <Sigma> over a 3-qubit cut with a singleton block.
 
@@ -188,7 +179,7 @@ def cut_grid_max_3(spec: WitnessSpec, cut: bisep.Bipartition) -> float:
               .transpose([*order, *(3 + ax for ax in order)]).reshape(2, 4, 2, 4))
 
     def values(points):
-        kets = _bloch_to_ket(points)
+        kets = states._bloch_to_ket(points)
         eff = np.einsum("ms,sytz,mt->myz", kets.conj(), tensor, kets)
         eff = 0.5 * (eff + np.transpose(eff.conj(), (0, 2, 1)))
         return np.linalg.eigvalsh(eff)[:, -1]

@@ -200,6 +200,12 @@ def make_phased_dicke(n_qubits: int, l: int) -> StateVector:
     return StateVector(n_qubits, amps)
 
 
+def _plus_ghz_branch(amps: np.ndarray, theta: float, s: float) -> StateVector:
+    """The four-qubit state amps + s sin(theta) (|0000> + |1111>)/sqrt(2)."""
+    amps[[basis_index(4, "0000"), basis_index(4, "1111")]] += s * math.sin(theta) / math.sqrt(2)
+    return StateVector(4, amps)
+
+
 def make_ghz_superposition(theta: float, sign=+1) -> StateVector:
     """Four-qubit superposition of two GHZ-type branches.
 
@@ -209,26 +215,26 @@ def make_ghz_superposition(theta: float, sign=+1) -> StateVector:
     """
     s = _sign_factor(sign)
     amps = np.zeros(16, dtype=complex)
-    c = math.cos(theta) / math.sqrt(2.0)
-    g = s * math.sin(theta) / math.sqrt(2.0)
-    amps[basis_index(4, "0011")] = c
-    amps[basis_index(4, "1100")] = c
-    amps[basis_index(4, "0000")] = g
-    amps[basis_index(4, "1111")] = g
-    return StateVector(4, amps)
+    amps[[basis_index(4, "0011"), basis_index(4, "1100")]] = math.cos(theta) / math.sqrt(2)
+    return _plus_ghz_branch(amps, theta, s)
 
 
 def make_dicke_ghz_superposition(theta: float, sign=+1) -> StateVector:
     """cos(theta)|4,2> +/- sin(theta)(|0000> + |1111>)/sqrt(2)."""
     s = _sign_factor(sign)
-    amps = math.cos(theta) * make_dicke(4, 2).amplitudes.copy()
-    g = s * math.sin(theta) / math.sqrt(2.0)
-    amps[basis_index(4, "0000")] += g
-    amps[basis_index(4, "1111")] += g
-    return StateVector(4, amps)
+    return _plus_ghz_branch(math.cos(theta) * make_dicke(4, 2).amplitudes, theta, s)
 
 
 _PAULI = np.stack([kernels.apply_pauli(np.eye(2, dtype=complex), 1, 1, a) for a in kernels.AXES])
+
+
+def _bloch_to_ket(points: np.ndarray) -> np.ndarray:
+    """Pure single-qubit states |n> for unit Bloch vectors (batched)."""
+    nz = np.clip(points[:, 2], -1.0, 1.0)
+    a = np.sqrt((1.0 + nz) / 2.0)
+    b = np.sqrt((1.0 - nz) / 2.0)
+    phi = np.arctan2(points[:, 1], points[:, 0])
+    return np.stack([a.astype(complex), b * np.exp(1j * phi)], axis=1)
 
 
 def make_product_density(blochs) -> DensityMatrix:

@@ -399,15 +399,17 @@ class TestProductBound:
             pytest.approx(expected, abs=1e-12))
 
     def test_no_dense_operator_and_no_eigh(self, monkeypatch):
-        # the recheck's product density is PSD by construction, so no eigvalsh either
+        # the recheck evaluates the product ket: no operator, no eigensolver, no density
         def forbidden(*args, **kwargs):
-            raise AssertionError("product_bound built sigma_operator or called an "
-                                 "eigensolver")
+            raise AssertionError("product_bound built sigma_operator, called an "
+                                 "eigensolver or built a density matrix")
 
         monkeypatch.setattr(bisep, "sigma_operator", forbidden, raising=False)
         monkeypatch.setattr(witness, "sigma_operator", forbidden)
         monkeypatch.setattr(np.linalg, "eigh", forbidden)
         monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        monkeypatch.setattr(states, "make_product_density", forbidden)
+        monkeypatch.setattr(states.DensityMatrix, "_psd_by_construction", forbidden)
         args, restarts, seed, expected = PRODUCT_PINS[2]
         assert product_bound(WitnessSpec(*args), restarts=restarts,
                              seed=seed) == pytest.approx(expected, abs=1e-12)
@@ -416,10 +418,20 @@ class TestProductBound:
         def forbidden(*args):
             raise AssertionError("product_bound iterated above the cap")
 
-        monkeypatch.setattr(states, "DENSITY_MAX_QUBITS", 3)
+        monkeypatch.setattr(states, "MAX_QUBITS", 3)
         monkeypatch.setattr(bisep, "_best_run", forbidden)
-        with pytest.raises(ResourceError, match="DENSITY_MAX_QUBITS"):
+        with pytest.raises(ResourceError, match="cap MAX_QUBITS"):
             product_bound(WitnessSpec(4, math.pi, 1, 1, 1), restarts=2)
+
+    def test_density_cap_does_not_apply(self, monkeypatch):
+        monkeypatch.setattr(states, "DENSITY_MAX_QUBITS", 3)
+        args, restarts, seed, expected = PRODUCT_PINS[1]
+        assert product_bound(WitnessSpec(*args), restarts=restarts,
+                             seed=seed) == pytest.approx(expected, abs=1e-12)
+
+    def test_runs_above_the_density_cap(self):
+        assert states.DENSITY_MAX_QUBITS < 13
+        assert product_bound(WitnessSpec(13, math.pi, 1, 1, 1), restarts=3) <= 1.0 + 1e-6
 
 
 class TestGmeDetected:

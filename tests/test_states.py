@@ -193,6 +193,16 @@ class TestGhzSuperposition:
         with pytest.raises(InputError):
             make_ghz_superposition(0.3, 0)
 
+    @pytest.mark.parametrize("build", [make_ghz_superposition, make_dicke_ghz_superposition])
+    def test_bad_sign_rejected_before_any_state(self, build, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("built a state before checking the sign")
+
+        monkeypatch.setattr(states, "make_dicke", forbidden)
+        monkeypatch.setattr(states, "StateVector", forbidden)
+        with pytest.raises(InputError, match="sign"):
+            build(0.3, "x")
+
 
 class TestDickeGhzSuperposition:
     def test_endpoints(self):
@@ -248,6 +258,15 @@ class TestProductDensity:
             rho = make_product_density(blochs).entries
             assert rho.dtype == complex
             assert np.array_equal(rho, kron_chain(factors))
+
+    def test_bloch_to_ket_is_the_pure_factor(self, rng):
+        # the one Bloch-to-ket map: |n><n| is the factor (1 + n.sigma)/2, poles included
+        surface = rng.standard_normal((200, 3))
+        points = np.vstack([surface / np.linalg.norm(surface, axis=1)[:, None],
+                            [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0)]])
+        for point, ket in zip(points, states._bloch_to_ket(points)):
+            rho = make_product_density([point]).entries
+            assert np.max(np.abs(np.outer(ket, ket.conj()) - rho)) <= 1e-15
 
     def test_rejects_non_finite_bloch_vector(self):
         with pytest.raises(InputError):
