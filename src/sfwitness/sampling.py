@@ -22,7 +22,7 @@ from . import kernels
 from .correlators import readout_probabilities
 from .errors import InputError
 from .states import StateVector
-from .witness import WitnessSpec, pair_weight_matrix
+from .witness import WitnessSpec, _check_state, pair_weight_matrix
 
 
 _MAX_SHOTS = int(np.iinfo(np.int64).max)
@@ -67,9 +67,7 @@ def _count_statistics(values: np.ndarray, counts: np.ndarray) -> tuple[float, fl
 
 def _estimate(state: StateVector, spec: WitnessSpec, shots: int,
               seed_words: tuple) -> tuple[float, float]:
-    if state.n_qubits != spec.n_qubits:
-        raise InputError(
-            f"state has {state.n_qubits} qubits, spec expects {spec.n_qubits}")
+    _check_state(state, spec)
     norm = math.comb(spec.n_qubits, 2)
     weights = pair_weight_matrix(spec)
     signs = kernels.outcome_signs(state.n_qubits)

@@ -116,7 +116,9 @@ def _checked_entries(n_qubits: int, entries, copy: bool = True) -> np.ndarray:
         raise InputError(f"expected shape {(dim, dim)}, got {mat.shape}")
     if not np.isfinite(mat).all():
         raise InputError("density-matrix entries must be finite")
-    if np.max(np.abs(mat - mat.conj().T)) > HERMITIAN_ATOL:
+    rows = max(1, (1 << 14) // dim)  # row blocks of 2**14 entries keep the temporaries small
+    if max(np.max(np.abs(mat[i:i + rows] - mat[:, i:i + rows].conj().T))
+           for i in range(0, dim, rows)) > HERMITIAN_ATOL:
         raise InputError("matrix is not Hermitian")
     tr = complex(np.trace(mat))
     if abs(tr - 1.0) > NORM_ATOL:
@@ -256,9 +258,9 @@ def mix_with_white_noise(state: StateVector, p: float) -> DensityMatrix:
     if not 0.0 <= p <= 1.0:
         raise InputError(f"noise fraction must be in [0, 1], got {p}")
     _check_size(state.n_qubits, "DENSITY_MAX_QUBITS")
-    dim = state.dim
-    rho = (p / dim) * np.eye(dim, dtype=complex)
-    rho += (1.0 - p) * np.outer(state.amplitudes, state.amplitudes.conj())
+    rho = np.outer(state.amplitudes, state.amplitudes.conj())
+    rho *= 1.0 - p
+    rho.flat[::state.dim + 1] += p / state.dim
     return DensityMatrix._psd_by_construction(state.n_qubits, rho)
 
 

@@ -1,16 +1,20 @@
 """Correlators against dense kron-built oracles."""
 
+import collections
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from sfwitness import (InputError, SiteLayout, axis_correlations,
-                       collective_spin_sq, make_basis_state, make_dicke,
-                       make_product_density, mix_with_white_noise,
-                       structure_factor, two_point, verify_collective_identity)
-from sfwitness.correlators import correlation_matrices
+from sfwitness import (DensityMatrix, InputError, ShotPlan, SiteLayout, StateVector,
+                       WitnessSpec, axis_components, axis_correlations, collective_spin_sq,
+                       collective_threshold, estimate_witness, individual_threshold,
+                       make_basis_state, make_dicke, make_product_density,
+                       mix_with_white_noise, scan_k, sigma_value, structure_factor,
+                       two_point, verify_collective_identity)
+from sfwitness import correlators, kernels
+from sfwitness.correlators import correlation_matrices, readout_probabilities
 from conftest import dense_expectation, pauli_on, random_mixed, random_pure
 
 
@@ -143,6 +147,14 @@ class TestCollectiveSpin:
             dense = dense_expectation(state, j_op @ j_op).real
             assert collective_spin_sq(state, axis) == pytest.approx(dense, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_mixed_state_matches_dense_oracle(self, rng, n):
+        rho = random_mixed(rng, n)
+        for axis in "xyz":
+            j_op = sum(pauli_on(n, {q: axis}) for q in range(1, n + 1)) / 2.0
+            dense = dense_expectation(rho, j_op @ j_op).real
+            assert collective_spin_sq(rho, axis) == pytest.approx(dense, abs=1e-12)
+
     def test_density_path_matches_pure_path(self, rng):
         state = random_pure(rng, 3)
         rho = mix_with_white_noise(state, 0.0)
@@ -232,6 +244,29 @@ class TestCollectiveIdentity:
         lhs, rhs = verify_collective_identity(rho, "y")
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
+    def test_k0_collective_route_is_exactly_the_spin_route(self, rng):
+        # at k = 0 the weights are cos 0 = 1 and sin 0 = 0, against 1/2 for J_a: exact scalings
+        for state in (random_pure(rng, 5), random_mixed(rng, 4)):
+            for axis in "xyz":
+                _, rhs = verify_collective_identity(state, axis)
+                assert rhs == (4.0 * collective_spin_sq(state, axis) - state.n_qubits) / 2.0
+
+    def test_staggered_sum_at_pi(self):
+        lhs, rhs = verify_collective_identity(make_basis_state(4, "0000"), "z", math.pi)
+        assert lhs == pytest.approx(-2.0, abs=1e-12)
+        assert rhs == pytest.approx(-2.0, abs=1e-12)
+
+    def test_layout_mismatch(self):
+        with pytest.raises(InputError):
+            verify_collective_identity(make_dicke(3, 1), "x", 0.4, SiteLayout((0.0, 1.0)))
+
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
+    def test_non_finite_k_rejected(self, k):
+        with pytest.raises(InputError):
+            verify_collective_identity(make_dicke(3, 1), "x", k)
+        with pytest.raises(InputError):
+            structure_factor(make_dicke(3, 1), k, "x", "y")
+
 
 class TestCorrelationMatrices:
     @pytest.mark.parametrize("axes", ["xyz", "zyx", "y", "xz", ""])
@@ -249,3 +284,96 @@ class TestCorrelationMatrices:
             correlation_matrices(make_dicke(3, 1), ("x", "q"))
         with pytest.raises(InputError):
             correlation_matrices(np.ones(4) / 2.0, "xy")
+
+
+class _GateReads(dict):
+    """The basis-change gates, counting reads: a pure state's x or y rotation reads its gate once."""
+
+    def __init__(self, reads):
+        super().__init__(correlators._ROTATIONS)
+        self.reads = reads
+
+    def __getitem__(self, axis):
+        self.reads[axis] += 1
+        return super().__getitem__(axis)
+
+
+def _count_rotations(monkeypatch) -> collections.Counter:
+    """Per-axis rotations of pure states, and the x/y trace gathers of density matrices (the
+    only site_masks call on these paths), tallied in the returned counter."""
+    reads = collections.Counter()
+    site_masks = kernels.site_masks
+
+    def counted_site_masks(n_qubits):
+        reads["gather"] += 1
+        return site_masks(n_qubits)
+
+    monkeypatch.setattr(correlators, "_ROTATIONS", _GateReads(reads))
+    monkeypatch.setattr(kernels, "site_masks", counted_site_masks)
+    return reads
+
+
+def _hex(value) -> list:
+    if isinstance(value, (tuple, list)):
+        return [h for item in value for h in _hex(item)]
+    return [float(value).hex()]
+
+
+def _fresh_copy(state):
+    if isinstance(state, StateVector):
+        return StateVector(state.n_qubits, state.amplitudes)
+    return DensityMatrix(state.n_qubits, state.entries)
+
+
+class TestMemo:
+    @staticmethod
+    def _evaluations(state) -> dict:
+        spec = WitnessSpec(state.n_qubits, 0.9, 0.7, -0.4, 0.5)
+        calls = {
+            "sigma_value": lambda s: sigma_value(s, spec),
+            "axis_components": lambda s: axis_components(s, spec),
+            "scan_k": lambda s: scan_k(s, *spec.coefficients, np.linspace(0.0, math.pi, 5)),
+            "collective_threshold": lambda s: collective_threshold(s, spec),
+            "individual_threshold": lambda s: individual_threshold(s, spec),
+        }
+        if isinstance(state, StateVector):
+            calls["estimate_witness"] = lambda s: estimate_witness(s, spec, ShotPlan(500, 7))
+        return calls
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_each_state_is_read_once(self, rng, monkeypatch, mixed):
+        state = random_mixed(rng, 8) if mixed else random_pure(rng, 8)
+        reads = _count_rotations(monkeypatch)
+        on_memo = collections.Counter()
+        for name, call in self._evaluations(state).items():
+            before = reads.copy()
+            want = call(_fresh_copy(state))
+            assert max((reads - before).values(), default=0) <= 1, name
+            before = reads.copy()
+            got = call(state)
+            on_memo += reads - before
+            assert _hex(got) == _hex(want), name
+        assert on_memo == ({"gather": 1} if mixed else {"x": 1, "y": 1})
+
+    def test_cached_arrays_are_read_only(self, rng):
+        pure, mixed = random_pure(rng, 4), random_mixed(rng, 4)
+        for state in (pure, mixed):
+            for axis in "xyz":
+                corr = axis_correlations(state, axis)
+                with pytest.raises(ValueError):
+                    corr[0, 1] = 0.0
+        for probs in [readout_probabilities(pure, axis) for axis in "xyz"] + [
+                readout_probabilities(mixed, "z")]:
+            with pytest.raises(ValueError):
+                probs[0] = 1.0
+
+    def test_bad_axis_after_others_are_cached(self, rng):
+        for state in (random_pure(rng, 3), random_mixed(rng, 3)):
+            correlation_matrices(state, "xyz")
+            readout_probabilities(state, "z")
+            with pytest.raises(InputError):
+                correlation_matrices(state, ("x", "q"))
+            with pytest.raises(InputError):
+                axis_correlations(state, "q")
+            with pytest.raises(InputError):
+                readout_probabilities(state, "q")

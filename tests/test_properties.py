@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from sfwitness import (SiteLayout, StateVector, WitnessSpec, axis_components,
                        kraus_crosscheck, make_product_density, mix_with_white_noise,
-                       pair_weight_matrix, sigma_operator, sigma_value)
+                       pair_weight_matrix, sigma_operator, sigma_value,
+                       verify_collective_identity)
 from sfwitness.bisep import _automorphisms, _cut_orbits
-from conftest import dense_expectation, random_bloch_in_ball, random_pure
+from conftest import dense_expectation, random_bloch_in_ball, random_mixed, random_pure
 
 # N <= 6 keeps each example in the millisecond range; derandomized so reruns agree
 SETTINGS = settings(max_examples=25, deadline=None, database=None, derandomize=True)
@@ -58,6 +59,15 @@ def test_product_density_bounded_by_one(spec, seed):
     rng = np.random.default_rng(seed)
     rho = make_product_density([random_bloch_in_ball(rng) for _ in range(spec.n_qubits)])
     assert abs(sigma_value(rho, spec)) <= 1.0 + 1e-12
+
+
+@SETTINGS
+@given(specs(max_n=5), seeds, st.sampled_from("xyz"), st.booleans())
+def test_collective_identity_at_any_k(spec, seed, axis, mixed):
+    # the spec supplies a random N <= 5, layout and k; |S^a(k)|^2 - N against the pair sum
+    state = (random_mixed if mixed else random_pure)(np.random.default_rng(seed), spec.n_qubits)
+    lhs, rhs = verify_collective_identity(state, axis, spec.k, spec.layout)
+    assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
 @SETTINGS

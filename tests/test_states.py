@@ -298,6 +298,13 @@ class TestWhiteNoise:
         with pytest.raises(InputError):
             mix_with_white_noise(make_dicke(2, 1), 1.5)
 
+    def test_values_equal_the_defining_sum(self, rng):
+        for n, p in ((1, 0.3), (4, 0.0), (6, 0.7), (7, 1.0)):
+            state = random_pure(rng, n)
+            want = (p / state.dim) * np.eye(state.dim, dtype=complex)
+            want += (1.0 - p) * np.outer(state.amplitudes, state.amplitudes.conj())
+            assert np.array_equal(mix_with_white_noise(state, p).entries, want)
+
 
 class TestDensityMatrixInvariants:
     def test_rejects_non_hermitian(self):
@@ -305,6 +312,19 @@ class TestDensityMatrixInvariants:
         mat[0, 1] = 0.5
         with pytest.raises(InputError):
             DensityMatrix(1, mat)
+
+    @pytest.mark.parametrize("row, col", [(0, 1), (1, 0), (5, 300), (300, 5), (511, 510)])
+    def test_hermiticity_tolerance_in_every_row_block(self, row, col):
+        # N = 9 is checked in several row blocks against HERMITIAN_ATOL = 1e-12
+        for build in (DensityMatrix, states.DensityMatrix._psd_by_construction):
+            for offset in (5e-13, 2e-12):
+                mat = np.eye(512, dtype=complex) / 512
+                mat[row, col] += offset
+                if offset < states.HERMITIAN_ATOL:
+                    assert build(9, mat).entries[row, col] == offset
+                else:
+                    with pytest.raises(InputError, match="not Hermitian"):
+                        build(9, mat)
 
     def test_constructor_copies_its_input(self):
         mat = np.eye(2, dtype=complex) / 2
