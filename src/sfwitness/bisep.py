@@ -25,14 +25,15 @@ see-saw moves n_i to h/|h| (a zero field leaves n_i).
 A site permutation p with W[p][:, p] == W maps Sigma to itself, so all cuts of its
 orbit share one maximum: `bisep_bound` runs the first cut of each orbit only, on
 that cut's own seeds, and `orbit_size` counts the cuts its `best_cut` stands for.
-The automorphisms come from an exact search (bit-equal weights) with a fixed node
-budget; stopping at the budget only leaves smaller orbits, which stay sound.
+The automorphisms (bit-equal weights) come from a generator search, so the orbits are
+exact; its node budget, kept for user layouts, can only leave smaller orbits, which stay sound.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +52,11 @@ BOUND_RECHECK_ATOL = 1e-9
 #: Partial site maps the automorphism search may extend before it stops.
 AUTOMORPHISM_NODE_BUDGET = 20_000
 
-# at most this many (cut, automorphism) images are held at once by `_cut_orbits`
-_ORBIT_CHUNK_ENTRIES = 2 ** 12
+
+def _integer(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -63,8 +67,8 @@ class Bipartition:
     part_b: tuple
 
     def __post_init__(self):
-        a = tuple(sorted(int(q) for q in self.part_a))
-        b = tuple(sorted(int(q) for q in self.part_b))
+        a, b = (tuple(sorted(_integer(q, "site label") for q in part))
+                for part in (self.part_a, self.part_b))
         if not a or not b:
             raise InputError("both blocks must be nonempty")
         n = len(a) + len(b)
@@ -108,64 +112,51 @@ def enumerate_bipartitions(n_qubits: int) -> list[Bipartition]:
 
 
 def _automorphisms(weights: np.ndarray) -> list[tuple]:
-    """Site permutations p (0-based) with weights[p][:, p] bit-equal to weights.
-
-    Site i may map only to a site with the same sorted row; a depth-first
-    search maps sites 0, 1, ... in turn, keeping a partial map only while the
-    weights among the mapped sites are preserved. It stops after
-    AUTOMORPHISM_NODE_BUDGET partial maps and returns what it found.
-    """
+    """Generators of the site permutations p (0-based) with weights[p][:, p] == weights: for
+    each site i and j > i, one that fixes sites 0..i-1 and sends i to j, which generate the
+    group. A depth-first search maps a site only to one with the same sorted row while the
+    weights among mapped sites are preserved; it stops after AUTOMORPHISM_NODE_BUDGET partial
+    maps in all, and what it found then generates a subgroup."""
     n = len(weights)
     rows = weights.tolist()
     classes = [sorted(row) for row in rows]
     candidates = [[j for j in range(n) if classes[j] == classes[i]] for i in range(n)]
-    found, nodes = [], 0
+    nodes = 0
 
-    def extend(image):
+    def extend(image, j):
+        """First automorphism extending the partial map `image` by len(image) -> j."""
         nonlocal nodes
         i = len(image)
-        if i == n:
-            if np.array_equal(weights[np.ix_(image, image)], weights):
-                found.append(tuple(image))
-            return True
-        for j in candidates[i]:
-            if j not in image and all(rows[j][image[s]] == rows[i][s] for s in range(i)):
-                nodes += 1
-                if nodes > AUTOMORPHISM_NODE_BUDGET or not extend(image + [j]):
-                    return False
-        return True
+        if (j in image or nodes >= AUTOMORPHISM_NODE_BUDGET
+                or not all(rows[j][image[s]] == rows[i][s] for s in range(i))):
+            return None
+        nodes += 1
+        image = image + [j]
+        if i + 1 < n:
+            return next(filter(None, (extend(image, t) for t in candidates[i + 1])), None)
+        return tuple(image) if np.array_equal(weights[np.ix_(image, image)], weights) else None
 
-    extend([])
-    return found
+    found = (extend(list(range(i)), j) for i in range(n) for j in candidates[i] if j > i)
+    return [p for p in found if p]
 
 
 def _cut_orbits(weights: np.ndarray) -> list[tuple[int, int]]:
-    """(cut_index, orbit size) of the first cut of each orbit, in cut order.
-
-    Union-find over the cuts of `enumerate_bipartitions` joins each cut with
-    its canonical image under every automorphism `_automorphisms` found.
-    Cut c holds site 1 and site q + 2 for each bit q of c in part_a.
-    """
+    """(cut_index, orbit size) of the first cut of each orbit, in cut order: each cut of
+    `enumerate_bipartitions` takes the least label of itself and its canonical images under
+    the `_automorphisms` generators, then its label's label, until no label changes.
+    Cut c holds site 1 and site q + 2 for each bit q of c in part_a."""
     n = len(weights)
     count = 2 ** (n - 1) - 1
     members = (np.arange(count)[:, None] << 1 | 1) >> np.arange(n) & 1
-    automorphisms = np.array(_automorphisms(weights))
-    parent = np.arange(count)
-    step = max(1, _ORBIT_CHUNK_ENTRIES // count)
-    for start in range(0, len(automorphisms), step):
-        images = members @ (1 << automorphisms[start:start + step]).T
-        images = np.where(images & 1, images, (2 ** n - 1) ^ images) >> 1
-        while True:
-            roots_a, roots_b = np.broadcast_arrays(parent[:, None], parent[images])
-            apart = roots_a != roots_b
-            if not apart.any():
-                break
-            # hook the larger root under the smaller, then compress every path
-            np.minimum.at(parent, np.maximum(roots_a, roots_b)[apart],
-                          np.minimum(roots_a, roots_b)[apart])
-            while not np.array_equal(parent[parent], parent):
-                parent = parent[parent]
-    representatives, sizes = np.unique(parent, return_counts=True)
+    generators = np.array(_automorphisms(weights), dtype=int).reshape(-1, n)
+    images = members @ (1 << generators).T
+    images = np.where(images & 1, images, (2 ** n - 1) ^ images) >> 1
+    label, joined = None, np.arange(count)
+    while not np.array_equal(joined, label):
+        label = joined
+        joined = np.minimum(label, label[images].min(1, initial=count))
+        joined = joined[joined]
+    representatives, sizes = np.unique(label, return_counts=True)
     return list(zip(representatives.tolist(), sizes.tolist()))
 
 
@@ -258,14 +249,12 @@ def _seesaw_cut(spec: WitnessSpec, cut: Bipartition, restarts: int, tol: float,
 
 
 def _check_run_params(restarts: int, seed: int, tol: float, max_iter: int) -> None:
-    if restarts < 1:
-        raise InputError("need at least one restart")
-    if seed < 0:
-        raise InputError("seed must be non-negative")
+    for name, value, least in (("restarts", restarts, 1), ("seed", seed, 0),
+                               ("max_iter", max_iter, 1)):
+        if _integer(value, name) < least:
+            raise InputError(f"{name} must be >= {least}, got {value}")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise InputError(f"tol must be finite and non-negative, got {tol}")
-    if max_iter < 1:
-        raise InputError("need at least one sweep (max_iter >= 1)")
 
 
 def seesaw_max(spec: WitnessSpec, cut: Bipartition,

@@ -96,29 +96,32 @@ def _check_state(state, spec: WitnessSpec) -> None:
 
 def pair_weight_matrix(spec: WitnessSpec) -> np.ndarray:
     """Symmetric zero-diagonal n x n matrix of the weights cos(k m_ij)."""
-    n = spec.n_qubits
-    weights = np.zeros((n, n))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            weights[i - 1, j - 1] = weights[j - 1, i - 1] = spec.pair_weight(i, j)
-    return weights
+    return _weight_matrix(spec.k, spec.layout.positions)
+
+
+def _weight_matrix(k: float, positions: tuple) -> np.ndarray:
+    # the arithmetic of WitnessSpec.pair_weight, entry for entry
+    weights = [[0.0] * len(positions) for _ in positions]
+    for i, r in enumerate(positions):
+        for j in range(i + 1, len(positions)):
+            weights[i][j] = weights[j][i] = math.cos(abs(k) * (positions[j] - r))
+    return np.array(weights)
 
 
 def _correlations(state, coefficients) -> dict:
     return correlation_matrices(state, [axis for c, axis in zip(coefficients, AXES) if c != 0.0])
 
 
-def _axis_sums(spec: WitnessSpec, correlations: dict) -> dict:
+def _axis_sums(weights: np.ndarray, correlations: dict) -> dict:
     # symmetric matrices, zero-diagonal weights: the i < j sum is half the full sum
-    weights = pair_weight_matrix(spec)
-    norm = 2 * math.comb(spec.n_qubits, 2)
+    norm = 2 * math.comb(len(weights), 2)
     return {axis: float(np.sum(weights * corr)) / norm for axis, corr in correlations.items()}
 
 
-def _sigma_from(spec: WitnessSpec, correlations: dict) -> float:
-    coefficients = dict(zip(AXES, spec.coefficients))
+def _sigma_from(coefficients, weights: np.ndarray, correlations: dict) -> float:
+    coefficients = dict(zip(AXES, coefficients))
     return sum((coefficients[axis] * value
-                for axis, value in _axis_sums(spec, correlations).items()), 0.0)
+                for axis, value in _axis_sums(weights, correlations).items()), 0.0)
 
 
 def axis_components(state, spec: WitnessSpec) -> tuple[float, float, float]:
@@ -128,13 +131,15 @@ def axis_components(state, spec: WitnessSpec) -> tuple[float, float, float]:
     coefficient sweeps cheap: the components do not depend on c.
     """
     _check_state(state, spec)
-    return tuple(_axis_sums(spec, _correlations(state, (1, 1, 1))).values())
+    return tuple(_axis_sums(pair_weight_matrix(spec),
+                            _correlations(state, (1, 1, 1))).values())
 
 
 def sigma_value(state, spec: WitnessSpec) -> float:
     """<Sigma(k)> for the given state."""
     _check_state(state, spec)
-    return _sigma_from(spec, _correlations(state, spec.coefficients))
+    return _sigma_from(spec.coefficients, pair_weight_matrix(spec),
+                       _correlations(state, spec.coefficients))
 
 
 def witness_value(state, spec: WitnessSpec) -> float:
@@ -210,13 +215,17 @@ class ScanPoint(NamedTuple):
 def scan_k(state, c_x: float, c_y: float, c_z: float, k_grid,
            layout: SiteLayout | None = None) -> list[ScanPoint]:
     """Evaluate sigma/witness over a k grid (correlators computed once)."""
-    k_grid = list(k_grid)
+    k_grid = [float(k) for k in k_grid]
     if not k_grid:
         raise InputError("k grid must be nonempty")
-    specs = [WitnessSpec(state.n_qubits, float(k), c_x, c_y, c_z, layout) for k in k_grid]
-    correlations = _correlations(state, (c_x, c_y, c_z))
-    sigmas = [_sigma_from(spec, correlations) for spec in specs]
-    return [ScanPoint(spec.k, sigma, 1.0 - sigma) for spec, sigma in zip(specs, sigmas)]
+    spec = WitnessSpec(state.n_qubits, k_grid[0], c_x, c_y, c_z, layout)  # c and layout, once
+    for k in k_grid:
+        if not math.isfinite(k):
+            raise InputError(f"k must be finite, got {k}")
+    correlations = _correlations(state, spec.coefficients)
+    sigmas = [_sigma_from(spec.coefficients, _weight_matrix(k, spec.layout.positions),
+                          correlations) for k in k_grid]
+    return [ScanPoint(k, sigma, 1.0 - sigma) for k, sigma in zip(k_grid, sigmas)]
 
 
 def find_detection_boundary(state_factory, spec: WitnessSpec,

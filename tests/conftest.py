@@ -82,6 +82,15 @@ def random_spec(rng, n_qubits, layout: SiteLayout | None = None) -> WitnessSpec:
                        *(float(c) for c in rng.uniform(-1, 1, size=3)), layout)
 
 
+def automorphism_closure(generators, n_qubits) -> set:
+    """Every product of the 0-based site permutations `generators`: the group they generate."""
+    group = frontier = {tuple(range(n_qubits))}
+    while frontier:
+        frontier = {tuple(p[s] for s in g) for p in frontier for g in generators} - group
+        group = group | frontier
+    return group
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260809)

@@ -15,7 +15,7 @@ from sfwitness import (Bipartition, InputError, ResourceError, SiteLayout,
                        make_product_density, product_bound, seesaw_max,
                        sigma_operator, sigma_value)
 from sfwitness.reports import cut_grid_max_3, product_grid_max_2, product_grid_max_3
-from conftest import random_spec
+from conftest import automorphism_closure, random_spec
 
 PHASED_SPEC_4 = WitnessSpec(4, math.pi, 1, 1, 1)
 
@@ -70,6 +70,24 @@ def cut_image(perm, cut):
     return Bipartition(*((moved, rest) if 1 in moved else (rest, moved)))
 
 
+def orbits_by_search(generators, n_qubits):
+    """Orbits of the cut indices of enumerate_bipartitions under `generators`, in order of
+    their first cut, found by following cut_image from each cut not yet reached."""
+    cuts = enumerate_bipartitions(n_qubits)
+    index = {cut: i for i, cut in enumerate(cuts)}
+    orbits = []
+    for start in range(len(cuts)):
+        if any(start in orbit for orbit in orbits):
+            continue
+        orbit = frontier = {start}
+        while frontier:
+            frontier = {index[cut_image(p, cuts[c])] for c in frontier for p in generators}
+            frontier -= orbit
+            orbit = orbit | frontier
+        orbits.append(orbit)
+    return orbits
+
+
 class TestBipartition:
     def test_canonical_form_orders_sites(self):
         cut = Bipartition((3, 1), (2, 4))
@@ -87,6 +105,18 @@ class TestBipartition:
     def test_rejects_site_one_in_part_b(self):
         with pytest.raises(InputError):
             Bipartition((2,), (1, 3))
+
+    @pytest.mark.parametrize("part_a", [(1, 2.7), (1, 2.0), (True, 2), (1, np.bool_(True))],
+                             ids=["fraction", "float", "bool", "numpy-bool"])
+    def test_rejects_non_integer_site_labels(self, part_a):
+        # int() would truncate 2.7 to 2 and read True as 1
+        with pytest.raises(InputError, match="site label must be an integer"):
+            Bipartition(part_a, (3,))
+
+    def test_accepts_numpy_integer_site_labels(self):
+        cut = Bipartition((np.int64(1), np.int32(3)), (np.uint8(2),))
+        assert (cut.part_a, cut.part_b) == ((1, 3), (2,))
+        assert all(type(q) is int for q in cut.part_a + cut.part_b)
 
 
 class TestEnumeration:
@@ -226,6 +256,29 @@ class TestSeesaw:
         with pytest.raises(InputError):
             run(PHASED_SPEC_4, *args, restarts=1, **params)
 
+    @pytest.mark.parametrize("run", [seesaw_max, bisep_bound, product_bound],
+                             ids=["seesaw_max", "bisep_bound", "product_bound"])
+    @pytest.mark.parametrize("params", [
+        {"restarts": 2.5}, {"restarts": True}, {"max_iter": 1.5}, {"max_iter": True},
+        {"seed": 1.5}, {"seed": False},
+    ], ids=["restarts-float", "restarts-bool", "max_iter-float", "max_iter-bool",
+            "seed-float", "seed-bool"])
+    def test_rejects_non_integer_run_params(self, run, params):
+        args = (Bipartition((1, 2), (3, 4)),) if run is seesaw_max else ()
+        name = next(iter(params))
+        with pytest.raises(InputError, match=f"{name} must be an integer"):
+            run(PHASED_SPEC_4, *args, **{"restarts": 1, **params})
+
+    @pytest.mark.parametrize("run", [seesaw_max, bisep_bound, product_bound],
+                             ids=["seesaw_max", "bisep_bound", "product_bound"])
+    def test_numpy_integer_run_params_give_the_same_result(self, run):
+        args = (Bipartition((1, 2), (3, 4)),) if run is seesaw_max else ()
+        results = [run(PHASED_SPEC_4, *args, restarts=restarts, seed=seed, max_iter=max_iter)
+                   for restarts, seed, max_iter in [(2, 3, 4),
+                                                    (np.int64(2), np.uint32(3), np.int16(4))]]
+        bounds = [getattr(result, "bound", result) for result in results]  # product: a float
+        assert bounds[0] == bounds[1]
+
     @pytest.mark.parametrize("search", [
         lambda spec: seesaw_max(spec, Bipartition((1, 2), (3, 4)), restarts=2),
         lambda spec: product_bound(spec, restarts=2),
@@ -323,9 +376,9 @@ class TestBisepBound:
                                                      all_cut_best):
         args, _, _, _, bound, cut, _, _ = CUT_PINS[pin]
         assert abs(bound - all_cut_bound) <= 1e-9
-        automorphisms = bisep._automorphisms(witness.pair_weight_matrix(WitnessSpec(*args)))
-        assert Bipartition(*cut) in {cut_image(p, Bipartition(*all_cut_best))
-                                     for p in automorphisms}
+        weights = witness.pair_weight_matrix(WitnessSpec(*args))
+        group = automorphism_closure(bisep._automorphisms(weights), len(weights))
+        assert Bipartition(*cut) in {cut_image(p, Bipartition(*all_cut_best)) for p in group}
 
     @pytest.mark.parametrize("args, orbits", [
         ((4, math.pi, 1, 1, 1), [(0, 4), (1, 2), (2, 1)]),
@@ -352,19 +405,21 @@ class TestBisepBound:
                               2, index).bound for index, _ in orbits)
         assert result.bound == best
 
-    @pytest.mark.parametrize("budget, automorphisms, orbits", [
-        (0, 0, 31), (10, 2, 23), (40, 10, 11), (100, 25, 5), (276, 72, 5)])
-    def test_budget_leaves_finer_orbits(self, budget, automorphisms, orbits, monkeypatch):
-        # the full search at k = pi, N = 6 takes 276 nodes
+    @pytest.mark.parametrize("budget, generators, orbits", [
+        (0, 0, 31), (8, 1, 19), (15, 2, 11), (25, 4, 5), (47, 9, 5)])
+    def test_budget_leaves_finer_orbits(self, budget, generators, orbits, monkeypatch):
+        # the full generator search at k = pi, N = 6 takes 47 nodes
         weights = witness.pair_weight_matrix(WitnessSpec(6, math.pi, 1, 1, 1))
-        every = bisep._automorphisms(weights)
+        exact = orbits_by_search(bisep._automorphisms(weights), 6)
         monkeypatch.setattr(bisep, "AUTOMORPHISM_NODE_BUDGET", budget)
         found = bisep._automorphisms(weights)
-        assert len(found) == automorphisms
-        sizes = [size for _, size in bisep._cut_orbits(weights)]
-        assert (len(sizes), sum(sizes)) == (orbits, 31)
-        # only true automorphisms, so each orbit lies inside one full orbit
-        assert set(found) <= set(every)
+        assert len(found) == generators
+        # only true automorphisms, so each orbit lies inside one exact orbit
+        assert all(np.array_equal(weights[np.ix_(p, p)], weights) for p in found)
+        finer = orbits_by_search(found, 6)
+        assert len(finer) == orbits
+        assert all(any(orbit <= full for full in exact) for orbit in finer)
+        assert bisep._cut_orbits(weights) == [(min(orbit), len(orbit)) for orbit in finer]
 
 
 class TestProductBound:

@@ -1,5 +1,6 @@
 """Property tests of Sigma(k) and its operator (hypothesis-generated specs)."""
 
+import itertools
 import math
 
 import numpy as np
@@ -11,7 +12,8 @@ from sfwitness import (SiteLayout, StateVector, WitnessSpec, axis_components,
                        pair_weight_matrix, sigma_operator, sigma_value,
                        verify_collective_identity)
 from sfwitness.bisep import _automorphisms, _cut_orbits
-from conftest import dense_expectation, random_bloch_in_ball, random_mixed, random_pure
+from conftest import (automorphism_closure, dense_expectation, random_bloch_in_ball,
+                      random_mixed, random_pure)
 
 # N <= 6 keeps each example in the millisecond range; derandomized so reruns agree
 SETTINGS = settings(max_examples=25, deadline=None, database=None, derandomize=True)
@@ -126,14 +128,48 @@ def test_sigma_invariant_under_weight_automorphism(spec, seed):
 def test_k_pi_symmetry_counts(n, automorphisms, orbits):
     # W_ij = (-1)^(j-i): permute odd and even sites within their class, or swap the classes
     weights = pair_weight_matrix(WitnessSpec(n, math.pi, 1, 1, 1))
-    assert len(_automorphisms(weights)) == automorphisms
+    generators = _automorphisms(weights)
+    assert len(generators) <= n * (n - 1) // 2
+    assert len(automorphism_closure(generators, n)) == automorphisms
     assert len(_cut_orbits(weights)) == orbits
+
+
+def burnside_cut_orbits(classes):
+    """Orbits of the cuts when the sites of each class are interchangeable, by Burnside.
+
+    A cut is then its counts (a_1, ...) of each class's sites in part A, up to the
+    complement and, for two classes of equal size, up to swapping the classes.
+    """
+    points = [a for a in itertools.product(*(range(size + 1) for size in classes))
+              if 0 < sum(a) < sum(classes)]
+    def complement(a):
+        return tuple(size - count for size, count in zip(classes, a))
+
+    maps = [lambda a: a, complement]
+    if len(classes) == 2 and classes[0] == classes[1]:
+        maps += [lambda a: a[::-1], lambda a: complement(a[::-1])]
+    fixed = sum(m(a) == a for m in maps for a in points)
+    assert fixed % len(maps) == 0
+    return fixed // len(maps)
+
+
+@pytest.mark.parametrize("n, k, orbits", [
+    (9, 0.0, 4), (10, 0.0, 5), (11, 0.0, 5), (12, 0.0, 6),
+    (9, math.pi, 14), (10, math.pi, 11), (11, math.pi, 20), (12, math.pi, 15)])
+def test_exact_orbit_counts(n, k, orbits):
+    # k = 0: W_ij = 1, so every site permutation is an automorphism and a cut's orbit is
+    # its block sizes; k = pi: as in test_k_pi_symmetry_counts
+    spec = WitnessSpec(n, k, 1, 1, -1) if k == 0.0 else WitnessSpec(n, k, 1, 1, 1)
+    classes = (n,) if k == 0.0 else ((n + 1) // 2, n // 2)
+    found = _cut_orbits(pair_weight_matrix(spec))
+    assert len(found) == orbits == burnside_cut_orbits(classes)
+    assert sum(size for _, size in found) == 2 ** (n - 1) - 1
 
 
 @pytest.mark.parametrize("n", [3, 4, 6, 8])
 def test_generic_k_has_only_the_mirror(n):
     weights = pair_weight_matrix(WitnessSpec(n, 0.3, 1, 1, 1))
-    assert _automorphisms(weights) == [tuple(range(n)), tuple(range(n - 1, -1, -1))]
+    assert _automorphisms(weights) == [tuple(range(n - 1, -1, -1))]
 
 
 @SETTINGS

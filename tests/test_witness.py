@@ -301,6 +301,20 @@ class TestScanK:
             spec = WitnessSpec(3, point.k, 0.3, -0.8, 0.5)
             assert point.sigma == pytest.approx(sigma_value(state, spec), abs=1e-12)
 
+    def test_each_point_equals_sigma_value_exactly(self, rng):
+        # one weight build serves scan_k and sigma_value, so the points are bit-equal
+        layout = SiteLayout((0.0, 0.4, 1.9, 2.5, 4.0))
+        state = random_pure(rng, 5)
+        grid = [-5.3, 0.0, 0.7, math.pi, 2 * math.pi / 3]
+        for point in scan_k(state, 0.3, -0.8, 0.5, grid, layout):
+            expected = sigma_value(state, WitnessSpec(5, point.k, 0.3, -0.8, 0.5, layout))
+            assert (point.sigma, point.witness) == (expected, 1.0 - expected)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_k_anywhere_in_the_grid(self, bad):
+        with pytest.raises(InputError, match="k must be finite"):
+            scan_k(make_dicke(3, 1), 1, 1, 1, [0.0, 1.0, bad])
+
     def test_empty_grid(self):
         with pytest.raises(InputError):
             scan_k(make_dicke(2, 1), 1, 1, 1, [])
