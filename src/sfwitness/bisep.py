@@ -5,8 +5,8 @@ The optimizer is an alternating see-saw: with all tensor factors but one
 held fixed, Sigma contracts to an effective Hermitian operator on the free
 factor, whose top eigenvector is the exact best update. Each half-step is
 therefore non-decreasing and the iteration converges to a local maximum;
-random restarts guard against bad basins. Both see-saws run through one
-restart driver, `_best_run`.
+random restarts guard against bad basins. Both see-saws sweep their restarts
+as one stack in `_best_run` (one stacked `eigh` per half-step), each frozen once it stops.
 
 A mixed biseparable state is a convex mixture of pure states product
 across single cuts, and <Sigma> is linear in the state, so the maximum
@@ -33,13 +33,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels, states, witness
-from .errors import InputError
+from .errors import InputError, check_integer
 from .states import StateVector
 from .witness import WitnessSpec, pair_weight_matrix, sigma_value
 
@@ -52,11 +51,8 @@ BOUND_RECHECK_ATOL = 1e-9
 #: Partial site maps the automorphism search may extend before it stops.
 AUTOMORPHISM_NODE_BUDGET = 20_000
 
-
-def _integer(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise InputError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+#: Bytes of the cut operators one stacked half-step may hold; more restarts run in turns.
+STACK_BYTES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -67,7 +63,7 @@ class Bipartition:
     part_b: tuple
 
     def __post_init__(self):
-        a, b = (tuple(sorted(_integer(q, "site label") for q in part))
+        a, b = (tuple(sorted(check_integer(q, "site label", 1) for q in part))
                 for part in (self.part_a, self.part_b))
         if not a or not b:
             raise InputError("both blocks must be nonempty")
@@ -100,15 +96,10 @@ class BisepResult:
 
 def enumerate_bipartitions(n_qubits: int) -> list[Bipartition]:
     """All 2^(N-1) - 1 canonical cuts, ordered by the bitmask of part_a."""
-    if n_qubits < 2:
-        raise InputError("need at least 2 qubits to cut")
-    others = list(range(2, n_qubits + 1))
-    cuts = []
-    for mask in range(2 ** (n_qubits - 1) - 1):
-        part_a = (1,) + tuple(q for pos, q in enumerate(others) if mask >> pos & 1)
-        part_b = tuple(q for pos, q in enumerate(others) if not mask >> pos & 1)
-        cuts.append(Bipartition(part_a, part_b))
-    return cuts
+    others = range(2, check_integer(n_qubits, "n_qubits", 2) + 1)
+    return [Bipartition((1, *(q for q in others if mask >> q - 2 & 1)),
+                        tuple(q for q in others if not mask >> q - 2 & 1))
+            for mask in range(2 ** (n_qubits - 1) - 1)]
 
 
 def _automorphisms(weights: np.ndarray) -> list[tuple]:
@@ -161,8 +152,9 @@ def _cut_orbits(weights: np.ndarray) -> list[tuple[int, int]]:
 
 
 def _cut_half_step(spec: WitnessSpec, cut: Bipartition):
-    """half_step(held, hold) -> (operator, shift), <held|Sigma|held> = operator + shift on
-    block `hold` (0: A); each block's (own, U^xyz, V^xyz) is built once, on its sites in order."""
+    """half_step(held, hold) -> (operators, shifts), <held|Sigma|held> = operator + shift on
+    block `hold` (0: A) per row of `held`, each a matrix-vector product (the length-1 axes) that
+    rounds as for one factor; each block's (own, U^xyz, V^xyz) is built once, sites in order."""
     norm = math.comb(spec.n_qubits, 2)
     weights, phases = pair_weight_matrix(spec), spec.k * np.array(spec.layout.positions)
     coupling, blocks = np.tile(spec.coefficients, 2) / norm, []
@@ -178,28 +170,33 @@ def _cut_half_step(spec: WitnessSpec, cut: Bipartition):
         blocks.append((ops.reshape(7 * rows.size, -1), ops[0], ops[1:].reshape(6, -1)))
 
     def half_step(held, hold):
-        moments = ((blocks[1 - hold][0] @ held).reshape(7, -1) @ held.conj()).real
+        moments = ((blocks[1 - hold][0] @ held[:, :, None]).reshape(len(held), 7, -1)
+                   @ held.conj()[:, :, None])[:, :, 0].real
         _, own, amplitudes = blocks[hold]
-        return own + ((coupling * moments[1:]) @ amplitudes).reshape(own.shape), moments[0]
+        return (own + ((coupling * moments[:, 1:])[:, None, :] @ amplitudes).reshape(
+            -1, *own.shape), moments[:, 0])
 
     return half_step
 
 
-def _best_run(start, sweep, seed_words: tuple, restarts: int, tol: float, max_iter: int):
-    """First best (value, point, sweeps, converged) of `restarts` runs. Run r starts at
-    point = start(default_rng([*seed_words, r])); sweep(point) updates it in place and
-    returns the new value, until a sweep gains < tol or max_iter sweeps are done."""
-    best = None
-    for r in range(restarts):
-        point, value = start(np.random.default_rng([*seed_words, r])), -np.inf
-        for sweeps in range(1, max_iter + 1):  # max_iter >= 1 (_check_run_params)
-            previous, value = value, sweep(point)
-            converged = value - previous < tol
-            if converged:
-                break
-        if best is None or value > best[0]:
-            best = (value, point, sweeps, converged)
-    return best
+def _best_run(start, sweep, seed_words: tuple, restarts: int, tol: float, max_iter: int,
+              stack: int):
+    """First best (value, point, sweeps, converged) of `restarts` runs. Run r's point, row r
+    of the stacks `points`, starts at start(default_rng([*seed_words, r])); sweep(points,
+    rows) updates at most `stack` rows in place and returns their values. A run is frozen
+    once a sweep gains < tol or after max_iter sweeps."""
+    points = [np.array(rows) for rows in zip(*(start(np.random.default_rng([*seed_words, r]))
+                                               for r in range(restarts)))]
+    values, gains = np.full(restarts, -np.inf), np.full(restarts, np.inf)
+    sweeps, active = np.zeros(restarts, dtype=int), np.arange(restarts)
+    while active.size:  # max_iter >= 1 (_check_run_params)
+        new = np.concatenate([sweep(points, rows) for rows in
+                              np.split(active, range(stack, active.size, stack))])
+        gains[active], values[active] = new - values[active], new
+        sweeps[active] += 1
+        active = active[~(gains[active] < tol) & (sweeps[active] < max_iter)]
+    win = int(np.argmax(values))  # the first best
+    return float(values[win]), [p[win] for p in points], int(sweeps[win]), bool(gains[win] < tol)
 
 
 def assemble_cut_state(cut: Bipartition, state_a: StateVector,
@@ -225,36 +222,33 @@ def _recheck(value: float, state, spec: WitnessSpec) -> float:
 def _seesaw_cut(spec: WitnessSpec, cut: Bipartition, restarts: int, tol: float,
                 max_iter: int, seed: int, cut_index: int, orbit_size: int = 1) -> BisepResult:
     """First best of `restarts` see-saw runs, run r seeded by [seed, cut_index, r]."""
-    half_step = _cut_half_step(spec, cut)
+    half_step, parts = _cut_half_step(spec, cut), (cut.part_a, cut.part_b)
 
-    def start(rng):
-        return [states.random_state_vector(len(part), rng).amplitudes
-                for part in (cut.part_a, cut.part_b)]
-
-    def sweep(factors):
+    def sweep(factors, rows):
         for hold in range(2):
-            operator, shift = half_step(factors[1 - hold], hold)
-            eigvals, eigvecs = np.linalg.eigh(operator)
-            factors[hold] = eigvecs[:, -1]
-        return float(eigvals[-1] + shift)
+            operators, shifts = half_step(factors[1 - hold][rows], hold)
+            eigvals, eigvecs = np.linalg.eigh(operators)
+            factors[hold][rows] = eigvecs[:, :, -1]
+        return eigvals[:, -1] + shifts
 
-    value, factors, iterations, converged = _best_run(start, sweep, (seed, cut_index),
-                                                      restarts, tol, max_iter)
-    best_state = (StateVector(len(cut.part_a), factors[0]),
-                  StateVector(len(cut.part_b), factors[1]))
+    value, factors, iterations, converged = _best_run(
+        lambda rng: [states._random_amplitudes(len(part), rng) for part in parts], sweep,
+        (seed, cut_index), restarts, tol, max_iter,
+        stack=max(1, STACK_BYTES // (16 * 4 ** max(map(len, parts)))))
+    best_state = tuple(StateVector(len(part), factor) for part, factor in zip(parts, factors))
     return BisepResult(bound=_recheck(value, assemble_cut_state(cut, *best_state), spec),
-                       best_cut=cut, best_state=best_state,
-                       restarts_used=restarts, converged=converged,
-                       iterations=iterations, spec=spec, orbit_size=orbit_size)
+                       best_cut=cut, best_state=best_state, restarts_used=restarts,
+                       converged=converged, iterations=iterations, spec=spec, orbit_size=orbit_size)
 
 
-def _check_run_params(restarts: int, seed: int, tol: float, max_iter: int) -> None:
+def _check_run_params(spec: WitnessSpec, restarts: int, seed: int, tol: float, max_iter: int,
+                      cap: str = "OPERATOR_MAX_QUBITS") -> None:
     for name, value, least in (("restarts", restarts, 1), ("seed", seed, 0),
                                ("max_iter", max_iter, 1)):
-        if _integer(value, name) < least:
-            raise InputError(f"{name} must be >= {least}, got {value}")
+        check_integer(value, name, least)
     if not (math.isfinite(tol) and tol >= 0.0):
         raise InputError(f"tol must be finite and non-negative, got {tol}")
+    states._check_size(spec.n_qubits, cap)
 
 
 def seesaw_max(spec: WitnessSpec, cut: Bipartition,
@@ -263,8 +257,7 @@ def seesaw_max(spec: WitnessSpec, cut: Bipartition,
     """Maximize <Sigma> over pure states product across one cut."""
     if cut.n_qubits != spec.n_qubits:
         raise InputError(f"cut covers {cut.n_qubits} sites, spec has {spec.n_qubits}")
-    _check_run_params(restarts, seed, tol, max_iter)
-    states._check_size(spec.n_qubits, "OPERATOR_MAX_QUBITS")
+    _check_run_params(spec, restarts, seed, tol, max_iter)
     return _seesaw_cut(spec, cut, restarts, tol, max_iter, seed, cut_index=0)
 
 
@@ -276,8 +269,7 @@ def bisep_bound(spec: WitnessSpec, restarts: int = DEFAULT_RESTARTS,
     The result bounds <Sigma> on all biseparable states (see module notes);
     exceeding it certifies genuine multipartite entanglement.
     """
-    _check_run_params(restarts, seed, tol, max_iter)
-    states._check_size(spec.n_qubits, "OPERATOR_MAX_QUBITS")
+    _check_run_params(spec, restarts, seed, tol, max_iter)
     cuts = enumerate_bipartitions(spec.n_qubits)
     return max((_seesaw_cut(spec, cuts[index], restarts, tol, max_iter, seed, index, size)
                 for index, size in _cut_orbits(pair_weight_matrix(spec))),
@@ -293,25 +285,26 @@ def product_bound(spec: WitnessSpec, restarts: int = DEFAULT_RESTARTS,
     default_rng([seed, r]). Cannot exceed 1 beyond numerical slack; useful
     as a sanity anchor for the analytic product bound.
     """
-    _check_run_params(restarts, seed, tol, max_iter)
-    states._check_size(spec.n_qubits)  # the recheck's product ket
+    _check_run_params(spec, restarts, seed, tol, max_iter, "MAX_QUBITS")  # the product ket
     weights = pair_weight_matrix(spec) / math.comb(spec.n_qubits, 2)
     coefficients = np.array(spec.coefficients)
 
     def start(rng):
-        a, b = np.array([states.random_state_vector(1, rng).amplitudes for _ in weights]).T
-        return np.column_stack([2 * (a.conj() * b).real, 2 * (a.conj() * b).imag,
-                                np.abs(a) ** 2 - np.abs(b) ** 2])
+        a, b = np.array([states._random_amplitudes(1, rng) for _ in weights]).T
+        return [np.column_stack([2 * (a.conj() * b).real, 2 * (a.conj() * b).imag,
+                                 np.abs(a) ** 2 - np.abs(b) ** 2])]
 
-    def sweep(blochs):
+    def sweep(points, rows):
+        blochs = points[0][rows]
         for i in range(len(weights)):
             field = coefficients * (weights[i] @ blochs)
-            norm = np.linalg.norm(field)
-            if norm > 0.0:
-                blochs[i] = field / norm
-        return 0.5 * float(np.sum(coefficients * blochs * (weights @ blochs)))
+            norm = np.sqrt(field[:, None, :] @ field[:, :, None])[:, 0]  # per row, as one dot
+            np.divide(field, norm, out=blochs[:, i], where=norm > 0.0)
+        points[0][rows] = blochs
+        return 0.5 * (coefficients * blochs * (weights @ blochs)).reshape(len(rows), -1).sum(1)
 
-    value, blochs, _, _ = _best_run(start, sweep, (seed,), restarts, tol, max_iter)
+    value, (blochs,), _, _ = _best_run(start, sweep, (seed,), restarts, tol, max_iter,
+                                       stack=restarts)
     ket = functools.reduce(np.kron, states._bloch_to_ket(blochs))
     return _recheck(value, StateVector(spec.n_qubits, ket), spec)
 

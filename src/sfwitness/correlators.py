@@ -41,9 +41,16 @@ class SiteLayout:
         pos = tuple(float(r) for r in self.positions)
         if len(pos) < 1:
             raise InputError("layout needs at least one site")
-        if not all(map(math.isfinite, pos)) or any(b <= a for a, b in zip(pos, pos[1:])):
-            raise InputError(f"site positions must be finite and strictly increasing, got {pos}")
+        if not (math.isfinite(pos[-1] - pos[0]) and all(b > a for a, b in zip(pos, pos[1:]))):
+            raise InputError(f"site positions must increase strictly, with finite separations, "
+                             f"got {pos}")
         object.__setattr__(self, "positions", pos)
+
+    def check_k(self, k: float) -> None:
+        """InputError unless k times every site position and separation is finite."""
+        first, last = self.positions[0], self.positions[-1]
+        if not math.isfinite(abs(k) * max(last - first, -first, last)):
+            raise InputError(f"k must be finite, also times each position and separation, got {k}")
 
     @classmethod
     def unit_spacing(cls, n_sites: int) -> "SiteLayout":
@@ -163,12 +170,11 @@ def axis_correlations(state, axis: str) -> np.ndarray:
 
 def structure_factor(state, k: float, a: str, b: str, layout: SiteLayout | None = None) -> complex:
     """sum_{i<j} exp(i k (r_j - r_i)) <sigma_i^a sigma_j^b>."""
-    if not math.isfinite(k):
-        raise InputError(f"k must be finite, got {k}")
     n = state.n_qubits
     layout = layout or SiteLayout.unit_spacing(n)
     if len(layout) != n:
         raise InputError(f"layout has {len(layout)} sites for a {n}-qubit state")
+    layout.check_k(k)
     rows, cols = np.triu_indices(n, 1)
     if a == b:
         corr = axis_correlations(state, a)[rows, cols]

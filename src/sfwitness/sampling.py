@@ -20,7 +20,7 @@ import numpy as np
 
 from . import kernels
 from .correlators import readout_probabilities
-from .errors import InputError
+from .errors import InputError, check_integer
 from .states import StateVector
 from .witness import WitnessSpec, _check_state, pair_weight_matrix
 
@@ -37,14 +37,12 @@ class ShotPlan:
 
     def __post_init__(self):
         _check_shots(self.shots_per_setting)
-        if self.seed < 0:
-            raise InputError("seed must be non-negative")
+        check_integer(self.seed, "seed", 0)
 
 
-def _check_shots(shots: int) -> None:
-    """Reject shot counts the int64 multinomial draw cannot take."""
-    if not 1 <= shots <= _MAX_SHOTS:
-        raise InputError(f"shot counts must be in [1, {_MAX_SHOTS}], got {shots}")
+def _check_shots(shots) -> int:
+    """`shots` as an int; InputError unless the int64 multinomial draw can take it."""
+    return check_integer(shots, "shot counts", 1, _MAX_SHOTS)
 
 
 class CurvePoint(NamedTuple):
@@ -108,12 +106,9 @@ def convergence_curve(state: StateVector, spec: WitnessSpec, shot_grid,
     Grid points use disjoint substreams (seed, point index, axis index), so
     the curve samples independent experiments of growing size.
     """
-    shot_grid = [int(s) for s in shot_grid]
+    shot_grid = [_check_shots(s) for s in shot_grid]
     if not shot_grid:
         raise InputError("shot grid must be nonempty")
-    for shots in shot_grid:
-        _check_shots(shots)
-    if seed < 0:
-        raise InputError("seed must be non-negative")
+    check_integer(seed, "seed", 0)
     return [CurvePoint(shots, *_estimate(state, spec, shots, (seed, pos)))
             for pos, shots in enumerate(shot_grid)]

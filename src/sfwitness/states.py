@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import InputError, ResourceError
+from .errors import InputError, ResourceError, check_integer
 
 #: Default cap on dense state-vector size (2**MAX_QUBITS amplitudes).
 #: Reassign the module attribute to work above it.
@@ -42,8 +42,7 @@ def _check_size(n_qubits: int, name: str = "MAX_QUBITS") -> None:
 
     The caps are read at call time, so reassigning them takes effect at once.
     """
-    if n_qubits < 1:
-        raise InputError("n_qubits must be positive")
+    check_integer(n_qubits, "n_qubits", 1)
     cap = globals()[name]
     if n_qubits > cap:
         raise ResourceError(f"{n_qubits} qubits exceeds the cap {name} = {cap} "
@@ -171,8 +170,7 @@ def make_basis_state(n_qubits: int, bits: str) -> StateVector:
 def _excitations(n_qubits: int, l: int) -> tuple[np.ndarray, np.ndarray]:
     """Excited sites (0-based) of each weight-l basis state, one row each, and its index."""
     _check_size(n_qubits)
-    if not 0 <= l <= n_qubits:
-        raise InputError(f"need 0 <= l <= {n_qubits}, got l={l}")
+    check_integer(l, "l", 0, n_qubits)
     sites = np.array(list(itertools.combinations(range(n_qubits), l)), dtype=int)
     return sites, kernels.site_masks(n_qubits)[sites].sum(axis=1)
 
@@ -242,8 +240,6 @@ def _bloch_to_ket(points: np.ndarray) -> np.ndarray:
 def make_product_density(blochs) -> DensityMatrix:
     """Tensor product of single-qubit states (1 + n.sigma)/2."""
     blochs = [b if isinstance(b, BlochVector) else BlochVector(*b) for b in blochs]
-    if not blochs:
-        raise InputError("need at least one Bloch vector")
     _check_size(len(blochs), "DENSITY_MAX_QUBITS")
     vectors = [(b.n_x, b.n_y, b.n_z) for b in blochs]
     factors = 0.5 * (np.eye(2) + np.einsum("na,aij->nij", vectors, _PAULI))
@@ -269,6 +265,12 @@ def random_state_vector(n_qubits: int, rng: np.random.Generator) -> StateVector:
     _check_size(n_qubits)
     amps = rng.standard_normal(2 ** n_qubits) + 1j * rng.standard_normal(2 ** n_qubits)
     return StateVector(n_qubits, amps / np.linalg.norm(amps))
+
+
+def _random_amplitudes(n_qubits: int, rng: np.random.Generator) -> np.ndarray:
+    """The amplitudes random_state_vector draws, without validating a StateVector."""
+    amps = rng.standard_normal(2 ** n_qubits) + 1j * rng.standard_normal(2 ** n_qubits)
+    return amps / np.linalg.norm(amps)
 
 
 def to_json(state: StateVector) -> str:

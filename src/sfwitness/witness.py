@@ -23,7 +23,7 @@ import numpy as np
 from . import kernels, states
 from .correlators import SiteLayout, correlation_matrices
 from .correlators import two_point  # noqa: F401 (re-export)
-from .errors import InputError, UnsupportedCaseError
+from .errors import InputError, UnsupportedCaseError, check_integer
 from .kernels import AXES
 from .states import DensityMatrix, StateVector
 
@@ -42,17 +42,15 @@ class WitnessSpec:
     layout: SiteLayout | None = None
 
     def __post_init__(self):
-        if self.n_qubits < 2:
-            raise InputError("a witness needs at least 2 qubits")
-        for name, value in zip(("k", "c_x", "c_y", "c_z"), (self.k, *self.coefficients)):
-            if not math.isfinite(value):
-                raise InputError(f"{name} must be finite, got {value}")
-            if name != "k" and abs(value) > 1.0:
-                raise InputError(f"|{name}| must be <= 1, got {value}")
+        check_integer(self.n_qubits, "n_qubits", 2)
+        for name, value in zip(("c_x", "c_y", "c_z"), self.coefficients):
+            if not abs(value) <= 1.0:
+                raise InputError(f"|{name}| must be finite and <= 1, got {value}")
         layout = self.layout or SiteLayout.unit_spacing(self.n_qubits)
         if len(layout) != self.n_qubits:
             raise InputError(
                 f"layout has {len(layout)} sites for n_qubits={self.n_qubits}")
+        layout.check_k(self.k)
         object.__setattr__(self, "layout", layout)
 
     @property
@@ -157,10 +155,8 @@ def dicke_sigma_closed_form(n_qubits: int, l: int) -> Fraction:
 
     Equals (4 l (N-l) - (N-2l)^2 + N) / (N (N-1)).
     """
-    if n_qubits < 2:
-        raise InputError("closed form needs at least 2 qubits")
-    if not 0 <= l <= n_qubits:
-        raise InputError(f"need 0 <= l <= {n_qubits}, got l={l}")
+    check_integer(n_qubits, "n_qubits", 2)
+    check_integer(l, "l", 0, n_qubits)
     n = n_qubits
     return Fraction(4 * l * (n - l) - (n - 2 * l) ** 2 + n, n * (n - 1))
 
@@ -171,10 +167,8 @@ def phased_dicke_sigma_closed_form(n_qubits: int, l: int, with_z: bool) -> Fract
     the z part (<M_s^2> - N) / (2 C(N,2)), M_s = sum_j (-1)^j z_j, adds 1/(N-1)^2 (even N)
     or 1/N^2 (odd N), for (N^2-N+1)/(N-1)^2 or (N^2+N+1)/N^2."""
     n = n_qubits
-    if n < 2:
-        raise InputError("closed form needs at least 2 qubits")
-    if not 0 <= l <= n:
-        raise InputError(f"need 0 <= l <= {n}, got l={l}")
+    check_integer(n, "n_qubits", 2)
+    check_integer(l, "l", 0, n)
     half_filled = (l == n / 2) if n % 2 == 0 else (2 * l in (n - 1, n + 1))
     if not half_filled:
         raise UnsupportedCaseError(
@@ -220,8 +214,7 @@ def scan_k(state, c_x: float, c_y: float, c_z: float, k_grid,
         raise InputError("k grid must be nonempty")
     spec = WitnessSpec(state.n_qubits, k_grid[0], c_x, c_y, c_z, layout)  # c and layout, once
     for k in k_grid:
-        if not math.isfinite(k):
-            raise InputError(f"k must be finite, got {k}")
+        spec.layout.check_k(k)
     correlations = _correlations(state, spec.coefficients)
     sigmas = [_sigma_from(spec.coefficients, _weight_matrix(k, spec.layout.positions),
                           correlations) for k in k_grid]

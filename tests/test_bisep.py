@@ -1,5 +1,6 @@
 """See-saw optimizer: enumeration, monotonicity, soundness, and oracles."""
 
+import functools
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from sfwitness import (Bipartition, InputError, ResourceError, SiteLayout,
                        make_product_density, product_bound, seesaw_max,
                        sigma_operator, sigma_value)
 from sfwitness.reports import cut_grid_max_3, product_grid_max_2, product_grid_max_3
+import seesaw_reference
 from conftest import automorphism_closure, random_spec
 
 PHASED_SPEC_4 = WitnessSpec(4, math.pi, 1, 1, 1)
@@ -135,6 +137,11 @@ class TestEnumeration:
     def test_deterministic_order(self):
         assert enumerate_bipartitions(4) == enumerate_bipartitions(4)
 
+    def test_ordered_by_the_bitmask_of_part_a(self):
+        # cut c holds site 1 and site q + 2 for each bit q of c; the seeds follow this order
+        for c, cut in enumerate(enumerate_bipartitions(5)):
+            assert cut.part_a == (1, *(q + 2 for q in range(4) if c >> q & 1))
+
     def test_too_small(self):
         with pytest.raises(InputError):
             enumerate_bipartitions(1)
@@ -143,7 +150,8 @@ class TestEnumeration:
 class TestEffectiveOperator:
     def test_against_naive_partial_contraction(self, rng):
         # explicit double loop over the dense operator at assembled basis indices, n <= 4,
-        # either block held; the last case has a non-uniform layout and k not in {0, pi}
+        # either block held, for each row of a stack of three held factors; the last case
+        # has a non-uniform layout and k not in {0, pi}
         cases = [(random_spec(rng, 3), 1), (random_spec(rng, 4), 1),
                  (WitnessSpec(4, 2.1, -0.4, 0.8, 0.6, SiteLayout((0, 0.3, 1.7, 2))), 2)]
         for spec, cut_index in cases:
@@ -153,10 +161,10 @@ class TestEffectiveOperator:
             parts = (cut.part_a, cut.part_b)
             half_step = bisep._cut_half_step(spec, cut)
             dims = [2 ** len(part) for part in parts]
-            vec_b = rng.standard_normal(dims[1]) + 1j * rng.standard_normal(dims[1])
-            vec_b /= np.linalg.norm(vec_b)
-            vec_a = rng.standard_normal(dims[0]) + 1j * rng.standard_normal(dims[0])
-            vec_a /= np.linalg.norm(vec_a)
+            stack_b = rng.standard_normal((3, dims[1])) + 1j * rng.standard_normal((3, dims[1]))
+            stack_b /= np.linalg.norm(stack_b, axis=1, keepdims=True)
+            stack_a = rng.standard_normal((3, dims[0])) + 1j * rng.standard_normal((3, dims[0]))
+            stack_a /= np.linalg.norm(stack_a, axis=1, keepdims=True)
 
             def global_index(free, fixed, hold):
                 bits_a, bits_b = (free, fixed) if hold == 0 else (fixed, free)
@@ -168,18 +176,21 @@ class TestEffectiveOperator:
                 return sum(bits[s] << (n - s) for s in range(1, n + 1))
 
             for hold in (0, 1):
-                # x, xp index the free block and y, yp the held one
-                held = (vec_a, vec_b)[1 - hold]
-                naive = np.zeros((dims[hold], dims[hold]), dtype=complex)
-                for x in range(dims[hold]):
-                    for xp in range(dims[hold]):
-                        for y in range(dims[1 - hold]):
-                            for yp in range(dims[1 - hold]):
-                                naive[x, xp] += (held[y].conjugate() * held[yp]
-                                                 * matrix[global_index(x, y, hold),
-                                                          global_index(xp, yp, hold)])
-                operator, shift = half_step(held, hold)
-                assert np.allclose(operator + shift * np.eye(dims[hold]), naive, atol=1e-12)
+                stack = (stack_a, stack_b)[1 - hold]
+                operators, shifts = half_step(stack, hold)
+                assert operators.shape == (3, dims[hold], dims[hold]) and shifts.shape == (3,)
+                for held, operator, shift in zip(stack, operators, shifts):
+                    # x, xp index the free block and y, yp the held one
+                    naive = np.zeros((dims[hold], dims[hold]), dtype=complex)
+                    for x in range(dims[hold]):
+                        for xp in range(dims[hold]):
+                            for y in range(dims[1 - hold]):
+                                for yp in range(dims[1 - hold]):
+                                    naive[x, xp] += (held[y].conjugate() * held[yp]
+                                                     * matrix[global_index(x, y, hold),
+                                                              global_index(xp, yp, hold)])
+                    assert np.allclose(operator + shift * np.eye(dims[hold]), naive,
+                                       atol=1e-12)
 
 
 class TestSeesaw:
@@ -194,24 +205,26 @@ class TestSeesaw:
             assert seesaw_max(spec, cut, restarts=3, seed=0).bound == pytest.approx(0.0)
 
     def test_monotone_ascent_per_half_step(self, rng, monkeypatch):
-        # every eigh of a one-restart run is one half-step that replaces block A, then B,
-        # with its top eigenvector; <Sigma> after each is recomputed by sigma_value
+        # every eigh of a one-restart run is one half-step on a stack of one operator that
+        # replaces block A, then B, with its top eigenvector; <Sigma> after each is
+        # recomputed by sigma_value
         spec = random_spec(rng, 4)
         cut = Bipartition((1, 3), (2, 4))
-        eigh, draw = np.linalg.eigh, states.random_state_vector
+        eigh, draw = np.linalg.eigh, states._random_amplitudes
         starts, tops = [], []
 
         def recording_draw(n_qubits, rng):
-            state = draw(n_qubits, rng)
-            starts.append(state.amplitudes)
-            return state
+            amplitudes = draw(n_qubits, rng)
+            starts.append(amplitudes.copy())
+            return amplitudes
 
-        def recording_eigh(matrix):
-            eigvals, eigvecs = eigh(matrix)
-            tops.append(eigvecs[:, -1])
+        def recording_eigh(matrices):
+            eigvals, eigvecs = eigh(matrices)
+            assert len(matrices) == 1
+            tops.append(eigvecs[0, :, -1])
             return eigvals, eigvecs
 
-        monkeypatch.setattr(states, "random_state_vector", recording_draw)
+        monkeypatch.setattr(states, "_random_amplitudes", recording_draw)
         monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
         for seed in range(5):
             starts.clear()
@@ -227,13 +240,26 @@ class TestSeesaw:
             assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_restart_driver_stop_rule_and_first_best(self):
-        # run 1 gains exactly tol on its second sweep, so it does not stop there;
-        # run 2 ties with run 1, and the first best run wins
-        runs = iter(range(3))
-        values = iter([2.0, 2.0, 3.0, 3.5, 3.5, 3.5, 3.5])
-        best = bisep._best_run(lambda rng: [next(runs)], lambda point: next(values),
-                               (0,), restarts=3, tol=0.5, max_iter=5)
-        assert best == (3.5, [1], 3, True)
+        # per-restart values by sweep: run 0 gains exactly tol on its second sweep, so it
+        # does not stop there; run 1 stops after two sweeps and is frozen while the others
+        # go on; run 2 ties with run 0, which wins as the first best; run 3 is cut off by
+        # max_iter below the best. The same holds whether 4, 3 or 1 rows form a stack.
+        table = {0: [2.0, 2.5, 3.5, 3.5], 1: [1.0, 1.2], 2: [3.0, 3.5, 3.5],
+                 3: [0.0, 1.0, 2.0, 3.0, 3.4]}
+        for stack in (4, 3, 1):
+            runs, swept = iter(range(4)), []
+
+            def sweep(points, rows):
+                # a point is 10 * run + sweeps done, so the winner's point shows its sweeps
+                assert len(rows) <= stack
+                swept.extend(rows.tolist())
+                points[0][rows] += 1
+                return np.array([table[r][points[0][r] - 10 * r - 1] for r in rows])
+
+            best = bisep._best_run(lambda rng: [10 * next(runs)], sweep, (0,), restarts=4,
+                                   tol=0.5, max_iter=5, stack=stack)
+            assert best == (3.5, [4], 4, True)
+            assert swept == [0, 1, 2, 3, 0, 1, 2, 3, 0, 2, 3, 0, 3, 3]
 
     def test_reproducible_for_fixed_seed(self):
         runs = [seesaw_max(PHASED_SPEC_4, Bipartition((1, 2), (3, 4)),
@@ -487,6 +513,101 @@ class TestProductBound:
     def test_runs_above_the_density_cap(self):
         assert states.DENSITY_MAX_QUBITS < 13
         assert product_bound(WitnessSpec(13, math.pi, 1, 1, 1), restarts=3) <= 1.0 + 1e-6
+
+
+class TestStackedDriver:
+    """The stacked restarts against the per-restart reference loop, bit for bit."""
+
+    # (spec args, cut, restarts, seed, max_iter): a random-k layout, an unconverged
+    # max_iter-capped winner, and k = pi with and without a coefficient sign flip
+    CUT_CASES = [
+        ((5, 0.7, 0.3, -0.9, 0.5, SiteLayout((0, 1, 2.5, 4, 4.5))), ((1, 2, 4, 5), (3,)),
+         10, 5, 500),
+        ((4, 2.1, -0.4, 0.8, 0.6, SiteLayout((0, 0.3, 1.7, 2))), ((1, 2), (3, 4)), 5, 6, 3),
+        ((6, math.pi, 1, 1, 1), ((1, 2, 5), (3, 4, 6)), 12, 3, 500),
+        ((5, -1.3, 0.9, 0.2, -0.7, SiteLayout((0, 0.5, 1.75, 2, 3.1))), ((1,), (2, 3, 4, 5)),
+         9, 8, 7),
+    ]
+
+    @pytest.fixture(params=[None, 2], ids=["one-stack", "stacks-of-2-rows"])
+    def stack_rows(self, request, monkeypatch):
+        # None: every restart in one stack; 2: at most 2 rows of 3-qubit operators per stack
+        if request.param:
+            monkeypatch.setattr(bisep, "STACK_BYTES", 16 * 4 ** 3 * request.param)
+        return request.param
+
+    @staticmethod
+    def assert_same_cut_run(result, reference, cut):
+        bound, factors, iterations, converged = reference
+        assert result.bound == bound
+        assert result.best_cut == cut
+        for state, factor in zip(result.best_state, factors):
+            assert np.array_equal(state.amplitudes, factor)
+        assert (result.iterations, result.converged) == (iterations, converged)
+
+    @pytest.mark.parametrize("args, parts, restarts, seed, max_iter", CUT_CASES)
+    def test_seesaw_max(self, args, parts, restarts, seed, max_iter, stack_rows):
+        spec, cut = WitnessSpec(*args), Bipartition(*parts)
+        reference = seesaw_reference.seesaw_cut(spec, cut, restarts, bisep.DEFAULT_TOL,
+                                                max_iter, seed)
+        result = seesaw_max(spec, cut, restarts=restarts, seed=seed, max_iter=max_iter)
+        self.assert_same_cut_run(result, reference, cut)
+        if max_iter == 3:
+            assert not result.converged
+
+    @pytest.mark.parametrize("args, restarts, seed, max_iter",
+                             [case[:4] for case in CUT_PINS]
+                             + [((5, -1.3, 0.9, 0.2, -0.7,
+                                  SiteLayout((0, 0.5, 1.75, 2, 3.1))), 6, 2, 4)])
+    def test_bisep_bound(self, args, restarts, seed, max_iter, stack_rows):
+        spec = WitnessSpec(*args)
+        bound, cut, *run = seesaw_reference.bisep_bound(spec, restarts, bisep.DEFAULT_TOL,
+                                                        max_iter, seed)
+        result = bisep_bound(spec, restarts=restarts, seed=seed, max_iter=max_iter)
+        self.assert_same_cut_run(result, (bound, *run), cut)
+
+    @pytest.mark.parametrize("args, restarts, seed, max_iter",
+                             [(*pin[:3], 500) for pin in PRODUCT_PINS]
+                             + [(PRODUCT_PINS[8][0], 7, 3, 2)])
+    def test_product_bound(self, args, restarts, seed, max_iter, monkeypatch):
+        # the winner's Bloch vectors, through the product ket the recheck evaluates
+        spec, kets = WitnessSpec(*args), []
+        recheck = bisep._recheck
+
+        def recording(value, state, spec):
+            kets.append(state.amplitudes)
+            return recheck(value, state, spec)
+
+        monkeypatch.setattr(bisep, "_recheck", recording)
+        value, blochs = seesaw_reference.product_bound(spec, restarts, bisep.DEFAULT_TOL,
+                                                       max_iter, seed)
+        assert product_bound(spec, restarts=restarts, seed=seed, max_iter=max_iter) == value
+        expected = StateVector(spec.n_qubits, functools.reduce(
+            np.kron, states._bloch_to_ket(blochs))).amplitudes
+        assert np.array_equal(kets[0], expected)
+
+    def test_starts_are_the_random_state_vector_draws(self, monkeypatch):
+        # every restart of every orbit's cut: both factors from one rng, block A first
+        spec, drawn = WitnessSpec(5, 0.7, 0.3, -0.9, 0.5, SiteLayout((0, 1, 2.5, 4, 4.5))), []
+        best_run = bisep._best_run
+
+        def recording(start, sweep, seed_words, restarts, *args, **kwargs):
+            drawn.append((seed_words, [start(np.random.default_rng([*seed_words, r]))
+                                       for r in range(restarts)]))
+            return best_run(start, sweep, seed_words, restarts, *args, **kwargs)
+
+        monkeypatch.setattr(bisep, "_best_run", recording)
+        bisep_bound(spec, restarts=4, seed=9)
+        cuts = enumerate_bipartitions(5)
+        assert [words for words, _ in drawn] == [
+            (9, index) for index, _ in bisep._cut_orbits(witness.pair_weight_matrix(spec))]
+        for (seed, cut_index), starts in drawn:
+            cut = cuts[cut_index]
+            for r, factors in enumerate(starts):
+                rng = np.random.default_rng([seed, cut_index, r])
+                for part, factor in zip((cut.part_a, cut.part_b), factors):
+                    assert np.array_equal(
+                        factor, states.random_state_vector(len(part), rng).amplitudes)
 
 
 class TestGmeDetected:

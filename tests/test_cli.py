@@ -253,8 +253,12 @@ class TestExitCodes:
         (["eval", "--state", "dicke:4,2"], "abc", EXIT_INPUT),
         (["eval", "--state", "basis:" + "0" * 41], None, EXIT_RESOURCE),
         (["eval", "--state", ""], None, EXIT_INPUT),
+        (["eval", "--state", "dicke:4,2", "--k", "1e308"], None, EXIT_INPUT),
+        (["eval", "--state", "dicke:3,1", "--positions=-1e308,0,1e308"], None, EXIT_INPUT),
+        (["scan", "--state", "dicke:4,2", "--k-grid", "0,1e308"], None, EXIT_INPUT),
     ], ids=["c", "k-grid", "shot-grid", "shot-count-overflow", "positions", "seed-env",
-            "basis-cap", "empty-state"])
+            "basis-cap", "empty-state", "k-overflow", "positions-overflow",
+            "k-grid-overflow"])
     def test_bad_values_exit_typed(self, argv, env_seed, expected, monkeypatch, capsys):
         if env_seed is not None:
             monkeypatch.setenv("SFWITNESS_SEED", env_seed)

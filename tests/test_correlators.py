@@ -210,6 +210,15 @@ class TestStructureFactor:
         with pytest.raises(InputError):
             SiteLayout((0.0, bad, 2.0, 3.0))
 
+    def test_layout_rejects_overflowing_separation(self):
+        with pytest.raises(InputError, match="finite separations"):
+            SiteLayout((-1e308, 0.0, 1e308))
+
+    @pytest.mark.parametrize("k", [1e308, -1e308, math.inf])
+    def test_rejects_k_that_overflows(self, k):
+        with pytest.raises(InputError, match="k must be finite"):
+            structure_factor(make_dicke(4, 2), k, "x", "x")
+
     def test_equal_axes_match_pair_route(self, rng):
         layout = SiteLayout((0.0, 0.4, 1.9, 2.2))
         state = random_pure(rng, 4)

@@ -69,6 +69,16 @@ def test_battery_sizes_rejected_before_any_check(sizes, message, monkeypatch):
     assert str(exc_info.value) == message
 
 
+@pytest.mark.parametrize("sizes, name", [
+    ({"seed": 1.5}, "seed"), ({"restarts": True}, "restarts"), ({"shots": 1e6}, "shots"),
+    ({"product_samples": 10.0}, "product_samples"),
+])
+def test_non_integer_battery_sizes_rejected_before_any_check(sizes, name, monkeypatch):
+    forbid_every_check(monkeypatch)
+    with pytest.raises(InputError, match=f"{name} must be an integer"):
+        reports.run_reference_checks(**sizes)
+
+
 def test_smallest_battery_sizes_reach_the_checks(monkeypatch):
     forbid_every_check(monkeypatch)
     with pytest.raises(AssertionError, match="a reference check ran"):

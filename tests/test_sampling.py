@@ -29,6 +29,32 @@ class TestShotPlan:
         with pytest.raises(InputError, match="shot counts"):
             convergence_curve(make_dicke(4, 2), DICKE_SPEC_4, [100, shots])
 
+    @pytest.mark.parametrize("shots, seed, message", [
+        (2.5, 0, "shot counts must be an integer"), (True, 0, "shot counts must be an integer"),
+        (100, 1.5, "seed must be an integer"), (100, True, "seed must be an integer"),
+        (100, -1, "seed must be >= 0"),
+    ], ids=["float-shots", "bool-shots", "float-seed", "bool-seed", "negative-seed"])
+    def test_rejects_non_integer_shots_and_seeds(self, shots, seed, message):
+        with pytest.raises(InputError, match=message):
+            ShotPlan(shots, seed)
+
+    @pytest.mark.parametrize("grid, seed, message", [
+        ([100, 2.5], 0, "shot counts must be an integer"),
+        ([100, 1000.0], 0, "shot counts must be an integer"),
+        ([100], 1.5, "seed must be an integer"),
+    ], ids=["float-entry", "integral-float-entry", "float-seed"])
+    def test_curve_rejects_non_integer_shots_and_seeds(self, grid, seed, message):
+        with pytest.raises(InputError, match=message):
+            convergence_curve(make_dicke(4, 2), DICKE_SPEC_4, grid, seed=seed)
+
+    def test_numpy_integers_give_the_same_estimate(self):
+        plans = [ShotPlan(500, 7), ShotPlan(np.int64(500), np.uint32(7))]
+        assert len({estimate_witness(make_dicke(4, 2), DICKE_SPEC_4, plan)
+                    for plan in plans}) == 1
+        curves = [convergence_curve(make_dicke(4, 2), DICKE_SPEC_4, grid, seed=seed)
+                  for grid, seed in (([100, 1000], 3), (np.array([100, 1000]), np.int16(3)))]
+        assert curves[0] == curves[1]
+
     def test_largest_int64_shot_count_runs(self):
         # one multinomial draw per setting, so the largest count costs no more than 100
         estimate, error = estimate_witness(make_dicke(4, 2), DICKE_SPEC_4,

@@ -111,6 +111,15 @@ class TestDicke:
         with pytest.raises(InputError):
             make_dicke(3, -1)
 
+    @pytest.mark.parametrize("n, l", [(4, 1.5), (4, True), (4.0, 2)])
+    def test_non_integer_arguments(self, n, l):
+        with pytest.raises(InputError, match="must be an integer"):
+            make_dicke(n, l)
+
+    def test_no_bloch_vectors(self):
+        with pytest.raises(InputError, match="n_qubits must be >= 1"):
+            states.make_product_density([])
+
 
 def adjacent_transposition_signs(n, l):
     """BFS over adjacent swaps from the reference 1^l 0^(n-l).

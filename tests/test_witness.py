@@ -29,6 +29,10 @@ class TestWitnessSpec:
         with pytest.raises(InputError):
             WitnessSpec(1, 0.0, 1, 1, 1)
 
+    def test_rejects_non_integer_qubit_count(self):
+        with pytest.raises(InputError, match="n_qubits must be an integer"):
+            WitnessSpec(4.0, 0.0, 1, 1, 1)
+
     def test_rejects_layout_mismatch(self):
         with pytest.raises(InputError):
             WitnessSpec(3, 0.0, 1, 1, 1, SiteLayout((0.0, 1.0)))
@@ -51,6 +55,24 @@ class TestWitnessSpec:
         params[slot] = bad
         with pytest.raises(InputError):
             WitnessSpec(4, *params)
+
+
+    @pytest.mark.parametrize("k, positions", [
+        (1e308, None), (-1e308, None), (2.0, (0.0, 1e308)), (2.0, (1e308, 1.5e308)),
+    ], ids=["k", "negative-k", "k-times-separation", "k-times-position"])
+    def test_rejects_k_that_overflows_on_the_layout(self, k, positions):
+        layout = positions and SiteLayout(positions)
+        with pytest.raises(InputError, match="k must be finite"):
+            WitnessSpec(len(positions or "1234"), k, 1, 1, 1, layout)
+
+    def test_largest_accepted_k_keeps_its_weights(self):
+        # the check only rejects: a huge finite k still gets cos(|k| m_ij) entry for entry
+        layout = SiteLayout((-1.0, 0.5, 2.0, 3.0))
+        for k in (1e300, -4.4e307):
+            weights = pair_weight_matrix(WitnessSpec(4, k, 1, 1, 1, layout))
+            for i, r in enumerate(layout.positions):
+                for j, s in enumerate(layout.positions[i + 1:], i + 1):
+                    assert weights[i, j] == weights[j, i] == math.cos(abs(k) * (s - r))
 
 
 class TestPairWeightMatrix:
@@ -193,6 +215,11 @@ class TestClosedForms:
             dicke_sigma_closed_form(1, 0)
         with pytest.raises(InputError):
             dicke_sigma_closed_form(4, 5)
+        for args in ((4.5, 2), (4, 1.5)):
+            with pytest.raises(InputError, match="must be an integer"):
+                dicke_sigma_closed_form(*args)
+            with pytest.raises(InputError, match="must be an integer"):
+                phased_dicke_sigma_closed_form(*args, with_z=True)
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_dicke_agreement_with_pipeline(self, n):
@@ -314,6 +341,10 @@ class TestScanK:
     def test_non_finite_k_anywhere_in_the_grid(self, bad):
         with pytest.raises(InputError, match="k must be finite"):
             scan_k(make_dicke(3, 1), 1, 1, 1, [0.0, 1.0, bad])
+
+    def test_overflowing_k_in_the_grid(self):
+        with pytest.raises(InputError, match="k must be finite"):
+            scan_k(make_dicke(3, 1), 1, 1, 1, [0.0, 1e308])
 
     def test_empty_grid(self):
         with pytest.raises(InputError):
