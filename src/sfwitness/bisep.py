@@ -6,7 +6,8 @@ held fixed, Sigma contracts to an effective Hermitian operator on the free
 factor, whose top eigenvector is the exact best update. Each half-step is
 therefore non-decreasing and the iteration converges to a local maximum;
 random restarts guard against bad basins. Both see-saws sweep their restarts
-as one stack in `_best_run` (one stacked `eigh` per half-step), each frozen once it stops.
+as stacks in `_best_run` (one stacked `eigh` per half-step), each restart frozen once it
+stops; a byte cap on a stack runs many restarts in turns.
 
 A mixed biseparable state is a convex mixture of pure states product
 across single cuts, and <Sigma> is linear in the state, so the maximum
@@ -51,8 +52,9 @@ BOUND_RECHECK_ATOL = 1e-9
 #: Partial site maps the automorphism search may extend before it stops.
 AUTOMORPHISM_NODE_BUDGET = 20_000
 
-#: Bytes of the cut operators one stacked half-step may hold; more restarts run in turns.
-STACK_BYTES = 1 << 24
+#: Bytes one stack of restarts may hold at its peak, by the callers' count per restart;
+#: `_best_run` runs more restarts in turns, so memory does not grow with `restarts`.
+_STACK_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -96,10 +98,14 @@ class BisepResult:
 
 def enumerate_bipartitions(n_qubits: int) -> list[Bipartition]:
     """All 2^(N-1) - 1 canonical cuts, ordered by the bitmask of part_a."""
-    others = range(2, check_integer(n_qubits, "n_qubits", 2) + 1)
-    return [Bipartition((1, *(q for q in others if mask >> q - 2 & 1)),
-                        tuple(q for q in others if not mask >> q - 2 & 1))
-            for mask in range(2 ** (n_qubits - 1) - 1)]
+    check_integer(n_qubits, "n_qubits", 2)
+    others = list(range(2, n_qubits + 1))
+    cuts = []
+    for mask in range(2 ** (n_qubits - 1) - 1):
+        part_a = (1,) + tuple(q for pos, q in enumerate(others) if mask >> pos & 1)
+        part_b = tuple(q for pos, q in enumerate(others) if not mask >> pos & 1)
+        cuts.append(Bipartition(part_a, part_b))
+    return cuts
 
 
 def _automorphisms(weights: np.ndarray) -> list[tuple]:
@@ -181,22 +187,27 @@ def _cut_half_step(spec: WitnessSpec, cut: Bipartition):
 
 def _best_run(start, sweep, seed_words: tuple, restarts: int, tol: float, max_iter: int,
               stack: int):
-    """First best (value, point, sweeps, converged) of `restarts` runs. Run r's point, row r
-    of the stacks `points`, starts at start(default_rng([*seed_words, r])); sweep(points,
-    rows) updates at most `stack` rows in place and returns their values. A run is frozen
-    once a sweep gains < tol or after max_iter sweeps."""
-    points = [np.array(rows) for rows in zip(*(start(np.random.default_rng([*seed_words, r]))
-                                               for r in range(restarts)))]
-    values, gains = np.full(restarts, -np.inf), np.full(restarts, np.inf)
-    sweeps, active = np.zeros(restarts, dtype=int), np.arange(restarts)
-    while active.size:  # max_iter >= 1 (_check_run_params)
-        new = np.concatenate([sweep(points, rows) for rows in
-                              np.split(active, range(stack, active.size, stack))])
-        gains[active], values[active] = new - values[active], new
-        sweeps[active] += 1
-        active = active[~(gains[active] < tol) & (sweeps[active] < max_iter)]
-    win = int(np.argmax(values))  # the first best
-    return float(values[win]), [p[win] for p in points], int(sweeps[win]), bool(gains[win] < tol)
+    """First best (value, point, sweeps, converged) of `restarts` runs, `stack` runs at a
+    time. Run r starts at start(default_rng([*seed_words, r])), one row of the stacks
+    `points`; sweep(points, rows) updates those rows in place and returns their values. A run
+    is frozen once a sweep gains < tol or after max_iter sweeps."""
+    best = None
+    for first in range(0, restarts, stack):
+        runs = range(first, min(first + stack, restarts))
+        points = [np.array(rows) for rows in zip(*(
+            start(np.random.default_rng([*seed_words, r])) for r in runs))]
+        values, gains = np.full(len(runs), -np.inf), np.full(len(runs), np.inf)
+        sweeps, active = np.zeros(len(runs), dtype=int), np.arange(len(runs))
+        while active.size:  # max_iter >= 1 (_check_run_params)
+            new = sweep(points, active)
+            gains[active], values[active] = new - values[active], new
+            sweeps[active] += 1
+            active = active[~(gains[active] < tol) & (sweeps[active] < max_iter)]
+        win = int(np.argmax(values))  # the first best of this stack, and of all if better
+        if best is None or values[win] > best[0]:
+            best = (float(values[win]), [p[win] for p in points], int(sweeps[win]),
+                    bool(gains[win] < tol))
+    return best
 
 
 def assemble_cut_state(cut: Bipartition, state_a: StateVector,
@@ -231,24 +242,25 @@ def _seesaw_cut(spec: WitnessSpec, cut: Bipartition, restarts: int, tol: float,
             factors[hold][rows] = eigvecs[:, :, -1]
         return eigvals[:, -1] + shifts
 
+    # per restart, a half-step's peak holds two complex (d, d) arrays of the larger block:
+    # its summed operator beside either the coupling term or eigh's eigenvectors
     value, factors, iterations, converged = _best_run(
         lambda rng: [states._random_amplitudes(len(part), rng) for part in parts], sweep,
         (seed, cut_index), restarts, tol, max_iter,
-        stack=max(1, STACK_BYTES // (16 * 4 ** max(map(len, parts)))))
+        stack=max(1, _STACK_BYTES // (32 * 4 ** max(map(len, parts)))))
     best_state = tuple(StateVector(len(part), factor) for part, factor in zip(parts, factors))
     return BisepResult(bound=_recheck(value, assemble_cut_state(cut, *best_state), spec),
-                       best_cut=cut, best_state=best_state, restarts_used=restarts,
-                       converged=converged, iterations=iterations, spec=spec, orbit_size=orbit_size)
+                       best_cut=cut, best_state=best_state,
+                       restarts_used=restarts, converged=converged,
+                       iterations=iterations, spec=spec, orbit_size=orbit_size)
 
 
-def _check_run_params(spec: WitnessSpec, restarts: int, seed: int, tol: float, max_iter: int,
-                      cap: str = "OPERATOR_MAX_QUBITS") -> None:
+def _check_run_params(restarts: int, seed: int, tol: float, max_iter: int) -> None:
     for name, value, least in (("restarts", restarts, 1), ("seed", seed, 0),
                                ("max_iter", max_iter, 1)):
         check_integer(value, name, least)
     if not (math.isfinite(tol) and tol >= 0.0):
         raise InputError(f"tol must be finite and non-negative, got {tol}")
-    states._check_size(spec.n_qubits, cap)
 
 
 def seesaw_max(spec: WitnessSpec, cut: Bipartition,
@@ -257,7 +269,8 @@ def seesaw_max(spec: WitnessSpec, cut: Bipartition,
     """Maximize <Sigma> over pure states product across one cut."""
     if cut.n_qubits != spec.n_qubits:
         raise InputError(f"cut covers {cut.n_qubits} sites, spec has {spec.n_qubits}")
-    _check_run_params(spec, restarts, seed, tol, max_iter)
+    _check_run_params(restarts, seed, tol, max_iter)
+    states._check_size(spec.n_qubits, "OPERATOR_MAX_QUBITS")
     return _seesaw_cut(spec, cut, restarts, tol, max_iter, seed, cut_index=0)
 
 
@@ -269,7 +282,8 @@ def bisep_bound(spec: WitnessSpec, restarts: int = DEFAULT_RESTARTS,
     The result bounds <Sigma> on all biseparable states (see module notes);
     exceeding it certifies genuine multipartite entanglement.
     """
-    _check_run_params(spec, restarts, seed, tol, max_iter)
+    _check_run_params(restarts, seed, tol, max_iter)
+    states._check_size(spec.n_qubits, "OPERATOR_MAX_QUBITS")
     cuts = enumerate_bipartitions(spec.n_qubits)
     return max((_seesaw_cut(spec, cuts[index], restarts, tol, max_iter, seed, index, size)
                 for index, size in _cut_orbits(pair_weight_matrix(spec))),
@@ -285,7 +299,8 @@ def product_bound(spec: WitnessSpec, restarts: int = DEFAULT_RESTARTS,
     default_rng([seed, r]). Cannot exceed 1 beyond numerical slack; useful
     as a sanity anchor for the analytic product bound.
     """
-    _check_run_params(spec, restarts, seed, tol, max_iter, "MAX_QUBITS")  # the product ket
+    _check_run_params(restarts, seed, tol, max_iter)
+    states._check_size(spec.n_qubits)  # the recheck's product ket
     weights = pair_weight_matrix(spec) / math.comb(spec.n_qubits, 2)
     coefficients = np.array(spec.coefficients)
 
@@ -303,8 +318,10 @@ def product_bound(spec: WitnessSpec, restarts: int = DEFAULT_RESTARTS,
         points[0][rows] = blochs
         return 0.5 * (coefficients * blochs * (weights @ blochs)).reshape(len(rows), -1).sum(1)
 
+    # per restart, a sweep's peak holds five (N, 3) float arrays: the stored and swept rows
+    # and the three terms of the value
     value, (blochs,), _, _ = _best_run(start, sweep, (seed,), restarts, tol, max_iter,
-                                       stack=restarts)
+                                       stack=max(1, _STACK_BYTES // (120 * len(weights))))
     ket = functools.reduce(np.kron, states._bloch_to_ket(blochs))
     return _recheck(value, StateVector(spec.n_qubits, ket), spec)
 

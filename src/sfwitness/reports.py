@@ -22,7 +22,7 @@ import numpy as np
 
 from . import bisep, noise, sampling, states, witness
 from .correlators import structure_factor, verify_collective_identity
-from .errors import check_integer
+from .errors import InputError, check_integer
 from .states import (BlochVector, make_dicke, make_dicke_ghz_superposition,
                      make_ghz_superposition, make_phased_dicke,
                      make_product_density, random_state_vector)
@@ -450,10 +450,11 @@ def run_reference_checks(seed: int = 0, restarts: int = bisep.DEFAULT_RESTARTS,
                          shots: int = 10 ** 6,
                          product_samples: int = 10 ** 4) -> ReferenceReport:
     """Run the full battery, sizes checked first; each check's `seconds` times its check group."""
-    for name, value, least in zip(("seed", "restarts", "shots", "product_samples"),
-                                  (seed, restarts, shots, product_samples), (0, 1, MIN_SHOTS, 1)):
+    for name, value, least in (("seed", seed, 0), ("restarts", restarts, 1),
+                               ("product_samples", product_samples, 1)):
         check_integer(value, name, least)
-    sampling._check_shots(shots)
+    if sampling._check_shots(shots) < MIN_SHOTS:
+        raise InputError(f"shots must be >= {MIN_SHOTS}, got {shots}")
     report = ReferenceReport()
     for check, *args in ((_check_dicke_closed_forms,), (_check_structure_identities, seed),
                          (_check_phased_values,), (_check_sign_patterns,),

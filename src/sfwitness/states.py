@@ -263,12 +263,11 @@ def mix_with_white_noise(state: StateVector, p: float) -> DensityMatrix:
 def random_state_vector(n_qubits: int, rng: np.random.Generator) -> StateVector:
     """Haar-like random pure state: normalized complex-normal amplitudes."""
     _check_size(n_qubits)
-    amps = rng.standard_normal(2 ** n_qubits) + 1j * rng.standard_normal(2 ** n_qubits)
-    return StateVector(n_qubits, amps / np.linalg.norm(amps))
+    return StateVector(n_qubits, _random_amplitudes(n_qubits, rng))
 
 
 def _random_amplitudes(n_qubits: int, rng: np.random.Generator) -> np.ndarray:
-    """The amplitudes random_state_vector draws, without validating a StateVector."""
+    """Normalized complex-normal amplitudes, unchecked (random_state_vector checks them)."""
     amps = rng.standard_normal(2 ** n_qubits) + 1j * rng.standard_normal(2 ** n_qubits)
     return amps / np.linalg.norm(amps)
 

@@ -137,11 +137,6 @@ class TestEnumeration:
     def test_deterministic_order(self):
         assert enumerate_bipartitions(4) == enumerate_bipartitions(4)
 
-    def test_ordered_by_the_bitmask_of_part_a(self):
-        # cut c holds site 1 and site q + 2 for each bit q of c; the seeds follow this order
-        for c, cut in enumerate(enumerate_bipartitions(5)):
-            assert cut.part_a == (1, *(q + 2 for q in range(4) if c >> q & 1))
-
     def test_too_small(self):
         with pytest.raises(InputError):
             enumerate_bipartitions(1)
@@ -243,23 +238,34 @@ class TestSeesaw:
         # per-restart values by sweep: run 0 gains exactly tol on its second sweep, so it
         # does not stop there; run 1 stops after two sweeps and is frozen while the others
         # go on; run 2 ties with run 0, which wins as the first best; run 3 is cut off by
-        # max_iter below the best. The same holds whether 4, 3 or 1 rows form a stack.
+        # max_iter below the best. The same holds whether 4, 3 or 1 runs form a stack, and a
+        # stack's runs are drawn only once the previous stack is done.
         table = {0: [2.0, 2.5, 3.5, 3.5], 1: [1.0, 1.2], 2: [3.0, 3.5, 3.5],
                  3: [0.0, 1.0, 2.0, 3.0, 3.4]}
-        for stack in (4, 3, 1):
-            runs, swept = iter(range(4)), []
+        events = {4: ["draw 0-3", [0, 1, 2, 3], [0, 1, 2, 3], [0, 2, 3], [0, 3], [3]],
+                  3: ["draw 0-2", [0, 1, 2], [0, 1, 2], [0, 2], [0], "draw 3-3", *[[3]] * 5],
+                  1: ["draw 0-0", *[[0]] * 4, "draw 1-1", *[[1]] * 2, "draw 2-2", *[[2]] * 3,
+                      "draw 3-3", *[[3]] * 5]}
+        for stack, expected in events.items():
+            runs, seen = iter(range(4)), []
+
+            def start(rng):
+                run = next(runs)
+                if run % stack == 0:
+                    seen.append(f"draw {run}-{min(run + stack, 4) - 1}")
+                return [10 * run]
 
             def sweep(points, rows):
                 # a point is 10 * run + sweeps done, so the winner's point shows its sweeps
-                assert len(rows) <= stack
-                swept.extend(rows.tolist())
                 points[0][rows] += 1
-                return np.array([table[r][points[0][r] - 10 * r - 1] for r in rows])
+                swept = points[0][rows]
+                seen.append((swept // 10).tolist())
+                return np.array([table[p // 10][p % 10 - 1] for p in swept])
 
-            best = bisep._best_run(lambda rng: [10 * next(runs)], sweep, (0,), restarts=4,
-                                   tol=0.5, max_iter=5, stack=stack)
+            best = bisep._best_run(start, sweep, (0,), restarts=4, tol=0.5, max_iter=5,
+                                   stack=stack)
             assert best == (3.5, [4], 4, True)
-            assert swept == [0, 1, 2, 3, 0, 1, 2, 3, 0, 2, 3, 0, 3, 3]
+            assert seen == expected
 
     def test_reproducible_for_fixed_seed(self):
         runs = [seesaw_max(PHASED_SPEC_4, Bipartition((1, 2), (3, 4)),
@@ -529,12 +535,13 @@ class TestStackedDriver:
          9, 8, 7),
     ]
 
-    @pytest.fixture(params=[None, 2], ids=["one-stack", "stacks-of-2-rows"])
-    def stack_rows(self, request, monkeypatch):
-        # None: every restart in one stack; 2: at most 2 rows of 3-qubit operators per stack
+    @pytest.fixture(params=[None, 32 * 4 ** 3 * 2, 1],
+                    ids=["one-stack", "4-kB-stacks", "one-restart-stacks"])
+    def stack_bytes(self, request, monkeypatch):
+        # None: every restart in one stack; 4 kB: 2 restarts of 3-qubit blocks (6 of 5-site
+        # products) per stack; 1 byte: one restart per stack
         if request.param:
-            monkeypatch.setattr(bisep, "STACK_BYTES", 16 * 4 ** 3 * request.param)
-        return request.param
+            monkeypatch.setattr(bisep, "_STACK_BYTES", request.param)
 
     @staticmethod
     def assert_same_cut_run(result, reference, cut):
@@ -546,7 +553,7 @@ class TestStackedDriver:
         assert (result.iterations, result.converged) == (iterations, converged)
 
     @pytest.mark.parametrize("args, parts, restarts, seed, max_iter", CUT_CASES)
-    def test_seesaw_max(self, args, parts, restarts, seed, max_iter, stack_rows):
+    def test_seesaw_max(self, args, parts, restarts, seed, max_iter, stack_bytes):
         spec, cut = WitnessSpec(*args), Bipartition(*parts)
         reference = seesaw_reference.seesaw_cut(spec, cut, restarts, bisep.DEFAULT_TOL,
                                                 max_iter, seed)
@@ -559,7 +566,7 @@ class TestStackedDriver:
                              [case[:4] for case in CUT_PINS]
                              + [((5, -1.3, 0.9, 0.2, -0.7,
                                   SiteLayout((0, 0.5, 1.75, 2, 3.1))), 6, 2, 4)])
-    def test_bisep_bound(self, args, restarts, seed, max_iter, stack_rows):
+    def test_bisep_bound(self, args, restarts, seed, max_iter, stack_bytes):
         spec = WitnessSpec(*args)
         bound, cut, *run = seesaw_reference.bisep_bound(spec, restarts, bisep.DEFAULT_TOL,
                                                         max_iter, seed)
@@ -569,7 +576,7 @@ class TestStackedDriver:
     @pytest.mark.parametrize("args, restarts, seed, max_iter",
                              [(*pin[:3], 500) for pin in PRODUCT_PINS]
                              + [(PRODUCT_PINS[8][0], 7, 3, 2)])
-    def test_product_bound(self, args, restarts, seed, max_iter, monkeypatch):
+    def test_product_bound(self, args, restarts, seed, max_iter, monkeypatch, stack_bytes):
         # the winner's Bloch vectors, through the product ket the recheck evaluates
         spec, kets = WitnessSpec(*args), []
         recheck = bisep._recheck

@@ -70,7 +70,7 @@ def test_battery_sizes_rejected_before_any_check(sizes, message, monkeypatch):
 
 
 @pytest.mark.parametrize("sizes, name", [
-    ({"seed": 1.5}, "seed"), ({"restarts": True}, "restarts"), ({"shots": 1e6}, "shots"),
+    ({"seed": 1.5}, "seed"), ({"restarts": True}, "restarts"), ({"shots": 1e6}, "shot counts"),
     ({"product_samples": 10.0}, "product_samples"),
 ])
 def test_non_integer_battery_sizes_rejected_before_any_check(sizes, name, monkeypatch):
