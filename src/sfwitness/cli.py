@@ -5,7 +5,7 @@ Angles accept multiples of pi as tokens ("pi", "pi/4", "3pi/2"). All
 numbers are produced by library calls; the CLI only parses and formats.
 
 Exit codes: 0 ok, 2 input error, 3 resource error, 4 unsupported case,
-5 reference-check failure.
+5 reference-check failure. ArithmeticError, a broken invariant, is unmapped.
 """
 
 from __future__ import annotations
@@ -52,16 +52,15 @@ def parse_angle(token: str) -> float:
     """Parse a float or a pi multiple such as 'pi', '-pi/2', '3pi/4'."""
     token = token.strip().lower()
     match = _PI_TOKEN.match(token)
-    if match:
-        coef_text = match.group(1)
-        coef = {"": 1.0, "+": 1.0, "-": -1.0}.get(coef_text)
+    try:
+        if not match:
+            return float(token)
+        coef = {"": 1.0, "+": 1.0, "-": -1.0}.get(match.group(1))
         if coef is None:
-            coef = float(coef_text)
+            coef = float(match.group(1))
         denom = float(match.group(2)) if match.group(2) else 1.0
         return coef * math.pi / denom
-    try:
-        return float(token)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):  # '.pi', 'pi/0'
         raise InputError(f"cannot parse angle {token!r}") from None
 
 
@@ -105,9 +104,8 @@ def _build_state(name: str, args: str):
     if name == "basis":
         return states.make_basis_state(len(args), args)
     # product: semicolon-separated Bloch triples, e.g. 0,0,1;1,0,0
-    blochs = [states.BlochVector(*(float(x) for x in chunk.split(",")))
-              for chunk in args.split(";")]
-    return states.make_product_density(blochs)
+    return states.make_product_density([[float(x) for x in chunk.split(",")]
+                                        for chunk in args.split(";")])
 
 
 def _parse_coefficients(text: str) -> tuple:
@@ -124,7 +122,8 @@ def _parse_k_grid(text: str) -> list:
         if count > K_GRID_MAX_POINTS:
             raise ResourceError(f"--k-grid asks for {count} points; "
                                 f"the cap is {K_GRID_MAX_POINTS}")
-        return list(np.linspace(start, stop, count))
+        with np.errstate(over="ignore", invalid="ignore"):  # scan_k rejects non-finite points
+            return np.linspace(start, stop, count).tolist()
     return [parse_angle(tok) for tok in text.split(",")]
 
 

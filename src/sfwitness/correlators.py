@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import InputError
+from .errors import InputError, check_integer, check_real
 from .states import DensityMatrix, StateVector
 
 IMAG_ATOL = 1e-10
@@ -38,7 +38,7 @@ class SiteLayout:
     positions: tuple
 
     def __post_init__(self):
-        pos = tuple(float(r) for r in self.positions)
+        pos = tuple(float(check_real(r, "site position")) for r in self.positions)
         if len(pos) < 1:
             raise InputError("layout needs at least one site")
         if not (math.isfinite(pos[-1] - pos[0]) and all(b > a for a, b in zip(pos, pos[1:]))):
@@ -46,11 +46,17 @@ class SiteLayout:
                              f"got {pos}")
         object.__setattr__(self, "positions", pos)
 
-    def check_k(self, k: float) -> None:
-        """InputError unless k times every site position and separation is finite."""
-        first, last = self.positions[0], self.positions[-1]
+    @classmethod
+    def checked(cls, layout: "SiteLayout | None", n_sites: int, k: float) -> "SiteLayout":
+        """`layout` or unit spacing; InputError unless it has n_sites sites and k is real."""
+        layout = layout or cls.unit_spacing(n_sites)
+        if len(layout) != n_sites:
+            raise InputError(f"layout has {len(layout)} sites for {n_sites} qubits")
+        check_real(k, "k")
+        first, last = layout.positions[0], layout.positions[-1]
         if not math.isfinite(abs(k) * max(last - first, -first, last)):
             raise InputError(f"k must be finite, also times each position and separation, got {k}")
+        return layout
 
     @classmethod
     def unit_spacing(cls, n_sites: int) -> "SiteLayout":
@@ -86,8 +92,8 @@ def _memo(state) -> dict:
 
 def two_point(state, i: int, j: int, a: str, b: str) -> float:
     """<sigma_i^a sigma_j^b> for a pure state or density matrix."""
-    if not (1 <= i < j <= state.n_qubits):
-        raise InputError(f"need 1 <= i < j <= {state.n_qubits}, got i={i}, j={j}")
+    check_integer(j, "site label j", 2, state.n_qubits)
+    check_integer(i, "site label i", 1, j - 1)
     return _real(kernels.pair_expectation(_array(state), state.n_qubits, i, j, a, b))
 
 
@@ -95,7 +101,6 @@ def _collective_square(state, weights, a: str) -> float:
     """<A^2> of the site-weighted collective spin A = sum_j weights[j] sigma_j^a through A itself,
     not pair sums: |A psi|^2, or Tr(A phi) with phi = A rho, read off one diagonal gather per
     site, sum_c coef_j[c] phi[c ^ m_j, c]."""
-    kernels.check_axis(a)
     arr, n = _array(state), state.n_qubits
     phi = np.zeros_like(arr)
     for site, weight in enumerate(weights, 1):
@@ -170,12 +175,8 @@ def axis_correlations(state, axis: str) -> np.ndarray:
 
 def structure_factor(state, k: float, a: str, b: str, layout: SiteLayout | None = None) -> complex:
     """sum_{i<j} exp(i k (r_j - r_i)) <sigma_i^a sigma_j^b>."""
-    n = state.n_qubits
-    layout = layout or SiteLayout.unit_spacing(n)
-    if len(layout) != n:
-        raise InputError(f"layout has {len(layout)} sites for a {n}-qubit state")
-    layout.check_k(k)
-    rows, cols = np.triu_indices(n, 1)
+    layout = SiteLayout.checked(layout, state.n_qubits, k)
+    rows, cols = np.triu_indices(state.n_qubits, 1)
     if a == b:
         corr = axis_correlations(state, a)[rows, cols]
     else:

@@ -1,9 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types and input checks shared across the package.
 
 The CLI maps these onto distinct exit codes, so library code should raise
-the most specific one that applies.
+the most specific one that applies. The checks test for int and float before
+the slower numbers ABCs.
 """
 
+import math
 import numbers
 
 
@@ -19,12 +21,27 @@ class UnsupportedCaseError(ValueError):
     """Valid input for which no closed form / implementation is available."""
 
 
-def check_integer(value, name: str, least: int, most: int | None = None) -> int:
-    """`value` as an int; InputError unless it is an integer (not a bool) in [least, most]."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise InputError(f"{name} must be an integer, got {value!r}")
+def _check_range(value, name: str, least, most):
     if most is None and value < least:
         raise InputError(f"{name} must be >= {least}, got {value}")
     if most is not None and not least <= value <= most:
         raise InputError(f"{name} must be in [{least}, {most}], got {value}")
-    return int(value)
+    return value
+
+
+def check_integer(value, name: str, least: int, most: int | None = None) -> int:
+    """`value` as an int; InputError unless it is an integer (not a bool) in [least, most]."""
+    if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    return int(_check_range(value, name, least, most))
+
+
+def check_real(value, name: str, least: float = -math.inf, most: float | None = None):
+    """`value` unconverted; InputError unless a finite real (not a bool) in [least, most]."""
+    try:  # math.isfinite overflows on an int or a Fraction beyond the float range
+        finite = isinstance(value, (float, numbers.Real)) and math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if isinstance(value, bool) or not finite:
+        raise InputError(f"{name} must be finite and real, got {value!r}")
+    return _check_range(value, name, least, most)

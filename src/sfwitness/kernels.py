@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_integer
 
 AXES = ("x", "y", "z")
 
@@ -53,8 +53,7 @@ def pauli_rule(axis: str, mask, z: np.ndarray) -> tuple:
 
 def pauli_action(n_qubits: int, site: int, axis: str) -> tuple:
     """(flip, coef) of sigma_site^axis on an n-qubit register."""
-    if not 1 <= site <= n_qubits:
-        raise InputError(f"site {site} out of range 1..{n_qubits}")
+    check_integer(site, "site", 1, n_qubits)
     return pauli_rule(axis, int(site_masks(n_qubits)[site - 1]),
                       outcome_signs(n_qubits, (site,))[0])
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import kernels
-from .errors import InputError, ResourceError
+from .errors import InputError, ResourceError, check_real
 from .states import DensityMatrix, StateVector
 from .witness import WitnessSpec, sigma_value
 
@@ -37,8 +37,7 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise InputError(f"noise kind must be one of {NOISE_KINDS}, got {self.kind!r}")
-        if not 0.0 <= self.strength <= 1.0:
-            raise InputError(f"noise strength must be in [0, 1], got {self.strength}")
+        check_real(self.strength, "noise strength", 0, 1)
 
 
 def noisy_sigma(state: StateVector, spec: WitnessSpec, noise: NoiseModel) -> float:
@@ -94,8 +93,7 @@ def kraus_crosscheck(state: StateVector, spec: WitnessSpec, q: float,
     """
     if not isinstance(state, StateVector):
         raise InputError(f"kraus_crosscheck needs a StateVector, got {type(state).__name__}")
-    if not 0.0 <= q <= 1.0:
-        raise InputError(f"q must be in [0, 1], got {q}")
+    check_real(q, "q", 0, 1)
     n = state.n_qubits
     if n > site_cap:
         raise ResourceError(f"{n} qubits exceeds the density-path cap {site_cap}")

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import bisep, noise, sampling, states, witness
 from .correlators import structure_factor, verify_collective_identity
-from .errors import InputError, check_integer
+from .errors import InputError, UnsupportedCaseError, check_integer
 from .states import (BlochVector, make_dicke, make_dicke_ghz_superposition,
                      make_ghz_superposition, make_phased_dicke,
                      make_product_density, random_state_vector)
@@ -170,7 +170,7 @@ def cut_grid_max_3(spec: WitnessSpec, cut: bisep.Bipartition) -> float:
     operator, solved directly (no alternation).
     """
     if spec.n_qubits != 3:
-        raise ValueError("oracle written for 3 qubits")
+        raise UnsupportedCaseError("oracle written for 3 qubits")
     single, pair = ((cut.part_a, cut.part_b) if len(cut.part_a) == 1
                     else (cut.part_b, cut.part_a))
     # one row and one column axis per block: (single, pair, single, pair)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import InputError, ResourceError, check_integer
+from .errors import InputError, ResourceError, check_integer, check_real
 
 #: Default cap on dense state-vector size (2**MAX_QUBITS amplitudes).
 #: Reassign the module attribute to work above it.
@@ -135,8 +135,8 @@ class BlochVector:
     n_z: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.n_x, self.n_y, self.n_z))):
-            raise InputError(f"Bloch vector components must be finite: {self}")
+        for name in ("n_x", "n_y", "n_z"):  # within [-1, 1], so norm_sq cannot overflow
+            check_real(getattr(self, name), f"Bloch vector {name}", -1, 1)
         if self.norm_sq() > 1.0 + 1e-12:
             raise InputError(f"Bloch vector length exceeds 1: {self}")
 
@@ -213,6 +213,7 @@ def make_ghz_superposition(theta: float, sign=+1) -> StateVector:
     The two branches are orthogonal, so the state is normalized for every
     theta.
     """
+    check_real(theta, "theta")
     s = _sign_factor(sign)
     amps = np.zeros(16, dtype=complex)
     amps[[basis_index(4, "0011"), basis_index(4, "1100")]] = math.cos(theta) / math.sqrt(2)
@@ -221,6 +222,7 @@ def make_ghz_superposition(theta: float, sign=+1) -> StateVector:
 
 def make_dicke_ghz_superposition(theta: float, sign=+1) -> StateVector:
     """cos(theta)|4,2> +/- sin(theta)(|0000> + |1111>)/sqrt(2)."""
+    check_real(theta, "theta")
     s = _sign_factor(sign)
     return _plus_ghz_branch(math.cos(theta) * make_dicke(4, 2).amplitudes, theta, s)
 
@@ -251,8 +253,7 @@ def make_product_density(blochs) -> DensityMatrix:
 
 def mix_with_white_noise(state: StateVector, p: float) -> DensityMatrix:
     """p * identity/2^N + (1-p) |psi><psi|."""
-    if not 0.0 <= p <= 1.0:
-        raise InputError(f"noise fraction must be in [0, 1], got {p}")
+    check_real(p, "noise fraction", 0, 1)
     _check_size(state.n_qubits, "DENSITY_MAX_QUBITS")
     rho = np.outer(state.amplitudes, state.amplitudes.conj())
     rho *= 1.0 - p
@@ -288,11 +289,9 @@ def from_json(text: str) -> StateVector:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid state JSON: {exc}") from exc
-    if not isinstance(data, dict) or "n_qubits" not in data or "terms" not in data:
-        raise InputError("state JSON must be an object with n_qubits and terms")
     try:
-        n = int(data["n_qubits"])
-        terms = [(term["basis"], float(term["re"]) + 1j * float(term["im"]))
+        n = data["n_qubits"]
+        terms = [(term["basis"], check_real(term["re"], "re") + 1j * check_real(term["im"], "im"))
                  for term in data["terms"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed state JSON: {exc!r}") from exc

@@ -21,11 +21,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels, states
-from .correlators import SiteLayout, correlation_matrices
+from .correlators import SiteLayout, _array, correlation_matrices
 from .correlators import two_point  # noqa: F401 (re-export)
-from .errors import InputError, UnsupportedCaseError, check_integer
+from .errors import InputError, UnsupportedCaseError, check_integer, check_real
 from .kernels import AXES
-from .states import DensityMatrix, StateVector
 
 DETECTION_TOL = 1e-9
 
@@ -44,14 +43,8 @@ class WitnessSpec:
     def __post_init__(self):
         check_integer(self.n_qubits, "n_qubits", 2)
         for name, value in zip(("c_x", "c_y", "c_z"), self.coefficients):
-            if not abs(value) <= 1.0:
-                raise InputError(f"|{name}| must be finite and <= 1, got {value}")
-        layout = self.layout or SiteLayout.unit_spacing(self.n_qubits)
-        if len(layout) != self.n_qubits:
-            raise InputError(
-                f"layout has {len(layout)} sites for n_qubits={self.n_qubits}")
-        layout.check_k(self.k)
-        object.__setattr__(self, "layout", layout)
+            check_real(value, name, -1, 1)
+        object.__setattr__(self, "layout", SiteLayout.checked(self.layout, self.n_qubits, self.k))
 
     @property
     def coefficients(self) -> tuple:
@@ -77,16 +70,13 @@ class WitnessSpec:
             raise InputError(f"invalid witness JSON: {exc}") from exc
         try:
             cx, cy, cz = data["c"]
-            return cls(int(data["n_qubits"]), float(data["k"]),
-                       float(cx), float(cy), float(cz),
-                       SiteLayout(tuple(data["positions"])))
+            return cls(data["n_qubits"], data["k"], cx, cy, cz, SiteLayout(data["positions"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed witness JSON: {exc}") from exc
 
 
 def _check_state(state, spec: WitnessSpec) -> None:
-    if not isinstance(state, (StateVector, DensityMatrix)):
-        raise InputError(f"unsupported state type {type(state).__name__}")
+    _array(state)  # InputError unless a StateVector or DensityMatrix
     if state.n_qubits != spec.n_qubits:
         raise InputError(
             f"state has {state.n_qubits} qubits, spec expects {spec.n_qubits}")
@@ -209,12 +199,12 @@ class ScanPoint(NamedTuple):
 def scan_k(state, c_x: float, c_y: float, c_z: float, k_grid,
            layout: SiteLayout | None = None) -> list[ScanPoint]:
     """Evaluate sigma/witness over a k grid (correlators computed once)."""
-    k_grid = [float(k) for k in k_grid]
+    k_grid = list(k_grid)
     if not k_grid:
         raise InputError("k grid must be nonempty")
     spec = WitnessSpec(state.n_qubits, k_grid[0], c_x, c_y, c_z, layout)  # c and layout, once
     for k in k_grid:
-        spec.layout.check_k(k)
+        SiteLayout.checked(spec.layout, spec.n_qubits, k)
     correlations = _correlations(state, spec.coefficients)
     sigmas = [_sigma_from(spec.coefficients, _weight_matrix(k, spec.layout.positions),
                           correlations) for k in k_grid]

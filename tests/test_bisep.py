@@ -10,8 +10,8 @@ import sfwitness.bisep as bisep
 import sfwitness.states as states
 import sfwitness.witness as witness
 from sfwitness import (Bipartition, InputError, ResourceError, SiteLayout,
-                       StateVector, WitnessSpec, assemble_cut_state, bisep_bound,
-                       enumerate_bipartitions,
+                       StateVector, UnsupportedCaseError, WitnessSpec,
+                       assemble_cut_state, bisep_bound, enumerate_bipartitions,
                        gme_detected, make_dicke, make_phased_dicke,
                        make_product_density, product_bound, seesaw_max,
                        sigma_operator, sigma_value)
@@ -667,6 +667,10 @@ class TestGridOracles:
         cut = Bipartition((1, 3), (2,))
         seesaw = seesaw_max(spec, cut, restarts=30, seed=1315587361).bound
         assert seesaw == pytest.approx(cut_grid_max_3(spec, cut), abs=1e-3)
+
+    def test_cut_oracle_rejects_four_qubits_as_unsupported(self):
+        with pytest.raises(UnsupportedCaseError, match="oracle written for 3 qubits"):
+            cut_grid_max_3(WitnessSpec(4, 0.0, 1, 1, 1), Bipartition((1,), (2, 3, 4)))
 
     def test_oracles_do_not_use_the_seesaw(self, monkeypatch):
         specs = [WitnessSpec(2, 0.7, 0.3, -0.9, 0.5),

@@ -37,6 +37,11 @@ class TestParseAngle:
         with pytest.raises(InputError):
             parse_angle("tau")
 
+    @pytest.mark.parametrize("token", ["pi/0", "2pi/0.0", ".pi"])
+    def test_rejects_zero_denominator_and_bare_point(self, token):
+        with pytest.raises(InputError, match="cannot parse angle"):
+            parse_angle(token)
+
 
 class TestParseState:
     def test_builtins(self):
@@ -256,9 +261,14 @@ class TestExitCodes:
         (["eval", "--state", "dicke:4,2", "--k", "1e308"], None, EXIT_INPUT),
         (["eval", "--state", "dicke:3,1", "--positions=-1e308,0,1e308"], None, EXIT_INPUT),
         (["scan", "--state", "dicke:4,2", "--k-grid", "0,1e308"], None, EXIT_INPUT),
+        (["scan", "--state", "dicke:4,2", "--k-grid", "inf:0:3"], None, EXIT_INPUT),
+        (["scan", "--state", "dicke:4,2", "--k-grid", "1e308:-1e308:3"], None, EXIT_INPUT),
+        (["eval", "--state", "dicke:4,2", "--k", "pi/0"], None, EXIT_INPUT),
+        (["eval", "--state", "product:1e308,0,0;0,0,1"], None, EXIT_INPUT),
     ], ids=["c", "k-grid", "shot-grid", "shot-count-overflow", "positions", "seed-env",
             "basis-cap", "empty-state", "k-overflow", "positions-overflow",
-            "k-grid-overflow"])
+            "k-grid-overflow", "k-grid-infinite-end", "k-grid-overflowing-step",
+            "k-zero-denominator", "bloch-component-overflow"])
     def test_bad_values_exit_typed(self, argv, env_seed, expected, monkeypatch, capsys):
         if env_seed is not None:
             monkeypatch.setenv("SFWITNESS_SEED", env_seed)
@@ -337,6 +347,14 @@ class TestExitCodes:
     def test_unexpected_exception_propagates(self):
         with pytest.raises(KeyError):
             exit_code_for(KeyError("x"))
+
+    def test_broken_invariant_is_not_an_exit_code(self, monkeypatch, capsys):
+        # an ArithmeticError means a see-saw recheck disagreed: a bug, not bad input, so the
+        # CLI lets it end the run as a traceback instead of mapping it to exit 2-5
+        monkeypatch.setattr(bisep, "sigma_value", lambda state, spec: 10.0)
+        with pytest.raises(ArithmeticError, match="disagrees with recomputed"):
+            main(["bisep-bound", "--n-qubits", "3", "--k", "pi", "--restarts", "1"])
+        assert "error:" not in capsys.readouterr().err
 
 
 class TestReproduceCommand:

@@ -1,5 +1,8 @@
-"""Property tests of Sigma(k) and its operator (hypothesis-generated specs)."""
+"""Property tests of Sigma(k) and its operator (hypothesis-generated specs), and of the CLI's
+exit codes on argv drawn from its grammar."""
 
+import contextlib
+import io
 import itertools
 import math
 
@@ -11,6 +14,7 @@ from sfwitness import (SiteLayout, StateVector, WitnessSpec, axis_components,
                        kraus_crosscheck, make_product_density, mix_with_white_noise,
                        pair_weight_matrix, sigma_operator, sigma_value,
                        verify_collective_identity)
+from sfwitness import cli
 from sfwitness.bisep import _automorphisms, _cut_orbits
 from conftest import (automorphism_closure, dense_expectation, random_bloch_in_ball,
                       random_mixed, random_pure)
@@ -186,3 +190,68 @@ def test_sigma_invariant_under_chain_mirror(spec, seed):
         sigma_value(state, spec), abs=1e-12)
     assert np.allclose(sigma_operator(mirrored), sigma_operator(spec)[np.ix_(reverse, reverse)],
                        rtol=0.0, atol=1e-12)
+
+
+# --- the CLI on argv drawn from its grammar --------------------------------
+
+angles = st.one_of(
+    st.sampled_from(["0", "pi", "-pi/2", "3pi/4", "2.5pi/3", "pi/0", ".pi", "tau",
+                     "inf", "-inf", "nan", "1e308", "-1e308"]),
+    st.floats(-10.0, 10.0).map(repr))
+number_tokens = st.sampled_from(["0", "1", "-1", "0.5", "1.5", "x", "nan", "inf", "1e308"])
+state_tokens = st.one_of(
+    st.builds("{}:{},{}".format, st.sampled_from(["dicke", "phased-dicke"]),
+              st.integers(0, 6), st.integers(-1, 7)),
+    st.builds("{}:{},{}".format, st.sampled_from(["ghz-superposition", "dicke-ghz-superposition"]),
+              angles, st.sampled_from(["+", "-", "+1", "-1", "0", "x"])),
+    st.text("01", max_size=6).map("basis:{}".format),
+    st.lists(st.lists(number_tokens, min_size=2, max_size=4).map(",".join), min_size=1, max_size=4)
+    .map(lambda triples: "product:" + ";".join(triples)),
+    st.sampled_from(["", "nonsense:1", "dicke:4", "dicke:a,b"]))
+k_grids = st.one_of(
+    st.lists(angles, min_size=1, max_size=4).map(",".join),
+    st.builds("{}:{}:{}".format, angles, angles,
+              st.sampled_from(["0", "1", "3", "-1", "x", str(cli.K_GRID_MAX_POINTS + 1)])))
+shot_grids = st.lists(st.sampled_from(["1", "100", "1000", "0", "-5", "1.5", "1e3"]),
+                      max_size=3).map(",".join)
+
+
+@st.composite
+def cli_argv(draw):
+    """One invocation of eval, scan, robustness, sample or bisep-bound; every value option
+    is passed as --name=value, so a leading '-' reaches the value parsers, not argparse."""
+    command = draw(st.sampled_from(["eval", "scan", "robustness", "sample", "bisep-bound"]))
+    argv = [command]
+    if command == "bisep-bound":  # N <= 6 and restarts <= 2 keep each example cheap
+        argv += [f"--n-qubits={draw(st.sampled_from(['0', '1', '2', '3', '4', '6', 'x']))}",
+                 f"--restarts={draw(st.sampled_from(['0', '1', '2', '-1']))}",
+                 f"--tol={draw(st.sampled_from(['1e-10', '1e-6', '-1', 'nan', 'inf', 'x']))}"]
+    else:
+        argv.append(f"--state={draw(state_tokens)}")
+    coefficients = draw(st.lists(number_tokens, min_size=2, max_size=4))
+    argv += [f"--k={draw(angles)}", f"--c={','.join(coefficients)}"]
+    if draw(st.booleans()):
+        positions = draw(st.lists(number_tokens, min_size=1, max_size=7))
+        argv.append(f"--positions={','.join(positions)}")
+    if command == "scan":
+        argv.append(f"--k-grid={draw(k_grids)}")
+    if command == "sample":
+        argv.append(f"--shot-grid={draw(shot_grids)}")
+    if command == "eval" and draw(st.booleans()):
+        argv.append("--correlators")
+    argv.append(f"--format={draw(st.sampled_from(['text', 'json', 'csv']))}")
+    seed = draw(st.sampled_from([None, "0", "7", "-1", "x"]))
+    return argv + ([f"--seed={seed}"] if seed is not None else [])
+
+
+@SETTINGS
+@given(cli_argv())
+def test_cli_exits_with_a_mapped_code_and_an_error_line(argv):
+    # in process: main() always ends in SystemExit, and a failure must come with its reason
+    out, err = io.StringIO(), io.StringIO()
+    with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+          pytest.raises(SystemExit) as exc_info):
+        cli.main(argv)
+    code = exc_info.value.code
+    assert code in (0, 2, 3, 4, 5), (argv, code)
+    assert code == 0 or "error:" in err.getvalue(), (argv, err.getvalue())

@@ -430,3 +430,18 @@ class TestSerialization:
         payload = {"n_qubits": 1, "terms": [{"basis": 0, "re": 1.0, "im": 0.0}]}
         with pytest.raises(InputError):
             from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("n_qubits", [2.9, 2.0, True, "2"],
+                             ids=["fraction", "integral-float", "bool", "str"])
+    def test_rejects_non_integer_qubit_count(self, n_qubits):
+        # the count reaches the checked size rule as read, not truncated by int() first
+        payload = {"n_qubits": n_qubits, "terms": [{"basis": "00", "re": 1.0, "im": 0.0}]}
+        with pytest.raises(InputError, match="n_qubits must be an integer"):
+            from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("part", ["re", "im"])
+    def test_rejects_non_real_amplitude_part(self, part):
+        term = {"basis": "0", "re": 1.0, "im": 0.0}
+        term[part] = str(term[part])
+        with pytest.raises(InputError, match=f"malformed state JSON.*{part} must be finite"):
+            from_json(json.dumps({"n_qubits": 1, "terms": [term]}))

@@ -1,5 +1,6 @@
 """Witness assembly, closed forms, the dense operator, and detection."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -47,6 +48,18 @@ class TestWitnessSpec:
     def test_json_rejects_malformed(self):
         with pytest.raises(InputError):
             WitnessSpec.from_json('{"n_qubits": 3}')
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_qubits", 4.7, "n_qubits must be an integer"),
+        ("n_qubits", 4.0, "n_qubits must be an integer"),
+        ("k", "0", "k must be finite and real"),
+        ("c", ["1", 1, 1], "c_x must be finite and real"),
+    ], ids=["fractional-n", "integral-float-n", "str-k", "str-c"])
+    def test_json_values_reach_the_checks_unconverted(self, field, value, message):
+        data = json.loads(WitnessSpec(4, 0.0, 1, 1, 1).to_json())
+        data[field] = value
+        with pytest.raises(InputError, match=f"malformed witness JSON: {message}"):
+            WitnessSpec.from_json(json.dumps(data))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("slot", range(4))
