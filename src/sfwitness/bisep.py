@@ -323,9 +323,8 @@ def product_bound(spec: WitnessSpec, restarts: int = DEFAULT_RESTARTS,
     return _recheck(value, StateVector(spec.n_qubits, ket), spec)
 
 
-def gme_detected(state, spec: WitnessSpec, bisep: BisepResult,
-                 tol: float = 1e-9) -> bool:
-    """True iff <Sigma> of the state exceeds the biseparable bound by > tol."""
+def gme_detected(state, spec: WitnessSpec, bisep: BisepResult) -> bool:
+    """True iff <Sigma> of the state exceeds the biseparable bound by > witness.DETECTION_TOL."""
     if bisep.spec != spec:
         raise InputError("biseparable bound was computed for a different witness")
-    return sigma_value(state, spec) > bisep.bound + tol
+    return sigma_value(state, spec) > bisep.bound + witness.DETECTION_TOL

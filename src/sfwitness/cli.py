@@ -40,6 +40,10 @@ EXIT_RESOURCE = 3
 EXIT_UNSUPPORTED = 4
 EXIT_CHECK_FAILURE = 5
 
+#: The exit code of each typed error; any other exception propagates.
+EXIT_CODES = {InputError: EXIT_INPUT, ResourceError: EXIT_RESOURCE,
+              UnsupportedCaseError: EXIT_UNSUPPORTED}
+
 BUILTIN_STATES = ("dicke", "phased-dicke", "ghz-superposition",
                   "dicke-ghz-superposition", "basis", "product")
 
@@ -133,7 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Structure-factor entanglement witnesses for N-qubit states.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, state=True, spec=True, formats=("text", "json", "csv")):
+    def add_common(p, runner, state=True, spec=True, formats=("text", "json", "csv")):
+        p.set_defaults(runner=runner)
         if state:
             p.add_argument("--state", dest="state_source", metavar="STATE", required=True,
                            help="builtin (e.g. dicke:4,2) or path to a state JSON file")
@@ -147,33 +152,33 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
 
     p_eval = sub.add_parser("eval", help="sigma and witness values for one state")
-    add_common(p_eval)
+    add_common(p_eval, _run_eval)
     p_eval.add_argument("--correlators", action="store_true",
                         help="emit the two-point correlator table instead")
 
     p_scan = sub.add_parser("scan", help="sigma/witness over a k grid")
-    add_common(p_scan)
+    add_common(p_scan, _run_scan)
     p_scan.add_argument("--k-grid", required=True,
                         help="comma list of angles, or start:stop:count")
 
     p_rob = sub.add_parser("robustness", help="depolarizing thresholds p*, q*")
-    add_common(p_rob)
+    add_common(p_rob, _run_robustness)
 
     p_bisep = sub.add_parser("bisep-bound",
                              help="see-saw bound on <Sigma> over biseparable states")
-    add_common(p_bisep, state=False, formats=("text", "json"))
+    add_common(p_bisep, _run_bisep, state=False, formats=("text", "json"))
     p_bisep.add_argument("--n-qubits", type=int, required=True)
     p_bisep.add_argument("--restarts", type=int, default=bisep.DEFAULT_RESTARTS)
     p_bisep.add_argument("--tol", type=float, default=bisep.DEFAULT_TOL)
 
     p_sample = sub.add_parser("sample", help="finite-shot witness estimates")
-    add_common(p_sample)
+    add_common(p_sample, _run_sample)
     p_sample.add_argument("--shot-grid", default="100,1000,10000",
                           help="comma list of shot counts")
 
     p_repro = sub.add_parser("reproduce-paper",
                              help="re-derive all reference values and flag each")
-    add_common(p_repro, state=False, spec=False, formats=("text", "json"))
+    add_common(p_repro, _run_reproduce, state=False, spec=False, formats=("text", "json"))
     p_repro.add_argument("--restarts", type=int, default=bisep.DEFAULT_RESTARTS)
     p_repro.add_argument("--shots", type=int, default=10 ** 6)
     p_repro.add_argument("--product-samples", type=int, default=10 ** 4)
@@ -185,29 +190,25 @@ def parse_args(argv=None) -> argparse.Namespace:
     built once where the command has them and `seed` from $SFWITNESS_SEED."""
     args = build_parser().parse_args(argv)
     try:
-        _build_inputs(args)
+        if args.seed is None:
+            args.seed = int(os.environ.get(SEED_ENV_VAR, "0"))
+        source = getattr(args, "state_source", None)
+        args.state = parse_state(source) if source is not None else None
+        if hasattr(args, "k"):
+            n = args.state.n_qubits if args.state is not None else args.n_qubits
+            layout = (SiteLayout(tuple(float(x) for x in args.positions.split(",")))
+                      if args.positions else None)
+            args.spec = witness.WitnessSpec(n, parse_angle(args.k),
+                                            *_parse_coefficients(args.c), layout)
+        if hasattr(args, "k_grid"):
+            args.k_grid = _parse_k_grid(args.k_grid)
+        if hasattr(args, "shot_grid"):
+            args.shot_grid = [int(s) for s in args.shot_grid.split(",")]
     except InputError:
         raise
     except (TypeError, ValueError) as exc:
         raise InputError(f"bad argument value: {exc}") from exc
     return args
-
-
-def _build_inputs(args: argparse.Namespace) -> None:
-    if args.seed is None:
-        args.seed = int(os.environ.get(SEED_ENV_VAR, "0"))
-    source = getattr(args, "state_source", None)
-    args.state = parse_state(source) if source is not None else None
-    if hasattr(args, "k"):
-        n = args.state.n_qubits if args.state is not None else args.n_qubits
-        layout = (SiteLayout(tuple(float(x) for x in args.positions.split(",")))
-                  if args.positions else None)
-        args.spec = witness.WitnessSpec(n, parse_angle(args.k),
-                                        *_parse_coefficients(args.c), layout)
-    if hasattr(args, "k_grid"):
-        args.k_grid = _parse_k_grid(args.k_grid)
-    if hasattr(args, "shot_grid"):
-        args.shot_grid = [int(s) for s in args.shot_grid.split(",")]
 
 
 def RunConfig(command: str) -> argparse.Namespace:
@@ -331,31 +332,19 @@ def _run_reproduce(args: argparse.Namespace) -> int:
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILURE
 
 
-_RUNNERS = {
-    "eval": _run_eval,
-    "scan": _run_scan,
-    "robustness": _run_robustness,
-    "bisep-bound": _run_bisep,
-    "sample": _run_sample,
-    "reproduce-paper": _run_reproduce,
-}
-
-
 def exit_code_for(exc: Exception) -> int:
-    if isinstance(exc, InputError):
-        return EXIT_INPUT
-    if isinstance(exc, ResourceError):
-        return EXIT_RESOURCE
-    if isinstance(exc, UnsupportedCaseError):
-        return EXIT_UNSUPPORTED
+    """The EXIT_CODES entry of `exc`; re-raises an exception it does not map."""
+    for error, code in EXIT_CODES.items():
+        if isinstance(exc, error):
+            return code
     raise exc
 
 
 def run(args: argparse.Namespace) -> int:
     """Execute one parsed invocation; returns the exit code."""
     try:
-        return _RUNNERS[args.command](args)
-    except (InputError, ResourceError, UnsupportedCaseError) as exc:
+        return args.runner(args)
+    except tuple(EXIT_CODES) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return exit_code_for(exc)
 
@@ -363,7 +352,7 @@ def run(args: argparse.Namespace) -> int:
 def main(argv=None) -> None:
     try:
         args = parse_args(argv)
-    except (InputError, ResourceError, UnsupportedCaseError) as exc:
+    except tuple(EXIT_CODES) as exc:
         sys.stderr.write(f"error: {exc}\n")
         sys.exit(exit_code_for(exc))
     sys.exit(run(args))

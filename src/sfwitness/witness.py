@@ -135,9 +135,9 @@ def witness_value(state, spec: WitnessSpec) -> float:
     return 1.0 - sigma_value(state, spec)
 
 
-def detects(state, spec: WitnessSpec, tol: float = DETECTION_TOL) -> bool:
-    """True iff the witness expectation is strictly below -tol."""
-    return witness_value(state, spec) < -tol
+def detects(state, spec: WitnessSpec) -> bool:
+    """True iff the witness expectation is strictly below -DETECTION_TOL."""
+    return witness_value(state, spec) < -DETECTION_TOL
 
 
 def dicke_sigma_closed_form(n_qubits: int, l: int) -> Fraction:
@@ -213,23 +213,23 @@ def scan_k(state, c_x: float, c_y: float, c_z: float, k_grid,
 
 def find_detection_boundary(state_factory, spec: WitnessSpec,
                             theta_inside: float, theta_outside: float,
-                            tol: float = 1e-9, max_iter: int = 200) -> float:
+                            tol: float = 1e-9) -> float:
     """Bisect the parameter where detects(state_factory(theta)) flips.
 
-    `theta_inside` must be detected and `theta_outside` not; the returned
-    midpoint brackets the boundary to within `tol`.
+    `theta_inside` must be detected and `theta_outside` not; the returned midpoint
+    brackets the boundary to within `tol`, or as closely as floats allow.
     """
+    check_real(tol, "tol", 0)
     if not detects(state_factory(theta_inside), spec):
         raise InputError("theta_inside is not detected")
     if detects(state_factory(theta_outside), spec):
         raise InputError("theta_outside is detected")
     lo, hi = theta_outside, theta_inside
-    for _ in range(max_iter):
-        if abs(hi - lo) <= tol:
-            break
-        mid = 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    while abs(hi - lo) > tol and mid not in (lo, hi):
         if detects(state_factory(mid), spec):
             hi = mid
         else:
             lo = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    return mid
