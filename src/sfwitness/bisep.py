@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, states, witness
-from .errors import InputError, check_integer, check_real
+from .errors import InputError, check_integer, check_real, check_type
 from .states import StateVector
 from .witness import WitnessSpec, pair_weight_matrix, sigma_value
 
@@ -267,6 +267,7 @@ def seesaw_max(spec: WitnessSpec, cut: Bipartition,
                restarts: int = DEFAULT_RESTARTS, tol: float = DEFAULT_TOL,
                max_iter: int = DEFAULT_MAX_ITER, seed: int = 0) -> BisepResult:
     """Maximize <Sigma> over pure states product across one cut."""
+    check_type(cut, Bipartition, "seesaw_max")
     if cut.n_qubits != spec.n_qubits:
         raise InputError(f"cut covers {cut.n_qubits} sites, spec has {spec.n_qubits}")
     _check_run_params(spec, restarts, seed, tol, max_iter)
@@ -325,6 +326,7 @@ def product_bound(spec: WitnessSpec, restarts: int = DEFAULT_RESTARTS,
 
 def gme_detected(state, spec: WitnessSpec, bisep: BisepResult) -> bool:
     """True iff <Sigma> of the state exceeds the biseparable bound by > witness.DETECTION_TOL."""
+    check_type(bisep, BisepResult, "gme_detected")
     if bisep.spec != spec:
         raise InputError("biseparable bound was computed for a different witness")
     return sigma_value(state, spec) > bisep.bound + witness.DETECTION_TOL

@@ -40,7 +40,6 @@ EXIT_RESOURCE = 3
 EXIT_UNSUPPORTED = 4
 EXIT_CHECK_FAILURE = 5
 
-#: The exit code of each typed error; any other exception propagates.
 EXIT_CODES = {InputError: EXIT_INPUT, ResourceError: EXIT_RESOURCE,
               UnsupportedCaseError: EXIT_UNSUPPORTED}
 
@@ -137,7 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Structure-factor entanglement witnesses for N-qubit states.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, runner, state=True, spec=True, formats=("text", "json", "csv")):
+    def add_command(name, runner, summary, state=True, spec=True, formats=("text", "json", "csv")):
+        p = sub.add_parser(name, help=summary)
         p.set_defaults(runner=runner)
         if state:
             p.add_argument("--state", dest="state_source", metavar="STATE", required=True,
@@ -150,35 +150,32 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--output", default=None, help="write the artifact to a file")
         p.add_argument("--seed", type=int, default=None)
+        return p
 
-    p_eval = sub.add_parser("eval", help="sigma and witness values for one state")
-    add_common(p_eval, _run_eval)
+    p_eval = add_command("eval", _run_eval, "sigma and witness values for one state")
     p_eval.add_argument("--correlators", action="store_true",
                         help="emit the two-point correlator table instead")
 
-    p_scan = sub.add_parser("scan", help="sigma/witness over a k grid")
-    add_common(p_scan, _run_scan)
+    p_scan = add_command("scan", _run_scan, "sigma/witness over a k grid")
     p_scan.add_argument("--k-grid", required=True,
                         help="comma list of angles, or start:stop:count")
 
-    p_rob = sub.add_parser("robustness", help="depolarizing thresholds p*, q*")
-    add_common(p_rob, _run_robustness)
+    add_command("robustness", _run_robustness, "depolarizing thresholds p*, q*")
 
-    p_bisep = sub.add_parser("bisep-bound",
-                             help="see-saw bound on <Sigma> over biseparable states")
-    add_common(p_bisep, _run_bisep, state=False, formats=("text", "json"))
+    p_bisep = add_command("bisep-bound", _run_bisep,
+                          "see-saw bound on <Sigma> over biseparable states",
+                          state=False, formats=("text", "json"))
     p_bisep.add_argument("--n-qubits", type=int, required=True)
     p_bisep.add_argument("--restarts", type=int, default=bisep.DEFAULT_RESTARTS)
     p_bisep.add_argument("--tol", type=float, default=bisep.DEFAULT_TOL)
 
-    p_sample = sub.add_parser("sample", help="finite-shot witness estimates")
-    add_common(p_sample, _run_sample)
+    p_sample = add_command("sample", _run_sample, "finite-shot witness estimates")
     p_sample.add_argument("--shot-grid", default="100,1000,10000",
                           help="comma list of shot counts")
 
-    p_repro = sub.add_parser("reproduce-paper",
-                             help="re-derive all reference values and flag each")
-    add_common(p_repro, _run_reproduce, state=False, spec=False, formats=("text", "json"))
+    p_repro = add_command("reproduce-paper", _run_reproduce,
+                          "re-derive all reference values and flag each",
+                          state=False, spec=False, formats=("text", "json"))
     p_repro.add_argument("--restarts", type=int, default=bisep.DEFAULT_RESTARTS)
     p_repro.add_argument("--shots", type=int, default=10 ** 6)
     p_repro.add_argument("--product-samples", type=int, default=10 ** 4)
@@ -280,9 +277,8 @@ def _run_eval(args: argparse.Namespace) -> int:
 
 
 def _run_scan(args: argparse.Namespace) -> int:
-    spec = args.spec
-    return _emit(args, witness.scan_k(args.state, spec.c_x, spec.c_y, spec.c_z,
-                                      args.k_grid, spec.layout))
+    return _emit(args, witness.scan_k(args.state, *args.spec.coefficients, args.k_grid,
+                                      args.spec.layout))
 
 
 def _run_robustness(args: argparse.Namespace) -> int:
@@ -333,7 +329,6 @@ def _run_reproduce(args: argparse.Namespace) -> int:
 
 
 def exit_code_for(exc: Exception) -> int:
-    """The EXIT_CODES entry of `exc`; re-raises an exception it does not map."""
     for error, code in EXIT_CODES.items():
         if isinstance(exc, error):
             return code

@@ -92,9 +92,10 @@ def _memo(state) -> dict:
 
 def two_point(state, i: int, j: int, a: str, b: str) -> float:
     """<sigma_i^a sigma_j^b> for a pure state or density matrix."""
+    arr = _array(state)
     check_integer(j, "site label j", 2, state.n_qubits)
     check_integer(i, "site label i", 1, j - 1)
-    return _real(kernels.pair_expectation(_array(state), state.n_qubits, i, j, a, b))
+    return _real(kernels.pair_expectation(arr, state.n_qubits, i, j, a, b))
 
 
 def _collective_square(state, weights, a: str) -> float:
@@ -116,6 +117,7 @@ def _collective_square(state, weights, a: str) -> float:
 
 def collective_spin_sq(state, a: str) -> float:
     """<J_a^2>, J_a = (1/2) sum_j sigma_j^a, computed through the collective operator."""
+    _array(state)
     return _collective_square(state, [0.5] * state.n_qubits, a)
 
 
@@ -175,6 +177,7 @@ def axis_correlations(state, axis: str) -> np.ndarray:
 
 def structure_factor(state, k: float, a: str, b: str, layout: SiteLayout | None = None) -> complex:
     """sum_{i<j} exp(i k (r_j - r_i)) <sigma_i^a sigma_j^b>."""
+    _array(state)
     layout = SiteLayout.checked(layout, state.n_qubits, k)
     rows, cols = np.triu_indices(state.n_qubits, 1)
     if a == b:

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import kernels
-from .errors import InputError, ResourceError, check_real
+from .errors import InputError, ResourceError, check_real, check_type
 from .states import DensityMatrix, StateVector
 from .witness import WitnessSpec, sigma_value
 
@@ -42,6 +42,7 @@ class NoiseModel:
 
 def noisy_sigma(state: StateVector, spec: WitnessSpec, noise: NoiseModel) -> float:
     """<Sigma(k)> of the state after the channel, via the exact factor laws."""
+    check_type(noise, NoiseModel, "noisy_sigma")
     clean = sigma_value(state, spec)
     if noise.kind == "collective":
         return (1.0 - noise.strength) * clean
@@ -91,8 +92,7 @@ def kraus_crosscheck(state: StateVector, spec: WitnessSpec, q: float,
     explicit per-qubit Kraus application to the density matrix. The two are
     equal up to rounding; tests assert it.
     """
-    if not isinstance(state, StateVector):
-        raise InputError(f"kraus_crosscheck needs a StateVector, got {type(state).__name__}")
+    check_type(state, StateVector, "kraus_crosscheck")
     check_real(q, "q", 0, 1)
     n = state.n_qubits
     if n > site_cap:

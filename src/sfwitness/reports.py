@@ -300,8 +300,7 @@ def _window_checks(report: ReferenceReport, label: str, factory, pairings,
     for sign, coeffs in pairings:
         spec = WitnessSpec(4, 0.0, *coeffs)
         boundaries.append(witness.find_detection_boundary(
-            lambda th: factory(th, sign), spec, theta_inside=1.0,
-            theta_outside=0.1, tol=1e-9))
+            lambda th: factory(th, sign), spec, theta_inside=1.0, theta_outside=0.1))
         for theta in np.linspace(expected_low + 1e-3, math.pi / 2 - 1e-3, 25):
             interior_ok &= witness.detects(factory(theta, sign), spec)
         for theta in (0.05, expected_low - 1e-3, math.pi / 2):
@@ -404,7 +403,8 @@ def _check_bisep(report: ReferenceReport, seed: int, restarts: int) -> None:
     sound = True
     for n, (spec, result) in results.items():
         assembled = bisep.assemble_cut_state(result.best_cut, *result.best_state)
-        sound &= abs(witness.sigma_value(assembled, spec) - result.bound) <= 1e-9
+        sound &= (abs(witness.sigma_value(assembled, spec) - result.bound)
+                  <= bisep.BOUND_RECHECK_ATOL)
     report.add("11a_seesaw_soundness", sound, str(sound), "True",
                "bounds re-verified on the stored achieving states")
 

@@ -20,9 +20,9 @@ import numpy as np
 
 from . import kernels
 from .correlators import readout_probabilities
-from .errors import InputError, check_integer
+from .errors import InputError, check_integer, check_type
 from .states import StateVector
-from .witness import WitnessSpec, _check_state, pair_weight_matrix
+from .witness import WitnessSpec, _check_state, measurement_settings, pair_weight_matrix
 
 
 _MAX_SHOTS = int(np.iinfo(np.int64).max)
@@ -51,11 +51,6 @@ class CurvePoint(NamedTuple):
     std_error: float
 
 
-def measurement_settings(spec: WitnessSpec) -> tuple:
-    """Axes that actually need a measurement setting (nonzero coefficient)."""
-    return tuple(a for a, c in zip(kernels.AXES, spec.coefficients) if c != 0.0)
-
-
 def _count_statistics(values: np.ndarray, counts: np.ndarray) -> tuple[float, float]:
     """Mean and ddof=1 variance of `values[b]` observed `counts[b]` times."""
     shots = int(counts.sum())
@@ -71,9 +66,9 @@ def _estimate(state: StateVector, spec: WitnessSpec, shots: int,
     signs = kernels.outcome_signs(state.n_qubits)
     sigma_est = 0.0
     variance = 0.0
-    for axis_pos, (axis, c) in enumerate(zip(kernels.AXES, spec.coefficients)):
-        if c == 0.0:
-            continue
+    for axis in measurement_settings(spec):
+        axis_pos = kernels.AXES.index(axis)
+        c = spec.coefficients[axis_pos]
         rng = np.random.default_rng([*seed_words, axis_pos])
         probs = readout_probabilities(state, axis)
         counts = rng.multinomial(shots, probs / probs.sum())
@@ -96,6 +91,7 @@ def estimate_witness(state: StateVector, spec: WitnessSpec,
     Deterministic for a fixed plan: the RNG substream of each setting is
     derived from (seed, axis index).
     """
+    check_type(plan, ShotPlan, "estimate_witness")
     return _estimate(state, spec, plan.shots_per_setting, (plan.seed,))
 
 

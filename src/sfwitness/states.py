@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import InputError, ResourceError, check_integer, check_real
+from .errors import InputError, ResourceError, check_integer, check_real, check_type
 
 #: Default cap on dense state-vector size (2**MAX_QUBITS amplitudes).
 #: Reassign the module attribute to work above it.
@@ -253,6 +253,7 @@ def make_product_density(blochs) -> DensityMatrix:
 
 def mix_with_white_noise(state: StateVector, p: float) -> DensityMatrix:
     """p * identity/2^N + (1-p) |psi><psi|."""
+    check_type(state, StateVector, "mix_with_white_noise")
     check_real(p, "noise fraction", 0, 1)
     _check_size(state.n_qubits, "DENSITY_MAX_QUBITS")
     rho = np.outer(state.amplitudes, state.amplitudes.conj())

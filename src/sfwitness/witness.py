@@ -23,7 +23,7 @@ import numpy as np
 from . import kernels, states
 from .correlators import SiteLayout, _array, correlation_matrices
 from .correlators import two_point  # noqa: F401 (re-export)
-from .errors import InputError, UnsupportedCaseError, check_integer, check_real
+from .errors import InputError, UnsupportedCaseError, check_integer, check_real, check_type
 from .kernels import AXES
 
 DETECTION_TOL = 1e-9
@@ -75,8 +75,14 @@ class WitnessSpec:
             raise InputError(f"malformed witness JSON: {exc}") from exc
 
 
+def measurement_settings(spec: WitnessSpec) -> tuple:
+    """Axes that actually need a measurement setting (nonzero coefficient)."""
+    return tuple(a for a, c in zip(AXES, spec.coefficients) if c != 0.0)
+
+
 def _check_state(state, spec: WitnessSpec) -> None:
     _array(state)  # InputError unless a StateVector or DensityMatrix
+    check_type(spec, WitnessSpec, "the witness")
     if state.n_qubits != spec.n_qubits:
         raise InputError(
             f"state has {state.n_qubits} qubits, spec expects {spec.n_qubits}")
@@ -94,10 +100,6 @@ def _weight_matrix(k: float, positions: tuple) -> np.ndarray:
         for j in range(i + 1, len(positions)):
             weights[i][j] = weights[j][i] = math.cos(abs(k) * (positions[j] - r))
     return np.array(weights)
-
-
-def _correlations(state, coefficients) -> dict:
-    return correlation_matrices(state, [axis for c, axis in zip(coefficients, AXES) if c != 0.0])
 
 
 def _axis_sums(weights: np.ndarray, correlations: dict) -> dict:
@@ -120,14 +122,14 @@ def axis_components(state, spec: WitnessSpec) -> tuple[float, float, float]:
     """
     _check_state(state, spec)
     return tuple(_axis_sums(pair_weight_matrix(spec),
-                            _correlations(state, (1, 1, 1))).values())
+                            correlation_matrices(state, AXES)).values())
 
 
 def sigma_value(state, spec: WitnessSpec) -> float:
     """<Sigma(k)> for the given state."""
     _check_state(state, spec)
     return _sigma_from(spec.coefficients, pair_weight_matrix(spec),
-                       _correlations(state, spec.coefficients))
+                       correlation_matrices(state, measurement_settings(spec)))
 
 
 def witness_value(state, spec: WitnessSpec) -> float:
@@ -202,10 +204,11 @@ def scan_k(state, c_x: float, c_y: float, c_z: float, k_grid,
     k_grid = list(k_grid)
     if not k_grid:
         raise InputError("k grid must be nonempty")
+    _array(state)
     spec = WitnessSpec(state.n_qubits, k_grid[0], c_x, c_y, c_z, layout)  # c and layout, once
     for k in k_grid:
         SiteLayout.checked(spec.layout, spec.n_qubits, k)
-    correlations = _correlations(state, spec.coefficients)
+    correlations = correlation_matrices(state, measurement_settings(spec))
     sigmas = [_sigma_from(spec.coefficients, _weight_matrix(k, spec.layout.positions),
                           correlations) for k in k_grid]
     return [ScanPoint(k, sigma, 1.0 - sigma) for k, sigma in zip(k_grid, sigmas)]
@@ -225,11 +228,10 @@ def find_detection_boundary(state_factory, spec: WitnessSpec,
     if detects(state_factory(theta_outside), spec):
         raise InputError("theta_outside is detected")
     lo, hi = theta_outside, theta_inside
-    mid = 0.5 * (lo + hi)
-    while abs(hi - lo) > tol and mid not in (lo, hi):
+    while abs(hi - lo) > tol and 0.5 * (lo + hi) not in (lo, hi):
+        mid = 0.5 * (lo + hi)
         if detects(state_factory(mid), spec):
             hi = mid
         else:
             lo = mid
-        mid = 0.5 * (lo + hi)
-    return mid
+    return 0.5 * (lo + hi)
