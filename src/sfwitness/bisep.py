@@ -213,6 +213,8 @@ def _best_run(start, sweep, seed_words: tuple, restarts: int, tol: float, max_it
 def assemble_cut_state(cut: Bipartition, state_a: StateVector,
                        state_b: StateVector) -> StateVector:
     """Product state |a> x |b> across the cut, as a full register state."""
+    for value, kind in ((cut, Bipartition), (state_a, StateVector), (state_b, StateVector)):
+        check_type(value, kind, "assemble_cut_state")
     if (len(cut.part_a), len(cut.part_b)) != (state_a.n_qubits, state_b.n_qubits):
         raise InputError("factor sizes do not match the cut")
     order = [q - 1 for q in (*cut.part_a, *cut.part_b)]

@@ -146,28 +146,53 @@ def readout_probabilities(state, axis: str) -> np.ndarray:
 
 def correlation_matrices(state, axes) -> dict:
     """{a: axis_correlations(state, a)} for the sequence `axes`, memoized on the state. Every
-    axis is checked first; the missing ones share one sign table E: density matrices read x and
-    y off one real trace gather rho[c ^ m_i ^ m_j, c], scaled by -z_i z_j for y; pure states and
-    z use E^T diag(p_a) E, p_a the readout distribution."""
+    axis is checked first, and the missing ones share one sign table E: a density matrix is the
+    one-element case of `_density_correlations`, a pure state gives E^T diag(p_a) E with p_a
+    its readout distribution."""
     arr, n = _array(state), state.n_qubits
     for axis in axes:
         kernels.check_axis(axis)
-    memo, flipped = _memo(state), None
+    memo = _memo(state)
     missing = [axis for axis in axes if ("corr", axis) not in memo]
     signs = kernels.outcome_signs(n) if missing else None
-    for axis in missing:
-        if arr.ndim == 2 and axis != "z":
-            if flipped is None:
-                masks, idx = kernels.site_masks(n), np.arange(1 << n)
-                flipped = arr[(masks[:, None] ^ masks)[..., None] ^ idx, idx].real
-            corr = (flipped if axis == "x" else flipped * (signs[:, None] * -signs)).sum(axis=-1)
-        else:
-            corr = (signs * readout_probabilities(state, axis)) @ signs.T
-            corr = 0.5 * (corr + corr.T)  # symmetrized against rounding in the matmul
+    if arr.ndim == 2:
+        found = _density_correlations(arr[None], signs, missing)
+    else:
+        found = {axis: _from_readout(signs, readout_probabilities(state, axis)) for axis in missing}
+    for axis, corr in found.items():
+        corr = corr.reshape(n, n)
         np.fill_diagonal(corr, 1.0)
         corr.flags.writeable = False
         memo["corr", axis] = corr
     return {axis: memo["corr", axis] for axis in axes}
+
+
+def _density_correlations(stack: np.ndarray, signs: np.ndarray, axes) -> dict:
+    """{a: (B, n, n) matrices of <a_i a_j>, diagonal unset} of a (B, 2**n, 2**n) stack of
+    density matrices, `signs` the n x 2**n sign table: x and y share one real trace gather
+    rho[c ^ m_i ^ m_j, c], scaled by -z_i z_j for y; z reads the diagonal as a distribution."""
+    found, flipped = {}, None
+    for axis in axes:
+        if axis == "z":
+            found[axis] = _from_readout(signs, np.diagonal(stack, axis1=1, axis2=2).real)
+            continue
+        if flipped is None:  # Re rho[r, c] with r = c ^ m_i ^ m_j sits at float 2 (r d + c)
+            masks, idx = kernels.site_masks(len(signs)), np.arange(stack.shape[-1])
+            flat = (masks[:, None] ^ masks)[..., None] ^ idx
+            flat *= 2 * len(idx)
+            flat += 2 * idx
+            flipped = np.take(stack.reshape(len(stack), -1).view(float), flat, axis=1)
+            del flat  # as large as the gather; the y product below needs the room
+        corr = flipped if axis == "x" else flipped * (signs[:, None] * -signs)
+        found[axis] = corr.sum(axis=-1)
+    return found
+
+
+def _from_readout(signs: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """E^T diag(p) E for readout distributions p of shape (..., 2**n), symmetrized against
+    rounding in the matmul."""
+    corr = (signs * probs[..., None, :]) @ signs.T
+    return 0.5 * (corr + np.swapaxes(corr, -1, -2))
 
 
 def axis_correlations(state, axis: str) -> np.ndarray:

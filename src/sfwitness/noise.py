@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import kernels
+from . import kernels, witness
 from .errors import InputError, ResourceError, check_real, check_type
 from .states import DensityMatrix, StateVector
 from .witness import WitnessSpec, sigma_value
@@ -52,10 +52,10 @@ def noisy_sigma(state: StateVector, spec: WitnessSpec, noise: NoiseModel) -> flo
 def collective_threshold(state: StateVector, spec: WitnessSpec) -> float:
     """Largest white-noise fraction below which the state stays detected.
 
-    Returns 0 when the noiseless state is not detected to begin with.
+    Returns 0 when the noiseless state is not detected to begin with (`witness.detects`).
     """
     clean = sigma_value(state, spec)
-    if clean <= 1.0:
+    if not witness._detected(clean):
         return 0.0
     return 1.0 - 1.0 / clean
 
@@ -63,7 +63,7 @@ def collective_threshold(state: StateVector, spec: WitnessSpec) -> float:
 def individual_threshold(state: StateVector, spec: WitnessSpec) -> float:
     """Per-qubit depolarizing threshold q* = 1 - <Sigma>^(-1/2) (0 if undetected)."""
     clean = sigma_value(state, spec)
-    if clean <= 1.0:
+    if not witness._detected(clean):
         return 0.0
     return 1.0 - 1.0 / math.sqrt(clean)
 

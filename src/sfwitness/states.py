@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import InputError, ResourceError, check_integer, check_real, check_type
+from .errors import InputError, ResourceError, _shown, check_integer, check_real, check_type
 
 #: Default cap on dense state-vector size (2**MAX_QUBITS amplitudes).
 #: Reassign the module attribute to work above it.
@@ -45,8 +45,8 @@ def _check_size(n_qubits: int, name: str = "MAX_QUBITS") -> None:
     check_integer(n_qubits, "n_qubits", 1)
     cap = globals()[name]
     if n_qubits > cap:
-        raise ResourceError(f"{n_qubits} qubits exceeds the cap {name} = {cap} "
-                            f"(raise states.{name} to override)")
+        raise ResourceError(f"{_shown(n_qubits)} qubits exceeds the cap {name} = {cap} "
+                            f"(raise states.{name})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,17 +113,26 @@ def _checked_entries(n_qubits: int, entries, copy: bool = True) -> np.ndarray:
     mat = (np.array if copy else np.asarray)(entries, dtype=complex)
     if mat.shape != (dim, dim):
         raise InputError(f"expected shape {(dim, dim)}, got {mat.shape}")
-    if not np.isfinite(mat).all():
-        raise InputError("density-matrix entries must be finite")
-    rows = max(1, (1 << 14) // dim)  # row blocks of 2**14 entries keep the temporaries small
-    if max(np.max(np.abs(mat[i:i + rows] - mat[:, i:i + rows].conj().T))
-           for i in range(0, dim, rows)) > HERMITIAN_ATOL:
-        raise InputError("matrix is not Hermitian")
-    tr = complex(np.trace(mat))
-    if abs(tr - 1.0) > NORM_ATOL:
-        raise InputError(f"trace must be 1, got {tr!r}")
+    _check_stack(mat[None])
     mat.flags.writeable = False
     return mat
+
+
+def _check_stack(stack: np.ndarray) -> None:
+    """InputError unless each matrix of the (B, d, d) stack is finite, Hermitian and unit-trace."""
+    if not np.isfinite(stack).all():
+        raise InputError("density-matrix entries must be finite")
+    # blocks of 2**14 entries keep the temporaries small: whole matrices while they fit, else rows
+    dim = stack.shape[-1]
+    count, rows = max(1, (1 << 14) // dim ** 2), min(dim, max(1, (1 << 14) // dim))
+    if max(np.max(np.abs(stack[b:b + count, i:i + rows]
+                         - stack[b:b + count, :, i:i + rows].conj().swapaxes(1, 2)))
+           for b in range(0, len(stack), count) for i in range(0, dim, rows)) > HERMITIAN_ATOL:
+        raise InputError("matrix is not Hermitian")
+    traces = np.trace(stack, axis1=1, axis2=2)
+    off = np.abs(traces - 1.0) > NORM_ATOL
+    if off.any():
+        raise InputError(f"trace must be 1, got {complex(traces[np.argmax(off)])!r}")
 
 
 @dataclass(frozen=True)
@@ -137,7 +146,7 @@ class BlochVector:
     def __post_init__(self):
         for name in ("n_x", "n_y", "n_z"):  # within [-1, 1], so norm_sq cannot overflow
             check_real(getattr(self, name), f"Bloch vector {name}", -1, 1)
-        if self.norm_sq() > 1.0 + 1e-12:
+        if self.norm_sq() > 1.0 + NORM_ATOL:
             raise InputError(f"Bloch vector length exceeds 1: {self}")
 
     def norm_sq(self) -> float:
@@ -242,13 +251,28 @@ def _bloch_to_ket(points: np.ndarray) -> np.ndarray:
 def make_product_density(blochs) -> DensityMatrix:
     """Tensor product of single-qubit states (1 + n.sigma)/2."""
     blochs = [b if isinstance(b, BlochVector) else BlochVector(*b) for b in blochs]
-    _check_size(len(blochs), "DENSITY_MAX_QUBITS")
-    vectors = [(b.n_x, b.n_y, b.n_z) for b in blochs]
-    factors = 0.5 * (np.eye(2) + np.einsum("na,aij->nij", vectors, _PAULI))
+    entries = _product_stack([[(b.n_x, b.n_y, b.n_z) for b in blochs]])[0]
+    return DensityMatrix._psd_by_construction(len(blochs), entries)
+
+
+def _product_stack(vectors) -> np.ndarray:
+    """Unchecked (B, 2**N, 2**N) entries of the product densities of a (B, N, 3) stack of Bloch
+    vectors; the first vector BlochVector would reject raises its InputError."""
+    vectors = np.asarray(vectors, dtype=float)
+    _check_size(vectors.shape[1], "DENSITY_MAX_QUBITS")
+    x, y, z = np.moveaxis(vectors, -1, 0)
+    rejected = (~(np.abs(vectors) <= 1.0).all(axis=-1)  # the arithmetic of BlochVector's checks
+                | ((x ** 2 + y ** 2) + z ** 2 > 1.0 + NORM_ATOL))
+    if rejected.any():
+        BlochVector(*vectors[np.unravel_index(np.argmax(rejected), rejected.shape)].tolist())
+    factors = 0.5 * (np.eye(2) + np.einsum("bna,aij->nbij", vectors, _PAULI))
     rho = factors[0]
-    for one in factors[1:]:  # the Kronecker product rho (x) one, by broadcasting
-        rho = (rho[:, None, :, None] * one[None, :, None, :]).reshape(2 * len(rho), -1)
-    return DensityMatrix._psd_by_construction(len(blochs), rho)
+    # the Kronecker product rho (x) one, by broadcasting; the operand order is part of the
+    # result, since numpy's complex product is not bit-for-bit commutative
+    for one in factors[1:]:
+        rho = (rho[:, :, None, :, None] * one[:, None, :, None, :]).reshape(
+            len(rho), 2 * rho.shape[1], -1)
+    return rho
 
 
 def mix_with_white_noise(state: StateVector, p: float) -> DensityMatrix:
@@ -276,6 +300,7 @@ def _random_amplitudes(n_qubits: int, rng: np.random.Generator) -> np.ndarray:
 
 def to_json(state: StateVector) -> str:
     """Serialize the nonzero amplitudes of a state."""
+    check_type(state, StateVector, "to_json")
     terms = [
         {"basis": format(b, f"0{state.n_qubits}b"),
          "re": float(a.real), "im": float(a.imag)}

@@ -103,12 +103,15 @@ def _weight_matrix(k: float, positions: tuple) -> np.ndarray:
 
 
 def _axis_sums(weights: np.ndarray, correlations: dict) -> dict:
-    # symmetric matrices, zero-diagonal weights: the i < j sum is half the full sum
-    norm = 2 * math.comb(len(weights), 2)
-    return {axis: float(np.sum(weights * corr)) / norm for axis, corr in correlations.items()}
+    # symmetric matrices, zero-diagonal weights: the i < j sum is half the full sum; a leading
+    # stack axis on weights and correlations gives one sum per state
+    norm = 2 * math.comb(weights.shape[-1], 2)
+    return {axis: np.sum(weights * corr, axis=(-2, -1)) / norm
+            for axis, corr in correlations.items()}
 
 
-def _sigma_from(coefficients, weights: np.ndarray, correlations: dict) -> float:
+def _sigma_from(coefficients, weights: np.ndarray, correlations: dict):
+    """<Sigma>, or one per state when each coefficient is an array over a stack."""
     coefficients = dict(zip(AXES, coefficients))
     return sum((coefficients[axis] * value
                 for axis, value in _axis_sums(weights, correlations).items()), 0.0)
@@ -121,15 +124,15 @@ def axis_components(state, spec: WitnessSpec) -> tuple[float, float, float]:
     coefficient sweeps cheap: the components do not depend on c.
     """
     _check_state(state, spec)
-    return tuple(_axis_sums(pair_weight_matrix(spec),
-                            correlation_matrices(state, AXES)).values())
+    return tuple(map(float, _axis_sums(pair_weight_matrix(spec),
+                                       correlation_matrices(state, AXES)).values()))
 
 
 def sigma_value(state, spec: WitnessSpec) -> float:
     """<Sigma(k)> for the given state."""
     _check_state(state, spec)
-    return _sigma_from(spec.coefficients, pair_weight_matrix(spec),
-                       correlation_matrices(state, measurement_settings(spec)))
+    return float(_sigma_from(spec.coefficients, pair_weight_matrix(spec),
+                             correlation_matrices(state, measurement_settings(spec))))
 
 
 def witness_value(state, spec: WitnessSpec) -> float:
@@ -139,7 +142,12 @@ def witness_value(state, spec: WitnessSpec) -> float:
 
 def detects(state, spec: WitnessSpec) -> bool:
     """True iff the witness expectation is strictly below -DETECTION_TOL."""
-    return witness_value(state, spec) < -DETECTION_TOL
+    return _detected(sigma_value(state, spec))
+
+
+def _detected(sigma: float) -> bool:
+    """The detection rule on <Sigma>: <W> = 1 - <Sigma> strictly below -DETECTION_TOL."""
+    return 1.0 - sigma < -DETECTION_TOL
 
 
 def dicke_sigma_closed_form(n_qubits: int, l: int) -> Fraction:
@@ -209,8 +217,8 @@ def scan_k(state, c_x: float, c_y: float, c_z: float, k_grid,
     for k in k_grid:
         SiteLayout.checked(spec.layout, spec.n_qubits, k)
     correlations = correlation_matrices(state, measurement_settings(spec))
-    sigmas = [_sigma_from(spec.coefficients, _weight_matrix(k, spec.layout.positions),
-                          correlations) for k in k_grid]
+    sigmas = [float(_sigma_from(spec.coefficients, _weight_matrix(k, spec.layout.positions),
+                                correlations)) for k in k_grid]
     return [ScanPoint(k, sigma, 1.0 - sigma) for k, sigma in zip(k_grid, sigmas)]
 
 

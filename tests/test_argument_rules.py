@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 import sfwitness.witness as witness
-from sfwitness import (Bipartition, BisepResult, InputError, WitnessSpec, axis_components,
-                       cli, collective_spin_sq, collective_threshold, detects,
-                       estimate_witness, find_detection_boundary, gme_detected,
-                       make_dicke, make_ghz_superposition, make_phased_dicke,
-                       mix_with_white_noise, noisy_sigma, scan_k, seesaw_max, sigma_value,
-                       structure_factor, two_point)
+from sfwitness import (Bipartition, BisepResult, InputError, ResourceError, WitnessSpec,
+                       axis_components, cli, collective_spin_sq, collective_threshold,
+                       detects, estimate_witness, find_detection_boundary, gme_detected,
+                       individual_threshold, make_dicke, make_ghz_superposition,
+                       make_phased_dicke, mix_with_white_noise, noisy_sigma, scan_k,
+                       seesaw_max, sigma_value, structure_factor, to_json, two_point)
+from sfwitness.bisep import assemble_cut_state
 from sfwitness.errors import check_integer, check_real
 
 DICKE_4 = make_dicke(4, 2)
@@ -37,10 +38,13 @@ GHZ_BRACKET = (lambda theta: make_ghz_superposition(theta, +1), WitnessSpec(4, 0
     lambda: structure_factor(None, 0.0, "x", "x"),
     lambda: collective_spin_sq([1.0, 0.0], "z"),
     lambda: scan_k("state", 1, 1, 1, [0.0]),
+    lambda: to_json(mix_with_white_noise(DICKE_4, 0.5)),
+    lambda: assemble_cut_state(Bipartition((1,), (2,)), "a", "b"),
 ], ids=["noisy-sigma-str-model", "estimate-int-plan", "white-noise-str-state",
         "white-noise-density", "gme-none-bound", "seesaw-str-cut", "sigma-str-spec",
         "components-none-spec", "threshold-none-spec", "two-point-str-state",
-        "structure-factor-none-state", "spin-list-state", "scan-str-state"])
+        "structure-factor-none-state", "spin-list-state", "scan-str-state",
+        "to-json-density", "assemble-str-states"])
 def test_wrong_structured_argument_raises_input_error(call):
     with pytest.raises(InputError, match="needs a|unsupported state type"):
         call()
@@ -63,6 +67,13 @@ def test_numpy_scalar_reads_as_a_number():
 def test_huge_integer_message_stays_short(call):
     with pytest.raises(InputError) as info:
         call()
+    assert len(str(info.value)) < 80 and "e+" in str(info.value)
+
+
+@pytest.mark.parametrize("n_qubits", [10 ** 400, 10 ** 5000], ids=["401-digits", "5001-digits"])
+def test_huge_qubit_count_message_stays_short(n_qubits):
+    with pytest.raises(ResourceError) as info:
+        make_dicke(n_qubits, 1)
     assert len(str(info.value)) < 80 and "e+" in str(info.value)
 
 
@@ -101,3 +112,14 @@ def test_every_command_carries_its_runner():
     assert len(commands.choices) == 6
     for name, parser in commands.choices.items():
         assert callable(parser.get_default("runner")), name
+
+
+def test_thresholds_follow_detects_at_the_boundary():
+    factory, spec = GHZ_BRACKET[:2]
+    boundary = find_detection_boundary(*GHZ_BRACKET, tol=0)
+    below, above = factory(boundary - 2e-10), factory(boundary + 2e-10)
+    assert 1.0 < sigma_value(below, spec) < 1.0 + witness.DETECTION_TOL
+    assert not detects(below, spec)
+    assert collective_threshold(below, spec) == individual_threshold(below, spec) == 0.0
+    assert detects(above, spec)
+    assert collective_threshold(above, spec) > 0.0 and individual_threshold(above, spec) > 0.0

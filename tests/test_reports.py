@@ -1,4 +1,5 @@
-"""Reference battery bookkeeping: the shared max-deviation check and the size checks."""
+"""Reference battery bookkeeping: the shared max-deviation check, the size checks, and
+check 06's stacked evaluation against one state at a time."""
 
 import hashlib
 import math
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import sfwitness.reports as reports
-from sfwitness import InputError
+from sfwitness import InputError, WitnessSpec, make_product_density, witness_value
 from sfwitness.reports import ReferenceReport
 
 
@@ -86,16 +87,16 @@ def test_smallest_battery_sizes_reach_the_checks(monkeypatch):
 
 
 def test_product_bound_pins_its_exact_values(monkeypatch):
-    # every witness value of check 06 goes through the generic density path; a change
-    # in rounding anywhere along it moves one of the 500 floats, so their digest changes
+    # every witness value of check 06 goes through the generic density path, in stacks; a
+    # change in rounding anywhere along it moves one of the 500 floats, so their digest changes
     seen = []
-    evaluate = reports.witness.witness_value
+    evaluate = reports._product_bound_values
 
-    def recorded(state, spec):
-        seen.append(evaluate(state, spec))
-        return seen[-1]
+    def recorded(seed, samples):
+        seen.extend(evaluate(seed, samples))
+        return np.array(seen)
 
-    monkeypatch.setattr(reports.witness, "witness_value", recorded)
+    monkeypatch.setattr(reports, "_product_bound_values", recorded)
     report = ReferenceReport()
     reports._check_product_bound(report, 0, 500)
     assert len(seen) == 500
@@ -103,6 +104,71 @@ def test_product_bound_pins_its_exact_values(monkeypatch):
     digest = hashlib.sha256(np.array(seen, dtype="<f8").tobytes()).hexdigest()
     assert digest == "74c86e50e5954e7b8c2dae519ea42ff6fec864f93c86eb00732bfcdd9075c99c"
     assert report.checks[0].value == "min_witness=4.850e-01"
+
+
+def per_state_values(seed, samples):
+    """Check 06 one state at a time: its draws in order, each density built and evaluated
+    alone by the public path."""
+    rng = np.random.default_rng([seed, 6])
+    values = []
+    for _ in range(samples):
+        n = int(rng.integers(2, 7))
+        blochs = []
+        for _ in range(n):
+            v = rng.standard_normal(3)
+            v /= np.linalg.norm(v)
+            blochs.append(v * rng.random() ** (1.0 / 3.0))
+        spec = WitnessSpec(n, rng.uniform(0.0, 2.0 * math.pi), *rng.uniform(-1.0, 1.0, size=3))
+        values.append(witness_value(make_product_density(blochs), spec))
+    return np.array(values)
+
+
+def random_stack(rng, size, n):
+    vectors = rng.standard_normal((size, n, 3))
+    vectors *= rng.random((size, n, 1)) / np.linalg.norm(vectors, axis=-1, keepdims=True)
+    return vectors, rng.uniform(0.0, 2.0 * math.pi, size), rng.uniform(-1.0, 1.0, (size, 3))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_stacked_evaluator_matches_the_per_state_path(n):
+    vectors, ks, coefficients = random_stack(np.random.default_rng(n), 9, n)
+    vectors[0, 0] /= np.linalg.norm(vectors[0, 0])  # one pure factor
+    values = reports._product_witness_values(vectors, ks, coefficients)
+    expected = [witness_value(make_product_density(v), WitnessSpec(n, k, *c))
+                for v, k, c in zip(vectors, ks, coefficients)]
+    assert values.tobytes() == np.array(expected).tobytes()
+
+
+@pytest.mark.parametrize("stack_bytes", [None, 1 << 19, 1], ids=["default", "512KiB", "one-state"])
+def test_stack_size_leaves_the_values_unchanged(stack_bytes, monkeypatch):
+    expected = per_state_values(3, 201)
+    if stack_bytes is not None:
+        monkeypatch.setattr(reports.bisep, "_STACK_BYTES", stack_bytes)
+    stacks, evaluate = {}, reports._product_witness_values
+
+    def recorded(vectors, ks, coefficients):
+        stacks.setdefault(vectors.shape[1], []).append(len(vectors))
+        return evaluate(vectors, ks, coefficients)
+
+    monkeypatch.setattr(reports, "_product_witness_values", recorded)
+    assert reports._product_bound_values(3, 201).tobytes() == expected.tobytes()
+    if stack_bytes == 1:
+        assert {size for sizes in stacks.values() for size in sizes} == {1}
+    else:  # some N ends on a part-filled stack
+        assert any(len(set(sizes)) > 1 for sizes in stacks.values())
+
+
+@pytest.mark.parametrize("bad", [(0.8, 0.8, 0.0), (0.0, math.nan, 0.0), (math.inf, 0.0, 0.0),
+                                 (0.0, 0.0, -1.5)],
+                         ids=["longer-than-one", "nan", "inf", "out-of-range"])
+def test_stack_rejects_a_vector_as_the_per_state_path_does(bad):
+    vectors, ks, coefficients = random_stack(np.random.default_rng(0), 5, 3)
+    vectors[3, 1] = bad
+    with pytest.raises(InputError) as one:
+        make_product_density(vectors[3].tolist())
+    with pytest.raises(InputError) as stacked:
+        reports._product_witness_values(vectors, ks, coefficients)
+    assert str(stacked.value) == str(one.value)
 
 
 def test_checks_carry_the_time_of_their_group(monkeypatch):

@@ -335,6 +335,22 @@ class TestDensityMatrixInvariants:
                     with pytest.raises(InputError, match="not Hermitian"):
                         build(9, mat)
 
+    @pytest.mark.parametrize("n_qubits, size, index", [(2, 3000, 2500), (6, 64, 5)])
+    @pytest.mark.parametrize("corrupt", [
+        lambda m: m.__setitem__((0, 1), math.nan),
+        lambda m: m.__setitem__((1, 0), 2e-12),
+        lambda m: m.__imul__(2.0),
+    ], ids=["non-finite", "non-hermitian", "trace-2"])
+    def test_stack_check_raises_the_error_of_its_matrix(self, n_qubits, size, index, corrupt):
+        # one matrix of a stack, in a later block of whole matrices (N = 2) or of rows (N = 6)
+        stack = np.repeat(np.eye(2 ** n_qubits, dtype=complex)[None] / 2 ** n_qubits, size, 0)
+        corrupt(stack[index])
+        with pytest.raises(InputError) as one:
+            DensityMatrix(n_qubits, stack[index])
+        with pytest.raises(InputError) as stacked:
+            states._check_stack(stack)
+        assert str(stacked.value) == str(one.value)
+
     def test_constructor_copies_its_input(self):
         mat = np.eye(2, dtype=complex) / 2
         rho = DensityMatrix(1, mat)
