@@ -8,9 +8,10 @@ rotated basis and E the 2**n x n matrix of +-1 eigenvalues
 x and y. States are immutable, so each state memoizes its readout
 distributions and correlation matrices: every evaluation of one state (any
 k, c, threshold or shot estimate) shares one rotation per axis, and the
-returned arrays are read-only. `two_point` uses `kernels.pair_expectation`.
-Spin operators are bare Pauli matrices (no 1/2), so a Dicke state |N,l>
-gives sum_{i<j} <x_i x_j> = l(N-l) at k = 0.
+returned arrays are read-only. `two_point` uses `kernels.pair_expectation`;
+collective-spin moments of a density matrix read only the n 2**n entries of
+A rho that Tr(A A rho) needs. Spin operators are bare Pauli matrices (no
+1/2), so a Dicke state |N,l> gives sum_{i<j} <x_i x_j> = l(N-l) at k = 0.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import InputError, check_integer, check_real
+from .errors import InputError, _shown, check_integer, check_real, check_type
 from .states import DensityMatrix, StateVector
 
 IMAG_ATOL = 1e-10
@@ -38,7 +39,11 @@ class SiteLayout:
     positions: tuple
 
     def __post_init__(self):
-        pos = tuple(float(check_real(r, "site position")) for r in self.positions)
+        try:
+            pos = iter(self.positions)
+        except TypeError as exc:
+            raise InputError(f"positions must be iterable, got {_shown(self.positions)}") from exc
+        pos = tuple(float(check_real(r, "site position")) for r in pos)
         if len(pos) < 1:
             raise InputError("layout needs at least one site")
         if not (math.isfinite(pos[-1] - pos[0]) and all(b > a for a, b in zip(pos, pos[1:]))):
@@ -49,7 +54,8 @@ class SiteLayout:
     @classmethod
     def checked(cls, layout: "SiteLayout | None", n_sites: int, k: float) -> "SiteLayout":
         """`layout` or unit spacing; InputError unless it has n_sites sites and k is real."""
-        layout = layout or cls.unit_spacing(n_sites)
+        layout = cls.unit_spacing(n_sites) if layout is None else layout
+        check_type(layout, cls, "the layout")
         if len(layout) != n_sites:
             raise InputError(f"layout has {len(layout)} sites for {n_sites} qubits")
         check_real(k, "k")
@@ -100,18 +106,22 @@ def two_point(state, i: int, j: int, a: str, b: str) -> float:
 
 def _collective_square(state, weights, a: str) -> float:
     """<A^2> of the site-weighted collective spin A = sum_j weights[j] sigma_j^a through A itself,
-    not pair sums: |A psi|^2, or Tr(A phi) with phi = A rho, read off one diagonal gather per
-    site, sum_c coef_j[c] phi[c ^ m_j, c]."""
+    not pair sums: |A psi|^2, or Tr(A phi) = sum_j w_j sum_c coef_j[c] g_j[c], phi = A rho, with
+    g_j[c] = phi[c ^ m_j, c] = sum_i w_i coef_i[r] rho[r ^ m_i, c], r = c ^ m_j: n^2 2**n work."""
     arr, n = _array(state), state.n_qubits
-    phi = np.zeros_like(arr)
-    for site, weight in enumerate(weights, 1):
-        phi += weight * kernels.apply_pauli(arr, n, site, a)
     if arr.ndim == 1:
+        phi = np.zeros_like(arr)
+        for site, weight in enumerate(weights, 1):
+            phi += weight * kernels.apply_pauli(arr, n, site, a)
         return float(np.real(np.vdot(phi, phi)))
     idx, trace = np.arange(1 << n), 0j
-    for site, weight in enumerate(weights, 1):
-        flip, coef = kernels.pauli_action(n, site, a)
-        trace += weight * np.sum(coef * phi[idx ^ flip, idx])
+    actions = [kernels.pauli_action(n, site, a) for site in range(1, len(weights) + 1)]
+    for (flip_j, coef_j), weight_j in zip(actions, weights):
+        rows, g_j = idx ^ flip_j, np.zeros(idx.size, dtype=arr.dtype)
+        for (flip_i, coef_i), weight_i in zip(actions, weights):
+            term = arr[rows ^ flip_i, idx]  # x multiplies by nothing, as in apply_pauli
+            g_j += weight_i * (term if a == "x" else coef_i[rows] * term)
+        trace += weight_j * np.sum(coef_j * g_j)
     return _real(trace)
 
 
@@ -219,6 +229,6 @@ def verify_collective_identity(state, a: str, k: float = 0.0,
     the pair sum, and (<(U^a)^2> + <(V^a)^2> - N)/2 = (|S^a(k)|^2 - N)/2 with U^a = sum_j
     cos(k r_j) s_j^a and V^a = sum_j sin(k r_j) s_j^a. The two agree for every state."""
     lhs = structure_factor(state, k, a, a, layout).real
-    pos = k * np.asarray((layout or SiteLayout.unit_spacing(state.n_qubits)).positions)
+    pos = k * np.asarray(SiteLayout.checked(layout, state.n_qubits, k).positions)
     u_sq, v_sq = (_collective_square(state, part(pos), a) for part in (np.cos, np.sin))
     return lhs, (u_sq + v_sq - state.n_qubits) / 2.0

@@ -281,7 +281,7 @@ def _product_witness_values(vectors: np.ndarray, ks: np.ndarray,
     stack, n = states._product_stack(vectors), vectors.shape[1]
     states._check_stack(stack)
     positions = SiteLayout.unit_spacing(n).positions
-    weights = np.array([witness._weight_matrix(k, positions) for k in ks.tolist()])
+    weights = witness._weight_table(ks.tolist(), positions)
     correlations = _density_correlations(stack, kernels.outcome_signs(n), kernels.AXES)
     return 1.0 - witness._sigma_from(coefficients.T, weights, correlations)
 

@@ -23,7 +23,7 @@ import numpy as np
 from . import kernels, states
 from .correlators import SiteLayout, _array, correlation_matrices
 from .correlators import two_point  # noqa: F401 (re-export)
-from .errors import InputError, UnsupportedCaseError, check_integer, check_real, check_type
+from .errors import InputError, UnsupportedCaseError, _shown, check_integer, check_real, check_type
 from .kernels import AXES
 
 DETECTION_TOL = 1e-9
@@ -90,16 +90,18 @@ def _check_state(state, spec: WitnessSpec) -> None:
 
 def pair_weight_matrix(spec: WitnessSpec) -> np.ndarray:
     """Symmetric zero-diagonal n x n matrix of the weights cos(k m_ij)."""
-    return _weight_matrix(spec.k, spec.layout.positions)
+    return _weight_table((spec.k,), spec.layout.positions)[0]
 
 
-def _weight_matrix(k: float, positions: tuple) -> np.ndarray:
-    # the arithmetic of WitnessSpec.pair_weight, entry for entry
-    weights = [[0.0] * len(positions) for _ in positions]
+def _weight_table(ks, positions: tuple) -> np.ndarray:
+    """pair_weight_matrix for each k in `ks`, stacked: pair_weight's arithmetic with one math.cos
+    per k and distinct separation, whose column each entry reads (column 0: the diagonal)."""
+    columns, slots = {}, [[0] * len(positions) for _ in positions]
     for i, r in enumerate(positions):
         for j in range(i + 1, len(positions)):
-            weights[i][j] = weights[j][i] = math.cos(abs(k) * (positions[j] - r))
-    return np.array(weights)
+            slots[i][j] = slots[j][i] = columns.setdefault(positions[j] - r, len(columns) + 1)
+    values = np.array([[0.0] + [math.cos(abs(k) * d) for d in columns] for k in ks])
+    return np.take(values, slots, axis=1)
 
 
 def _axis_sums(weights: np.ndarray, correlations: dict) -> dict:
@@ -208,8 +210,11 @@ class ScanPoint(NamedTuple):
 
 def scan_k(state, c_x: float, c_y: float, c_z: float, k_grid,
            layout: SiteLayout | None = None) -> list[ScanPoint]:
-    """Evaluate sigma/witness over a k grid (correlators computed once)."""
-    k_grid = list(k_grid)
+    """Evaluate sigma/witness over a k grid (correlators and weight table computed once)."""
+    try:
+        k_grid = list(k_grid)
+    except TypeError as exc:
+        raise InputError(f"k grid must be iterable, got {_shown(k_grid)}") from exc
     if not k_grid:
         raise InputError("k grid must be nonempty")
     _array(state)
@@ -217,8 +222,8 @@ def scan_k(state, c_x: float, c_y: float, c_z: float, k_grid,
     for k in k_grid:
         SiteLayout.checked(spec.layout, spec.n_qubits, k)
     correlations = correlation_matrices(state, measurement_settings(spec))
-    sigmas = [float(_sigma_from(spec.coefficients, _weight_matrix(k, spec.layout.positions),
-                                correlations)) for k in k_grid]
+    sigmas = [float(_sigma_from(spec.coefficients, weights, correlations))
+              for weights in _weight_table(k_grid, spec.layout.positions)]
     return [ScanPoint(k, sigma, 1.0 - sigma) for k, sigma in zip(k_grid, sigmas)]
 
 

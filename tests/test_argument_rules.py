@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 import sfwitness.witness as witness
-from sfwitness import (Bipartition, BisepResult, InputError, ResourceError, WitnessSpec,
-                       axis_components, cli, collective_spin_sq, collective_threshold,
-                       detects, estimate_witness, find_detection_boundary, gme_detected,
-                       individual_threshold, make_dicke, make_ghz_superposition,
+from sfwitness import (Bipartition, BisepResult, InputError, ResourceError, SiteLayout,
+                       WitnessSpec, axis_components, cli, collective_spin_sq,
+                       collective_threshold, detects, estimate_witness, find_detection_boundary,
+                       gme_detected, individual_threshold, make_dicke, make_ghz_superposition,
                        make_phased_dicke, mix_with_white_noise, noisy_sigma, scan_k,
-                       seesaw_max, sigma_value, structure_factor, to_json, two_point)
+                       seesaw_max, sigma_value, structure_factor, to_json, two_point,
+                       verify_collective_identity)
 from sfwitness.bisep import assemble_cut_state
 from sfwitness.errors import check_integer, check_real
 
@@ -40,13 +41,32 @@ GHZ_BRACKET = (lambda theta: make_ghz_superposition(theta, +1), WitnessSpec(4, 0
     lambda: scan_k("state", 1, 1, 1, [0.0]),
     lambda: to_json(mix_with_white_noise(DICKE_4, 0.5)),
     lambda: assemble_cut_state(Bipartition((1,), (2,)), "a", "b"),
+    lambda: WitnessSpec(3, 0.1, 1, 1, 1, (0.0, 1.0, 2.0)),
+    lambda: structure_factor(DICKE_4, 0.0, "x", "x", layout=[0, 1, 2, 3]),
+    lambda: structure_factor(DICKE_4, 0.0, "x", "x", layout=[]),
+    lambda: scan_k(DICKE_4, 1, 1, 1, [0.0], layout="abc"),
+    lambda: verify_collective_identity(DICKE_4, "x", 0.1, layout="abc"),
 ], ids=["noisy-sigma-str-model", "estimate-int-plan", "white-noise-str-state",
         "white-noise-density", "gme-none-bound", "seesaw-str-cut", "sigma-str-spec",
         "components-none-spec", "threshold-none-spec", "two-point-str-state",
         "structure-factor-none-state", "spin-list-state", "scan-str-state",
-        "to-json-density", "assemble-str-states"])
+        "to-json-density", "assemble-str-states", "spec-tuple-layout",
+        "structure-factor-list-layout", "structure-factor-empty-layout", "scan-str-layout",
+        "identity-str-layout"])
 def test_wrong_structured_argument_raises_input_error(call):
     with pytest.raises(InputError, match="needs a|unsupported state type"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: SiteLayout(None),
+    lambda: SiteLayout(3),
+    lambda: SiteLayout(np.array(3.0)),
+    lambda: scan_k(DICKE_4, 1, 1, 1, None),
+    lambda: scan_k(DICKE_4, 1, 1, 1, 0.5),
+], ids=["layout-none", "layout-int", "layout-0d-array", "grid-none", "grid-float"])
+def test_non_iterable_raises_input_error(call):
+    with pytest.raises(InputError, match="must be iterable, got"):
         call()
 
 

@@ -3,6 +3,7 @@
 import collections
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from sfwitness import (DensityMatrix, InputError, ShotPlan, SiteLayout, StateVec
                        two_point, verify_collective_identity)
 from sfwitness import correlators, kernels
 from sfwitness.correlators import correlation_matrices, readout_probabilities
+import collective_reference
 from conftest import dense_expectation, pauli_on, random_mixed, random_pure
 
 
@@ -161,6 +163,30 @@ class TestCollectiveSpin:
         for axis in "xyz":
             assert collective_spin_sq(rho, axis) == pytest.approx(
                 collective_spin_sq(state, axis), abs=1e-11)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_density_route_equals_full_matrix_reference(self, rng, n):
+        # the restricted trace does the full phi = A rho arithmetic on the entries it reads
+        for _ in range(4):
+            rho = random_mixed(rng, n)
+            phases = rng.uniform(-4.0, 4.0) * np.cumsum(rng.uniform(0.1, 2.0, n))
+            for axis, weights in itertools.product(
+                    "xyz", ([0.5] * n, np.cos(phases), np.sin(phases))):
+                assert correlators._collective_square(rho, weights, axis) == \
+                    collective_reference.collective_square(rho, weights, axis)
+
+    @pytest.mark.parametrize("axis", "xyz")
+    def test_density_routes_hold_no_matrix_sized_temporary(self, axis):
+        rho = mix_with_white_noise(make_dicke(10, 5), 0.1)  # 16 MB of entries
+        axis_correlations(rho, axis)  # the pair route's n^2 2^n gather is not guarded here
+        tracemalloc.start()
+        try:
+            collective_spin_sq(rho, axis)
+            verify_collective_identity(rho, axis, 0.7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
 
 
 class TestStructureFactor:

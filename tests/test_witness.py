@@ -1,5 +1,6 @@
 """Witness assembly, closed forms, the dense operator, and detection."""
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -7,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sfwitness import (InputError, ResourceError, SiteLayout, states,
+from sfwitness import (InputError, ResourceError, SiteLayout, states, witness,
                        UnsupportedCaseError, WitnessSpec, axis_components,
                        collective_threshold_exact, detects, dicke_sigma_closed_form,
                        make_basis_state, make_dicke, make_phased_dicke, make_product_density,
@@ -97,6 +98,34 @@ class TestPairWeightMatrix:
         for i in range(1, 5):
             for j in range(i + 1, 5):
                 assert weights[i - 1, j - 1] == spec.pair_weight(i, j)
+
+    @staticmethod
+    def _assert_table_rows_are_pair_weights(ks, layout):
+        table = witness._weight_table(ks, layout.positions)
+        n = len(layout)
+        assert table.shape == (len(ks), n, n) and table.flags.c_contiguous
+        for k, weights in zip(ks, table):
+            spec = WitnessSpec(n, k, 1, 1, 1, layout)
+            assert np.array_equal(np.diag(weights), np.zeros(n))
+            for i, j in itertools.combinations(range(1, n + 1), 2):
+                assert weights[i - 1, j - 1] == weights[j - 1, i - 1] == spec.pair_weight(i, j)
+
+    @pytest.mark.parametrize("positions", [
+        (0.0, 1.0, 2.0, 3.0, 4.0, 5.0), (0.0, 1.0, 3.0, 4.0, 6.0, 7.0),
+        (-1.0, 0.3, 1.7, 2.0, 5.5), (0.0, 0.1, 0.2, 0.30000000000000004, 0.4),
+    ], ids=["unit", "repeated", "irregular", "near-equal-separations"])
+    @pytest.mark.parametrize("ks", [
+        (0.7,), (-2.5, 0.0, 1e300, math.pi), tuple(np.linspace(-math.pi, math.pi, 9)),
+    ], ids=["one-k", "negative-and-huge-k", "grid"])
+    def test_table_rows_are_pair_weights(self, positions, ks):
+        self._assert_table_rows_are_pair_weights(ks, SiteLayout(positions))
+
+    def test_table_rows_are_pair_weights_on_random_layouts(self, rng):
+        for _ in range(200):
+            n = int(rng.integers(2, 8))
+            steps = rng.integers(1, 3, n) if rng.random() < 0.5 else rng.uniform(0.1, 2.0, n)
+            ks = rng.uniform(-10.0, 10.0, int(rng.integers(1, 4))).tolist()
+            self._assert_table_rows_are_pair_weights(ks, SiteLayout(np.cumsum(steps).tolist()))
 
 
 def _pair_route_sums(state, spec):
