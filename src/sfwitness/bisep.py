@@ -236,6 +236,7 @@ def _seesaw_cut(spec: WitnessSpec, cut: Bipartition, restarts: int, tol: float,
                 max_iter: int, seed: int, cut_index: int, orbit_size: int = 1) -> BisepResult:
     """First best of `restarts` see-saw runs, run r seeded by [seed, cut_index, r]."""
     half_step, parts = _cut_half_step(spec, cut), (cut.part_a, cut.part_b)
+    sizes = [2 << len(part) for part in parts]  # normals per factor: real and imaginary parts
 
     def sweep(factors, rows):
         for hold in range(2):
@@ -244,11 +245,14 @@ def _seesaw_cut(spec: WitnessSpec, cut: Bipartition, restarts: int, tol: float,
             factors[hold][rows] = eigvecs[:, :, -1]
         return eigvals[:, -1] + shifts
 
+    def start(rng):  # one draw per restart, split into the two factors' normals
+        normals = rng.standard_normal(sum(sizes))
+        return list(map(states._normalized_amplitudes, np.split(normals, sizes[:1])))
+
     # per restart, a half-step's peak holds two complex (d, d) arrays of the larger block:
     # its summed operator beside either the coupling term or eigh's eigenvectors
     value, factors, iterations, converged = _best_run(
-        lambda rng: [states._random_amplitudes(len(part), rng) for part in parts], sweep,
-        (seed, cut_index), restarts, tol, max_iter,
+        start, sweep, (seed, cut_index), restarts, tol, max_iter,
         stack=max(1, _STACK_BYTES // (32 * 4 ** max(map(len, parts)))))
     best_state = tuple(StateVector(len(part), factor) for part, factor in zip(parts, factors))
     return BisepResult(bound=_recheck(value, assemble_cut_state(cut, *best_state), spec),
@@ -305,7 +309,7 @@ def product_bound(spec: WitnessSpec, restarts: int = DEFAULT_RESTARTS,
     coefficients = np.array(spec.coefficients)
 
     def start(rng):
-        a, b = np.array([states._random_amplitudes(1, rng) for _ in weights]).T
+        a, b = states._normalized_amplitudes(rng.standard_normal((len(weights), 4))).T
         return [np.column_stack([2 * (a.conj() * b).real, 2 * (a.conj() * b).imag,
                                  np.abs(a) ** 2 - np.abs(b) ** 2])]
 

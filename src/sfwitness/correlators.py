@@ -179,10 +179,11 @@ def correlation_matrices(state, axes) -> dict:
 
 def _density_correlations(stack: np.ndarray, signs: np.ndarray, axes) -> dict:
     """{a: (B, n, n) matrices of <a_i a_j>, diagonal unset} of a (B, 2**n, 2**n) stack of
-    density matrices, `signs` the n x 2**n sign table: x and y share one real trace gather
-    rho[c ^ m_i ^ m_j, c], scaled by -z_i z_j for y; z reads the diagonal as a distribution."""
-    found, flipped = {}, None
-    for axis in axes:
+    density matrices, in the order of `axes`, `signs` the n x 2**n sign table: x and y share
+    one real trace gather rho[c ^ m_i ^ m_j, c], scaled by z_i and by -z_j for y; z reads the
+    diagonal as a distribution."""
+    found, flipped = dict.fromkeys(axes), None
+    for axis in sorted(found):  # x sums the gather before y scales it in place
         if axis == "z":
             found[axis] = _from_readout(signs, np.diagonal(stack, axis1=1, axis2=2).real)
             continue
@@ -192,9 +193,11 @@ def _density_correlations(stack: np.ndarray, signs: np.ndarray, axes) -> dict:
             flat *= 2 * len(idx)
             flat += 2 * idx
             flipped = np.take(stack.reshape(len(stack), -1).view(float), flat, axis=1)
-            del flat  # as large as the gather; the y product below needs the room
-        corr = flipped if axis == "x" else flipped * (signs[:, None] * -signs)
-        found[axis] = corr.sum(axis=-1)
+            del flat  # as large as the gather
+        if axis == "y":  # exact: every factor is +-1
+            flipped *= signs[:, None]
+            flipped *= -signs
+        found[axis] = flipped.sum(axis=-1)
     return found
 
 

@@ -68,10 +68,12 @@ def apply_pauli(arr: np.ndarray, n_qubits: int, site: int, axis: str) -> np.ndar
     return coef.reshape(-1, *([1] * (arr.ndim - 1))) * out
 
 
-def apply_pauli_right(rho: np.ndarray, n_qubits: int, site: int, axis: str) -> np.ndarray:
-    """Return rho @ sigma_site^axis for a square matrix rho."""
-    # sigma is Hermitian: rho sigma = (sigma rho^dagger)^dagger
-    return apply_pauli(rho.conj().T, n_qubits, site, axis).conj().T
+def flip_site(rho: np.ndarray, n_qubits: int, site: int) -> np.ndarray:
+    """Return sigma_site^x rho sigma_site^x for a square matrix rho: a copy of rho with the
+    site's bit flipped in both the row and the column index."""
+    check_integer(site, "site", 1, n_qubits)
+    split = (1 << (site - 1), 2, 1 << (n_qubits - site))
+    return rho.reshape(split + split)[:, ::-1, :, :, ::-1].reshape(rho.shape)
 
 
 def pair_expectation(arr: np.ndarray, n_qubits: int, i: int, j: int,

@@ -76,11 +76,13 @@ def collective_threshold_exact(sigma: Fraction) -> Fraction:
 
 
 def _depolarize_qubit(rho: np.ndarray, n_qubits: int, site: int, q: float) -> np.ndarray:
-    """Kraus form of rho_s -> (1-q) rho_s + q 1/2 on one qubit."""
+    """Kraus form of rho_s -> (1-q) rho_s + q 1/2 on one qubit: with X = x rho x, the two-sided
+    flip, y rho y = z_r z_c X and z rho z = z_r z_c rho, z the site's row and column signs."""
+    flipped, z = kernels.flip_site(rho, n_qubits, site), kernels.outcome_signs(n_qubits, (site,))
+    zz = z.T * z
     out = (1.0 - 0.75 * q) * rho
-    for axis in kernels.AXES:
-        srho = kernels.apply_pauli(rho, n_qubits, site, axis)
-        out = out + (0.25 * q) * kernels.apply_pauli_right(srho, n_qubits, site, axis)
+    for term in (flipped, zz * flipped, zz * rho):
+        out = out + (0.25 * q) * term
     return out
 
 

@@ -110,21 +110,41 @@ def _cap_points(center: np.ndarray, radius: float, per_side: int) -> np.ndarray:
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
+def _grid_argmax(values, grids) -> tuple:
+    """(flat index, value) of the first maximum of values(*grids), a NaN the largest, as
+    np.argmax over the whole grid finds it, from blocks of rows of the first grid: each of at
+    most bisep._STACK_BYTES / 128 values (product_grid_max_3 holds about five float64 per
+    value at once) and of at least two rows, as one row would turn a matmul in `values` into
+    a vector-matrix product, which rounds differently."""
+    cols = math.prod(map(len, grids[1:]))
+    rows = max(2, bisep._STACK_BYTES // (128 * cols))
+    edges = [*range(0, len(grids[0]), rows), len(grids[0])]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]  # merge a one-row tail into the block before it
+    for start, stop in zip(edges, edges[1:]):
+        block = values(grids[0][start:stop], *grids[1:])
+        index = int(np.argmax(block))
+        value = block.flat[index]
+        if start == 0 or value > best or np.isnan(value) and not np.isnan(best):
+            best_index, best = start * cols + index, value
+    return best_index, best
+
+
 def _sphere_search(values, spheres: int, coarse: int, per_side: int) -> float:
     """Grid maximum of `values` over one or two unit spheres.
 
     `values(*grids)` maps one (m, 3) point array per sphere to an array with
-    one axis per sphere. A Fibonacci grid of `coarse` points is refined by
-    three cap grids around the best point, each cap 8x smaller.
+    one axis per sphere, each value depending only on its own points. A
+    Fibonacci grid of `coarse` points is refined by three cap grids around
+    the best point, each cap 8x smaller.
     """
     grids = [_fibonacci_sphere(coarse)] * spheres
     radius = math.sqrt(4.0 * math.pi / coarse)
     for _ in range(3):
-        grid_values = values(*grids)
-        top = np.unravel_index(int(np.argmax(grid_values)), grid_values.shape)
+        top = np.unravel_index(_grid_argmax(values, grids)[0], [len(g) for g in grids])
         grids = [_cap_points(g[i], radius, per_side) for g, i in zip(grids, top)]
         radius /= 8.0
-    return float(np.max(values(*grids)))
+    return float(_grid_argmax(values, grids)[1])
 
 
 def product_grid_max_2(spec: WitnessSpec) -> float:

@@ -289,13 +289,17 @@ def mix_with_white_noise(state: StateVector, p: float) -> DensityMatrix:
 def random_state_vector(n_qubits: int, rng: np.random.Generator) -> StateVector:
     """Haar-like random pure state: normalized complex-normal amplitudes."""
     _check_size(n_qubits)
-    return StateVector(n_qubits, _random_amplitudes(n_qubits, rng))
+    return StateVector(n_qubits, _normalized_amplitudes(rng.standard_normal(2 << n_qubits)))
 
 
-def _random_amplitudes(n_qubits: int, rng: np.random.Generator) -> np.ndarray:
-    """Normalized complex-normal amplitudes, unchecked (random_state_vector checks them)."""
-    amps = rng.standard_normal(2 ** n_qubits) + 1j * rng.standard_normal(2 ** n_qubits)
-    return amps / np.linalg.norm(amps)
+def _normalized_amplitudes(normals: np.ndarray) -> np.ndarray:
+    """Complex amplitudes from the last axis of `normals`, real parts then imaginary parts, each
+    row divided by its norm: a dot of its real parts plus one of its imaginary parts, per row,
+    which rounds as np.linalg.norm does."""
+    half = normals.shape[-1] // 2
+    amps = normals[..., :half] + 1j * normals[..., half:]
+    re, im = amps.real[..., None, :], amps.imag[..., None, :]
+    return amps / np.sqrt(re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2))[..., 0]
 
 
 def to_json(state: StateVector) -> str:

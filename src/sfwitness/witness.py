@@ -222,9 +222,10 @@ def scan_k(state, c_x: float, c_y: float, c_z: float, k_grid,
     for k in k_grid:
         SiteLayout.checked(spec.layout, spec.n_qubits, k)
     correlations = correlation_matrices(state, measurement_settings(spec))
-    sigmas = [float(_sigma_from(spec.coefficients, weights, correlations))
-              for weights in _weight_table(k_grid, spec.layout.positions)]
-    return [ScanPoint(k, sigma, 1.0 - sigma) for k, sigma in zip(k_grid, sigmas)]
+    sigmas = _sigma_from(spec.coefficients, _weight_table(k_grid, spec.layout.positions),
+                         correlations)  # one sum per k; 0.0 when every coefficient is zero
+    return [ScanPoint(k, sigma, 1.0 - sigma)
+            for k, sigma in zip(k_grid, np.broadcast_to(sigmas, len(k_grid)).tolist())]
 
 
 def find_detection_boundary(state_factory, spec: WitnessSpec,

@@ -205,11 +205,11 @@ class TestSeesaw:
         # recomputed by sigma_value
         spec = random_spec(rng, 4)
         cut = Bipartition((1, 3), (2, 4))
-        eigh, draw = np.linalg.eigh, states._random_amplitudes
+        eigh, normalize = np.linalg.eigh, states._normalized_amplitudes
         starts, tops = [], []
 
-        def recording_draw(n_qubits, rng):
-            amplitudes = draw(n_qubits, rng)
+        def recording_draw(normals):
+            amplitudes = normalize(normals)
             starts.append(amplitudes.copy())
             return amplitudes
 
@@ -219,13 +219,13 @@ class TestSeesaw:
             tops.append(eigvecs[0, :, -1])
             return eigvals, eigvecs
 
-        monkeypatch.setattr(states, "_random_amplitudes", recording_draw)
+        monkeypatch.setattr(states, "_normalized_amplitudes", recording_draw)
         monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
         for seed in range(5):
             starts.clear()
             tops.clear()
             result = seesaw_max(spec, cut, restarts=1, tol=1e-10, max_iter=200, seed=seed)
-            assert len(tops) == 2 * result.iterations
+            assert len(starts) == 2 and len(tops) == 2 * result.iterations
             factors, values = list(starts), []
             for step, top in enumerate(tops):
                 factors[step % 2] = top

@@ -188,6 +188,28 @@ class TestCollectiveSpin:
             tracemalloc.stop()
         assert peak < 2 * 2 ** 20
 
+    @pytest.mark.parametrize("axis", "xyz")
+    def test_cold_pair_route_holds_one_gather(self, axis):
+        # the n^2 2^n gather and its index table take 1.6 MB at N = 10; y scales the gather in
+        # place, where its sign product took another 0.8 MB
+        rho = mix_with_white_noise(make_dicke(10, 5), 0.1)
+        tracemalloc.start()
+        try:
+            verify_collective_identity(rho, axis, 0.7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * 2 ** 20
+
+    def test_gather_axes_in_any_order_give_the_same_matrices(self, rng):
+        stack = np.array([random_mixed(rng, 4).entries for _ in range(3)])
+        signs = kernels.outcome_signs(4)
+        first = correlators._density_correlations(stack, signs, "xyz")
+        for axes in itertools.permutations("xyz"):
+            found = correlators._density_correlations(stack, signs, axes)
+            assert tuple(found) == axes
+            assert all(found[a].tobytes() == first[a].tobytes() for a in axes)
+
 
 class TestStructureFactor:
     @pytest.mark.parametrize("n, l", [(3, 1), (4, 2), (6, 2), (8, 4)])

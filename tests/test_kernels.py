@@ -28,8 +28,18 @@ def test_apply_pauli_matches_dense_operator(rng, n):
         for arr in (vector, matrix):
             assert np.allclose(kernels.apply_pauli(arr, n, site, axis), op @ arr,
                                rtol=0, atol=1e-15)
-        assert np.allclose(kernels.apply_pauli_right(matrix, n, site, axis), matrix @ op,
-                           rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_two_sided_flip_matches_dense_operators(rng, n):
+    # x rho x flips the site's row and column bits; y rho y and z rho z add the signs z_r z_c
+    matrix = random_mixed(rng, n).entries
+    for site in range(1, n + 1):
+        flipped = kernels.flip_site(matrix, n, site)
+        z = kernels.outcome_signs(n, (site,))
+        for axis, want in (("x", flipped), ("y", z.T * z * flipped), ("z", z.T * z * matrix)):
+            op = pauli_on(n, {site: axis})
+            assert np.array_equal(want, op @ matrix @ op)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -3,6 +3,7 @@ check 06's stacked evaluation against one state at a time."""
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 import sfwitness.reports as reports
 from sfwitness import InputError, WitnessSpec, make_product_density, witness_value
 from sfwitness.reports import ReferenceReport
+import grid_reference
 
 
 def add_one(deviations, tol="1e-12", **kwargs):
@@ -190,3 +192,118 @@ def test_checks_carry_the_time_of_their_group(monkeypatch):
     pair = [c for c in checks if c.name in ("a", "b")]
     assert pair[0].seconds == pair[1].seconds
     assert "seconds" not in checks[0].line()
+
+
+# --- the grid oracles' blocked search against the full-grid search -------------------------
+
+SEED_1315587361_SPEC = WitnessSpec(3, 5.865186155956739, -0.7805833045009107,
+                                   -0.2404050674692928, -0.3049220311575933)
+CUTS = reports.bisep.enumerate_bipartitions(3)
+
+
+def oracle_calls():
+    """{name: call} per oracle evaluation: 50 random specs, the cut oracle on one cut of each
+    in turn, and the spec of check 11b under seed 1315587361 (index 50) on every cut."""
+    rng = np.random.default_rng(21)
+    specs = [reports._random_spec(rng, 3) for _ in range(50)]
+    calls = {}
+    for index, spec in enumerate(specs + [SEED_1315587361_SPEC]):
+        spec2 = WitnessSpec(2, spec.k, *spec.coefficients)
+        calls[f"product2-{index}"] = lambda s=spec2: reports.product_grid_max_2(s)
+        calls[f"product3-{index}"] = lambda s=spec: reports.product_grid_max_3(s)
+        for cut in (CUTS if spec is SEED_1315587361_SPEC else [CUTS[index % 3]]):
+            calls[f"cut{cut.part_a}-{index}"] = lambda s=spec, c=cut: reports.cut_grid_max_3(s, c)
+    return calls
+
+
+ORACLE_CALLS = oracle_calls()
+
+
+@pytest.fixture(scope="module")
+def full_grid_values():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reports, "_sphere_search", grid_reference.sphere_search)
+        return {name: call() for name, call in ORACLE_CALLS.items()}
+
+
+@pytest.mark.parametrize("stack_bytes", [None, 1 << 16, 1], ids=["default", "64KiB", "two-rows"])
+def test_blocked_oracles_equal_the_full_grid_search(stack_bytes, full_grid_values, monkeypatch):
+    if stack_bytes is not None:
+        monkeypatch.setattr(reports.bisep, "_STACK_BYTES", stack_bytes)
+    got = {name: call() for name, call in ORACLE_CALLS.items()}
+    assert got == full_grid_values
+    assert len(got) == 155
+
+
+def record_blocks(values):
+    blocks = []
+
+    def recorded(rows, *rest):
+        blocks.append(len(rows))
+        return values(rows, *rest)
+
+    return blocks, recorded
+
+
+@pytest.mark.parametrize("stack_bytes, points, cols, rows", [
+    (1, 625, 625, [2] * 311 + [3]), (1, 5, 1, [2, 3]), (1, 4, 1, [2, 2]), (1, 2, 1, [2]),
+    (1, 1, 1, [1]), (1 << 16, 2000, 1, [512] * 3 + [464]), (1 << 16, 1537, 1, [512, 512, 513]),
+    (128 * 3 * 10, 21, 3, [10, 11]), (None, 1200, 1200, [27] * 44 + [12])])
+def test_blocks_hold_two_rows_or_more_and_cover_the_grid(stack_bytes, points, cols, rows,
+                                                        monkeypatch):
+    if stack_bytes is not None:
+        monkeypatch.setattr(reports.bisep, "_STACK_BYTES", stack_bytes)
+    grids = [np.zeros((points, 3))] + ([np.zeros((cols, 3))] if cols > 1 else [])
+    blocks, values = record_blocks(lambda *grids: np.zeros([len(g) for g in grids]))
+    reports._grid_argmax(values, grids)
+    assert blocks == rows
+
+
+@pytest.mark.parametrize("stack_bytes", [1, 128 * 7 * 3, None], ids=["two-rows", "three-rows",
+                                                                      "default"])
+def test_first_maximum_and_nans_resolve_as_argmax_over_the_whole_grid(stack_bytes, monkeypatch):
+    if stack_bytes is not None:
+        monkeypatch.setattr(reports.bisep, "_STACK_BYTES", stack_bytes)
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        shape = (int(rng.integers(1, 12)), int(rng.integers(1, 8)))
+        table = rng.integers(0, 4, shape).astype(float)  # ties in several blocks
+        table[rng.random(shape) < rng.choice([0.0, 0.05])] = math.nan
+        grids = [np.arange(n, dtype=float)[:, None] * np.ones(3) for n in shape]
+
+        def values(pts1, pts2):
+            return table[pts1[:, 0].astype(int)][:, pts2[:, 0].astype(int)]
+
+        index, value = reports._grid_argmax(values, grids)
+        assert index == np.argmax(table)
+        assert np.array_equal(value, np.max(table), equal_nan=True)
+
+
+def test_equal_maxima_in_two_blocks_return_the_first(monkeypatch):
+    monkeypatch.setattr(reports.bisep, "_STACK_BYTES", 1)
+    table = np.array([0.0, 1.0, 0.5, 3.0, 2.0, 3.0, 3.0, 0.0])
+    blocks, values = record_blocks(lambda pts: table[pts[:, 0].astype(int)])
+    grid = np.arange(8.0)[:, None] * np.ones(3)
+    assert reports._grid_argmax(values, [grid]) == (3, 3.0)
+    assert blocks == [2, 2, 2, 2]
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", [name for name in ORACLE_CALLS if name.endswith("-50")])
+def test_each_oracle_call_stays_within_two_megabytes(name):
+    ORACLE_CALLS[name]()
+    assert traced_peak(ORACLE_CALLS[name]) <= 2 * 2 ** 20
+
+
+def test_the_biseparable_check_group_stays_within_eight_megabytes():
+    # the full-grid search held four 1200 x 1200 float64 arrays at once: 44 MB
+    assert traced_peak(lambda: reports._check_bisep(ReferenceReport(), 0,
+                                                    reports.bisep.DEFAULT_RESTARTS)) <= 8 * 2 ** 20

@@ -16,7 +16,7 @@ from sfwitness import (InputError, ResourceError, SiteLayout, states, witness,
                        phased_dicke_sigma_closed_form, scan_k, sigma_operator,
                        sigma_value, two_point, witness_value)
 from conftest import (dense_expectation, dense_sigma_matrix, pauli_on,
-                      random_bloch_in_ball, random_pure, random_spec)
+                      random_bloch_in_ball, random_mixed, random_pure, random_spec)
 
 DICKE_SPEC_4 = WitnessSpec(4, 0.0, 1, 1, -1)
 PHASED_SPEC_4 = WitnessSpec(4, math.pi, 1, 1, 1)
@@ -378,6 +378,18 @@ class TestScanK:
         for point in scan_k(state, 0.3, -0.8, 0.5, grid, layout):
             expected = sigma_value(state, WitnessSpec(5, point.k, 0.3, -0.8, 0.5, layout))
             assert (point.sigma, point.witness) == (expected, 1.0 - expected)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_one_stacked_sum_equals_sigma_value_per_k_exactly(self, rng, n):
+        # scan_k sums the whole (K, n, n) weight table at once; each row rounds as alone
+        for size, c in ((1, (0.3, -0.8, 0.5)), (17, (0.0, 0.6, -0.2)), (300, (-1.0, 0.0, 0.0)),
+                        (4, (0.0, 0.0, 0.0))):
+            state = random_mixed(rng, n) if n <= 6 and size % 2 else random_pure(rng, n)
+            layout = SiteLayout(np.cumsum(rng.uniform(0.1, 2.0, n)).tolist())
+            for point in scan_k(state, *c, rng.uniform(-7.0, 7.0, size), layout):
+                expected = sigma_value(state, WitnessSpec(n, point.k, *c, layout))
+                assert type(point.sigma) is float
+                assert (point.sigma, point.witness) == (expected, 1.0 - expected)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_k_anywhere_in_the_grid(self, bad):
