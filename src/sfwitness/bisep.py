@@ -52,10 +52,6 @@ BOUND_RECHECK_ATOL = 1e-9
 #: Partial site maps the automorphism search may extend before it stops.
 AUTOMORPHISM_NODE_BUDGET = 20_000
 
-#: Bytes one stack of restarts may hold at its peak, by the callers' count per restart;
-#: `_best_run` runs more restarts in turns, so memory does not grow with `restarts`.
-_STACK_BYTES = 1 << 22
-
 
 @dataclass(frozen=True)
 class Bipartition:
@@ -253,7 +249,7 @@ def _seesaw_cut(spec: WitnessSpec, cut: Bipartition, restarts: int, tol: float,
     # its summed operator beside either the coupling term or eigh's eigenvectors
     value, factors, iterations, converged = _best_run(
         start, sweep, (seed, cut_index), restarts, tol, max_iter,
-        stack=max(1, _STACK_BYTES // (32 * 4 ** max(map(len, parts)))))
+        stack=max(1, states._STACK_BYTES // (32 * 4 ** max(map(len, parts)))))
     best_state = tuple(StateVector(len(part), factor) for part, factor in zip(parts, factors))
     return BisepResult(bound=_recheck(value, assemble_cut_state(cut, *best_state), spec),
                        best_cut=cut, best_state=best_state,
@@ -325,7 +321,7 @@ def product_bound(spec: WitnessSpec, restarts: int = DEFAULT_RESTARTS,
     # per restart, a sweep's peak holds five (N, 3) float arrays: the stored and swept rows
     # and the three terms of the value
     value, (blochs,), _, _ = _best_run(start, sweep, (seed,), restarts, tol, max_iter,
-                                       stack=max(1, _STACK_BYTES // (120 * len(weights))))
+                                       stack=max(1, states._STACK_BYTES // (120 * len(weights))))
     ket = functools.reduce(np.kron, states._bloch_to_ket(blochs))
     return _recheck(value, StateVector(spec.n_qubits, ket), spec)
 

@@ -144,10 +144,10 @@ def readout_probabilities(state, axis: str) -> np.ndarray:
         else:
             psi = state.amplitudes
             if axis != "z":
-                # each contraction rotates qubit order by one; n of them restore it
-                psi, gate = psi.reshape((2,) * state.n_qubits), _ROTATIONS[axis]
+                # each product rotates the leading qubit and moves it last; n restore the order
+                gate = _ROTATIONS[axis].T
                 for _ in range(state.n_qubits):
-                    psi = np.tensordot(psi, gate, axes=(0, 1))
+                    psi = psi.reshape(2, -1).T @ gate
             probs = np.abs(psi.reshape(-1)) ** 2
         probs.flags.writeable = False
         memo["readout", axis] = probs

@@ -19,8 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import kernels, witness
-from .errors import InputError, ResourceError, check_real, check_type
+from . import kernels, states, witness
+from .errors import InputError, check_real, check_type
 from .states import DensityMatrix, StateVector
 from .witness import WitnessSpec, sigma_value
 
@@ -54,18 +54,18 @@ def collective_threshold(state: StateVector, spec: WitnessSpec) -> float:
 
     Returns 0 when the noiseless state is not detected to begin with (`witness.detects`).
     """
-    clean = sigma_value(state, spec)
-    if not witness._detected(clean):
-        return 0.0
-    return 1.0 - 1.0 / clean
+    return _threshold(state, spec, lambda clean: clean)
 
 
 def individual_threshold(state: StateVector, spec: WitnessSpec) -> float:
     """Per-qubit depolarizing threshold q* = 1 - <Sigma>^(-1/2) (0 if undetected)."""
+    return _threshold(state, spec, math.sqrt)
+
+
+def _threshold(state: StateVector, spec: WitnessSpec, shrink_root) -> float:
+    """1 - 1/shrink_root(<Sigma>), where the shrink factor reaches 1/<Sigma>; 0 if undetected."""
     clean = sigma_value(state, spec)
-    if not witness._detected(clean):
-        return 0.0
-    return 1.0 - 1.0 / math.sqrt(clean)
+    return 1.0 - 1.0 / shrink_root(clean) if witness._detected(clean) else 0.0
 
 
 def collective_threshold_exact(sigma: Fraction) -> Fraction:
@@ -86,19 +86,17 @@ def _depolarize_qubit(rho: np.ndarray, n_qubits: int, site: int, q: float) -> np
     return out
 
 
-def kraus_crosscheck(state: StateVector, spec: WitnessSpec, q: float,
-                     site_cap: int = 8) -> tuple[float, float]:
+def kraus_crosscheck(state: StateVector, spec: WitnessSpec, q: float) -> tuple[float, float]:
     """Evaluate the individually-depolarized <Sigma> along both routes.
 
     Returns (observable_side, state_side): the (1-q)^2 factor law versus an
-    explicit per-qubit Kraus application to the density matrix. The two are
-    equal up to rounding; tests assert it.
+    explicit per-qubit Kraus application to the density matrix, capped at
+    states.KRAUS_MAX_QUBITS. The two are equal up to rounding; tests assert it.
     """
     check_type(state, StateVector, "kraus_crosscheck")
     check_real(q, "q", 0, 1)
     n = state.n_qubits
-    if n > site_cap:
-        raise ResourceError(f"{n} qubits exceeds the density-path cap {site_cap}")
+    states._check_size(n, "KRAUS_MAX_QUBITS")
     observable_side = (1.0 - q) ** 2 * sigma_value(state, spec)
     rho = np.outer(state.amplitudes, state.amplitudes.conj())
     for site in range(1, n + 1):

@@ -111,23 +111,21 @@ def _cap_points(center: np.ndarray, radius: float, per_side: int) -> np.ndarray:
 
 
 def _grid_argmax(values, grids) -> tuple:
-    """(flat index, value) of the first maximum of values(*grids), a NaN the largest, as
-    np.argmax over the whole grid finds it, from blocks of rows of the first grid: each of at
-    most bisep._STACK_BYTES / 128 values (product_grid_max_3 holds about five float64 per
-    value at once) and of at least two rows, as one row would turn a matmul in `values` into
-    a vector-matrix product, which rounds differently."""
+    """(flat index, value) of the first maximum of values(*grids), a NaN the largest, as one
+    np.argmax finds it: np.argmax over each block's first maximum. A block is at least two rows of
+    the first grid (one row makes a matmul in `values` a vector-matrix product, which rounds
+    differently), and at most states._STACK_BYTES / 128 values (five float64 per value at once)."""
     cols = math.prod(map(len, grids[1:]))
-    rows = max(2, bisep._STACK_BYTES // (128 * cols))
+    rows = max(2, states._STACK_BYTES // (128 * cols))
     edges = [*range(0, len(grids[0]), rows), len(grids[0])]
     if len(edges) > 2 and edges[-1] - edges[-2] == 1:
         del edges[-2]  # merge a one-row tail into the block before it
+    found = []
     for start, stop in zip(edges, edges[1:]):
         block = values(grids[0][start:stop], *grids[1:])
         index = int(np.argmax(block))
-        value = block.flat[index]
-        if start == 0 or value > best or np.isnan(value) and not np.isnan(best):
-            best_index, best = start * cols + index, value
-    return best_index, best
+        found.append((start * cols + index, block.flat[index]))
+    return found[int(np.argmax([value for _, value in found]))]
 
 
 def _sphere_search(values, spheres: int, coarse: int, per_side: int) -> float:
@@ -309,7 +307,7 @@ def _product_witness_values(vectors: np.ndarray, ks: np.ndarray,
 def _product_bound_values(seed: int, samples: int) -> np.ndarray:
     """<W> of `samples` random product states, each under a random spec, in draw order. All
     draws come first, one state after another; then the states of each N are built and
-    evaluated in stacks of at most bisep._STACK_BYTES."""
+    evaluated in stacks of at most states._STACK_BYTES."""
     rng = np.random.default_rng([seed, 6])
     sizes, ks, coefficients = np.empty(samples, int), np.empty(samples), np.empty((samples, 3))
     draws = np.empty((samples, 6, 4))  # per Bloch vector: three normals and a radius
@@ -323,7 +321,7 @@ def _product_bound_values(seed: int, samples: int) -> np.ndarray:
     values = np.empty(samples)
     for n in range(6, 1, -1):  # largest N first: later, smaller stacks reuse the freed memory
         # per state: its density entries, and the x/y gather with its y product (correlators)
-        per_stack = max(1, bisep._STACK_BYTES // (16 * 2 ** n * (2 ** n + n * n)))
+        per_stack = max(1, states._STACK_BYTES // (16 * 2 ** n * (2 ** n + n * n)))
         chosen = np.flatnonzero(sizes == n)
         for first in range(0, len(chosen), per_stack):
             part = chosen[first:first + per_stack]

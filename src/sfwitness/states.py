@@ -29,6 +29,12 @@ DENSITY_MAX_QUBITS = 12
 #: Cap for witness.sigma_operator (4**n complex entries) and for the cut see-saw.
 OPERATOR_MAX_QUBITS = 12
 
+#: Cap for noise.kraus_crosscheck, which applies the Kraus channel to a dense density matrix.
+KRAUS_MAX_QUBITS = 8
+
+#: Peak bytes of one stack of see-saw restarts, grid-oracle rows, check 06 states or scan_k rows.
+_STACK_BYTES = 1 << 22
+
 NORM_ATOL = 1e-12
 HERMITIAN_ATOL = 1e-12
 PSD_ATOL = 1e-10

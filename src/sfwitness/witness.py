@@ -114,9 +114,9 @@ def _axis_sums(weights: np.ndarray, correlations: dict) -> dict:
 
 def _sigma_from(coefficients, weights: np.ndarray, correlations: dict):
     """<Sigma>, or one per state when each coefficient is an array over a stack."""
-    coefficients = dict(zip(AXES, coefficients))
+    coefficients, start = dict(zip(AXES, coefficients)), np.zeros(weights.shape[:-2])
     return sum((coefficients[axis] * value
-                for axis, value in _axis_sums(weights, correlations).items()), 0.0)
+                for axis, value in _axis_sums(weights, correlations).items()), start)
 
 
 def axis_components(state, spec: WitnessSpec) -> tuple[float, float, float]:
@@ -210,7 +210,7 @@ class ScanPoint(NamedTuple):
 
 def scan_k(state, c_x: float, c_y: float, c_z: float, k_grid,
            layout: SiteLayout | None = None) -> list[ScanPoint]:
-    """Evaluate sigma/witness over a k grid (correlators and weight table computed once)."""
+    """Evaluate sigma/witness over a k grid (correlators once; weights in byte-capped k stacks)."""
     try:
         k_grid = list(k_grid)
     except TypeError as exc:
@@ -221,11 +221,13 @@ def scan_k(state, c_x: float, c_y: float, c_z: float, k_grid,
     spec = WitnessSpec(state.n_qubits, k_grid[0], c_x, c_y, c_z, layout)  # c and layout, once
     for k in k_grid:
         SiteLayout.checked(spec.layout, spec.n_qubits, k)
-    correlations = correlation_matrices(state, measurement_settings(spec))
-    sigmas = _sigma_from(spec.coefficients, _weight_table(k_grid, spec.layout.positions),
-                         correlations)  # one sum per k; 0.0 when every coefficient is zero
-    return [ScanPoint(k, sigma, 1.0 - sigma)
-            for k, sigma in zip(k_grid, np.broadcast_to(sigmas, len(k_grid)).tolist())]
+    corr = correlation_matrices(state, measurement_settings(spec))
+    # per k, one n x n weight row and its product with a correlation matrix: 16 n^2 bytes
+    rows, points = max(1, states._STACK_BYTES // (16 * spec.n_qubits ** 2)), []
+    for ks in (k_grid[first:first + rows] for first in range(0, len(k_grid), rows)):
+        sums = _sigma_from(spec.coefficients, _weight_table(ks, spec.layout.positions), corr)
+        points += [ScanPoint(k, sigma, 1.0 - sigma) for k, sigma in zip(ks, sums.tolist())]
+    return points
 
 
 def find_detection_boundary(state_factory, spec: WitnessSpec,

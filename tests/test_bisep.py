@@ -541,7 +541,7 @@ class TestStackedDriver:
         # None: every restart in one stack; 4 kB: 2 restarts of 3-qubit blocks (6 of 5-site
         # products) per stack; 1 byte: one restart per stack
         if request.param:
-            monkeypatch.setattr(bisep, "_STACK_BYTES", request.param)
+            monkeypatch.setattr(states, "_STACK_BYTES", request.param)
 
     @staticmethod
     def assert_same_cut_run(result, reference, cut):

@@ -11,12 +11,13 @@ import pytest
 from sfwitness import (DensityMatrix, InputError, ShotPlan, SiteLayout, StateVector,
                        WitnessSpec, axis_components, axis_correlations, collective_spin_sq,
                        collective_threshold, estimate_witness, individual_threshold,
-                       make_basis_state, make_dicke, make_product_density,
+                       make_basis_state, make_dicke, make_phased_dicke, make_product_density,
                        mix_with_white_noise, scan_k, sigma_value, structure_factor,
                        two_point, verify_collective_identity)
 from sfwitness import correlators, kernels
 from sfwitness.correlators import correlation_matrices, readout_probabilities
 import collective_reference
+import readout_reference
 from conftest import dense_expectation, pauli_on, random_mixed, random_pure
 
 
@@ -341,6 +342,24 @@ class TestCorrelationMatrices:
             correlation_matrices(make_dicke(3, 1), ("x", "q"))
         with pytest.raises(InputError):
             correlation_matrices(np.ones(4) / 2.0, "xy")
+
+
+class TestReadoutRotation:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_equals_the_tensordot_rotation_exactly(self, rng, n):
+        cases = [random_pure(rng, n) for _ in range(20)]
+        if n >= 2:
+            cases += [make_dicke(n, n // 2), make_phased_dicke(n, n // 2)]
+        for state in cases:
+            for axis in "xy":
+                want = readout_reference.readout_probabilities(state, axis)
+                assert np.array_equal(readout_probabilities(state, axis), want)
+
+    def test_equals_the_tensordot_rotation_exactly_at_16_qubits(self, rng):
+        state = random_pure(rng, 16)
+        for axis in "xy":
+            want = readout_reference.readout_probabilities(state, axis)
+            assert np.array_equal(readout_probabilities(state, axis), want)
 
 
 class _GateReads(dict):

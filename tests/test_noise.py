@@ -11,7 +11,7 @@ from sfwitness import (InputError, NoiseModel, ResourceError, WitnessSpec,
                        detects, dicke_sigma_closed_form, individual_threshold,
                        kraus_crosscheck, make_basis_state, make_dicke,
                        make_phased_dicke, mix_with_white_noise, noisy_sigma,
-                       sigma_value)
+                       sigma_value, states)
 from conftest import random_pure, random_spec
 
 DICKE_SPEC_4 = WitnessSpec(4, 0.0, 1, 1, -1)
@@ -163,9 +163,22 @@ class TestKrausCrosscheck:
             lhs, rhs = kraus_crosscheck(state, random_spec(rng, n), q)
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
-    def test_site_cap(self):
-        with pytest.raises(ResourceError):
-            kraus_crosscheck(make_dicke(6, 3), PHASED_SPEC_6, 0.1, site_cap=4)
+    def test_kraus_cap_raises_before_the_density_is_built(self, monkeypatch):
+        outer_calls = []
+        outer = np.outer
+        monkeypatch.setattr(np, "outer", lambda *args: outer_calls.append(args) or outer(*args))
+        monkeypatch.setattr(states, "KRAUS_MAX_QUBITS", 4)
+        with pytest.raises(ResourceError, match=r"^6 qubits exceeds the cap KRAUS_MAX_QUBITS = 4 "
+                                                r"\(raise states\.KRAUS_MAX_QUBITS\)$"):
+            kraus_crosscheck(make_dicke(6, 3), PHASED_SPEC_6, 0.1)
+        assert outer_calls == []
+        lhs, rhs = kraus_crosscheck(make_dicke(4, 2), PHASED_SPEC_4, 0.1)
+        assert len(outer_calls) == 1 and lhs == pytest.approx(rhs, abs=1e-12)
+
+    def test_default_kraus_cap_is_eight_qubits(self):
+        assert states.KRAUS_MAX_QUBITS == 8
+        with pytest.raises(ResourceError, match="9 qubits exceeds the cap KRAUS_MAX_QUBITS = 8"):
+            kraus_crosscheck(make_dicke(9, 4), WitnessSpec(9, math.pi, 1, 1, 1), 0.1)
 
     def test_rejects_density_matrix(self):
         rho = mix_with_white_noise(make_dicke(4, 2), 0.1)

@@ -145,7 +145,7 @@ def test_stacked_evaluator_matches_the_per_state_path(n):
 def test_stack_size_leaves_the_values_unchanged(stack_bytes, monkeypatch):
     expected = per_state_values(3, 201)
     if stack_bytes is not None:
-        monkeypatch.setattr(reports.bisep, "_STACK_BYTES", stack_bytes)
+        monkeypatch.setattr(reports.states, "_STACK_BYTES", stack_bytes)
     stacks, evaluate = {}, reports._product_witness_values
 
     def recorded(vectors, ks, coefficients):
@@ -229,7 +229,7 @@ def full_grid_values():
 @pytest.mark.parametrize("stack_bytes", [None, 1 << 16, 1], ids=["default", "64KiB", "two-rows"])
 def test_blocked_oracles_equal_the_full_grid_search(stack_bytes, full_grid_values, monkeypatch):
     if stack_bytes is not None:
-        monkeypatch.setattr(reports.bisep, "_STACK_BYTES", stack_bytes)
+        monkeypatch.setattr(reports.states, "_STACK_BYTES", stack_bytes)
     got = {name: call() for name, call in ORACLE_CALLS.items()}
     assert got == full_grid_values
     assert len(got) == 155
@@ -252,7 +252,7 @@ def record_blocks(values):
 def test_blocks_hold_two_rows_or_more_and_cover_the_grid(stack_bytes, points, cols, rows,
                                                         monkeypatch):
     if stack_bytes is not None:
-        monkeypatch.setattr(reports.bisep, "_STACK_BYTES", stack_bytes)
+        monkeypatch.setattr(reports.states, "_STACK_BYTES", stack_bytes)
     grids = [np.zeros((points, 3))] + ([np.zeros((cols, 3))] if cols > 1 else [])
     blocks, values = record_blocks(lambda *grids: np.zeros([len(g) for g in grids]))
     reports._grid_argmax(values, grids)
@@ -263,7 +263,7 @@ def test_blocks_hold_two_rows_or_more_and_cover_the_grid(stack_bytes, points, co
                                                                       "default"])
 def test_first_maximum_and_nans_resolve_as_argmax_over_the_whole_grid(stack_bytes, monkeypatch):
     if stack_bytes is not None:
-        monkeypatch.setattr(reports.bisep, "_STACK_BYTES", stack_bytes)
+        monkeypatch.setattr(reports.states, "_STACK_BYTES", stack_bytes)
     rng = np.random.default_rng(5)
     for _ in range(300):
         shape = (int(rng.integers(1, 12)), int(rng.integers(1, 8)))
@@ -280,7 +280,7 @@ def test_first_maximum_and_nans_resolve_as_argmax_over_the_whole_grid(stack_byte
 
 
 def test_equal_maxima_in_two_blocks_return_the_first(monkeypatch):
-    monkeypatch.setattr(reports.bisep, "_STACK_BYTES", 1)
+    monkeypatch.setattr(reports.states, "_STACK_BYTES", 1)
     table = np.array([0.0, 1.0, 0.5, 3.0, 2.0, 3.0, 3.0, 0.0])
     blocks, values = record_blocks(lambda pts: table[pts[:, 0].astype(int)])
     grid = np.arange(8.0)[:, None] * np.ones(3)

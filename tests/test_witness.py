@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -346,6 +347,18 @@ class TestSigmaOperator:
         assert sigma_operator(WitnessSpec(3, 0.0, 1, 1, 1)).shape == (8, 8)
 
 
+def _hex_points(points) -> list:
+    return [tuple(map(float.hex, point)) for point in points]
+
+
+def _count_table_rows(monkeypatch) -> list:
+    """The k count of each witness._weight_table call, in call order."""
+    rows, weight_table = [], witness._weight_table
+    monkeypatch.setattr(witness, "_weight_table",
+                        lambda ks, positions: rows.append(len(ks)) or weight_table(ks, positions))
+    return rows
+
+
 class TestScanK:
     def test_single_point(self):
         points = scan_k(make_dicke(4, 2), 1, 1, -1, [0.0])
@@ -390,6 +403,42 @@ class TestScanK:
                 expected = sigma_value(state, WitnessSpec(n, point.k, *c, layout))
                 assert type(point.sigma) is float
                 assert (point.sigma, point.witness) == (expected, 1.0 - expected)
+
+    def test_stacks_of_one_k_give_the_same_floats(self, rng, monkeypatch):
+        state, layout = random_pure(rng, 6), SiteLayout((0.0, 0.5, 1.7, 2.0, 3.6, 4.1))
+        grid = rng.uniform(-7.0, 7.0, 40).tolist()
+        want = _hex_points(scan_k(state, 0.3, -0.8, 0.5, grid, layout))
+        tables = _count_table_rows(monkeypatch)
+        monkeypatch.setattr(states, "_STACK_BYTES", 1)
+        assert _hex_points(scan_k(state, 0.3, -0.8, 0.5, grid, layout)) == want
+        assert tables == [1] * len(grid)
+
+    @pytest.mark.parametrize("n, rows", [(2, 65536), (8, 4096), (16, 1024)])
+    def test_stack_rows_fit_the_byte_budget(self, monkeypatch, n, rows):
+        # per k row, one n x n weight row and its product with a correlation matrix
+        tables = _count_table_rows(monkeypatch)
+        state = make_dicke(n, n // 2)
+        points = scan_k(state, 1, 1, -1, np.linspace(0.0, math.pi, 2 * rows + 3))
+        assert tables == [rows, rows, 3]
+        assert [p.k for p in points] == np.linspace(0.0, math.pi, 2 * rows + 3).tolist()
+
+    def test_all_zero_coefficients_give_float_zero_and_one(self, rng):
+        for state in (random_pure(rng, 5), random_mixed(rng, 3)):
+            for point in scan_k(state, 0.0, 0.0, 0.0, rng.uniform(-7.0, 7.0, 9)):
+                assert type(point.sigma) is float and type(point.witness) is float
+                assert (point.sigma, point.witness) == (0.0, 1.0)
+
+    def test_long_scan_holds_small_stacks(self):
+        # 20,000 rows of the whole (K, n, n) weight table and its product took 61 MB at N = 14;
+        # the 20,000 points themselves take about 3 MB
+        state = make_phased_dicke(14, 7)
+        tracemalloc.start()
+        try:
+            scan_k(state, 1, 1, 1, np.linspace(0.0, math.pi, 20_000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2 ** 20
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_k_anywhere_in_the_grid(self, bad):
