@@ -216,7 +216,7 @@ def assemble_cut_state(cut: Bipartition, state_a: StateVector,
     order = [q - 1 for q in (*cut.part_a, *cut.part_b)]
     full = np.kron(state_a.amplitudes, state_b.amplitudes)
     amps = full.reshape((2,) * cut.n_qubits).transpose(np.argsort(order)).reshape(-1)
-    return StateVector(cut.n_qubits, amps / np.linalg.norm(amps))
+    return StateVector._adopt(cut.n_qubits, amps / np.linalg.norm(amps))
 
 
 def _recheck(value: float, state, spec: WitnessSpec) -> float:

@@ -59,14 +59,17 @@ class SiteLayout:
         if len(layout) != n_sites:
             raise InputError(f"layout has {len(layout)} sites for {n_sites} qubits")
         check_real(k, "k")
-        first, last = layout.positions[0], layout.positions[-1]
-        if not math.isfinite(abs(k) * max(last - first, -first, last)):
+        if not math.isfinite(abs(k) * layout.reach()):
             raise InputError(f"k must be finite, also times each position and separation, got {k}")
         return layout
 
     @classmethod
     def unit_spacing(cls, n_sites: int) -> "SiteLayout":
         return cls(tuple(float(i) for i in range(n_sites)))
+
+    def reach(self) -> float:
+        """The largest |r_i| and |r_j - r_i|, which k times must stay finite."""
+        return max(self.positions[-1] - self.positions[0], -self.positions[0], self.positions[-1])
 
     def separation(self, i: int, j: int) -> float:
         """r_j - r_i for 1-based site labels."""

@@ -79,10 +79,11 @@ def _depolarize_qubit(rho: np.ndarray, n_qubits: int, site: int, q: float) -> np
     """Kraus form of rho_s -> (1-q) rho_s + q 1/2 on one qubit: with X = x rho x, the two-sided
     flip, y rho y = z_r z_c X and z rho z = z_r z_c rho, z the site's row and column signs."""
     flipped, z = kernels.flip_site(rho, n_qubits, site), kernels.outcome_signs(n_qubits, (site,))
-    zz = z.T * z
+    zz, scratch = z.T * z, np.empty_like(rho)
     out = (1.0 - 0.75 * q) * rho
-    for term in (flipped, zz * flipped, zz * rho):
-        out = out + (0.25 * q) * term
+    out += np.multiply(0.25 * q, flipped, out=scratch)
+    for term in (flipped, rho):  # the terms zz * flipped and zz * rho, in place
+        out += np.multiply(0.25 * q, np.multiply(zz, term, out=scratch), out=scratch)
     return out
 
 

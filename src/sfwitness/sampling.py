@@ -62,10 +62,8 @@ def _estimate(state: StateVector, spec: WitnessSpec, shots: int,
               seed_words: tuple) -> tuple[float, float]:
     _check_state(state, spec)
     norm = math.comb(spec.n_qubits, 2)
-    weights = pair_weight_matrix(spec)
-    signs = kernels.outcome_signs(state.n_qubits)
-    sigma_est = 0.0
-    variance = 0.0
+    weights, masks = pair_weight_matrix(spec), kernels.site_masks(state.n_qubits)
+    sigma_est = variance = 0.0
     for axis in measurement_settings(spec):
         axis_pos = kernels.AXES.index(axis)
         c = spec.coefficients[axis_pos]
@@ -74,7 +72,9 @@ def _estimate(state: StateVector, spec: WitnessSpec, shots: int,
         counts = rng.multinomial(shots, probs / probs.sum())
         # per-shot pair sum sum_{i<j} w_ij e_i e_j, once per observed outcome
         seen = np.flatnonzero(counts)
-        values = 0.5 * np.sum(signs[:, seen] * (weights @ signs[:, seen]), axis=0)
+        # outcome_signs(n)[:, seen], and in its transposed layout, which sets the rounding
+        signs = np.where(seen[:, None] & masks, -1.0, 1.0).T
+        values = 0.5 * np.sum(signs * (weights @ signs), axis=0)
         mean, var = _count_statistics(values, counts[seen])
         sigma_est += c * mean / norm
         if shots < 2:

@@ -9,7 +9,6 @@ exchange.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -67,22 +66,34 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        _check_size(self.n_qubits)
-        amps = np.asarray(self.amplitudes, dtype=complex).copy()
-        if amps.shape != (2 ** self.n_qubits,):
-            raise InputError(
-                f"expected {2 ** self.n_qubits} amplitudes, got shape {amps.shape}")
-        if not np.isfinite(amps).all():
-            raise InputError("amplitudes must be finite")
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > NORM_ATOL:
-            raise InputError(f"state not normalized: sum |amp|^2 = {norm_sq!r}")
-        amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "amplitudes", _checked_amplitudes(self.n_qubits, self.amplitudes))
+
+    @classmethod
+    def _adopt(cls, n_qubits: int, amps) -> "StateVector":
+        """All checks of the constructor, for builders' fresh arrays: takes them uncopied."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "n_qubits", n_qubits)
+        object.__setattr__(state, "amplitudes", _checked_amplitudes(n_qubits, amps, copy=False))
+        return state
 
     @property
     def dim(self) -> int:
         return 2 ** self.n_qubits
+
+
+def _checked_amplitudes(n_qubits: int, amplitudes, copy: bool = True) -> np.ndarray:
+    """Read-only `amplitudes` (copied if `copy`), checked for size, shape, finiteness and norm."""
+    _check_size(n_qubits)
+    amps = (np.array if copy else np.asarray)(amplitudes, dtype=complex)
+    if amps.shape != (2 ** n_qubits,):
+        raise InputError(f"expected {2 ** n_qubits} amplitudes, got shape {amps.shape}")
+    if not np.isfinite(amps).all():
+        raise InputError("amplitudes must be finite")
+    norm_sq = float(np.sum(np.abs(amps) ** 2))
+    if abs(norm_sq - 1.0) > NORM_ATOL:
+        raise InputError(f"state not normalized: sum |amp|^2 = {norm_sq!r}")
+    amps.flags.writeable = False
+    return amps
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,23 +190,12 @@ def make_basis_state(n_qubits: int, bits: str) -> StateVector:
     _check_size(n_qubits)
     amps = np.zeros(2 ** n_qubits, dtype=complex)
     amps[basis_index(n_qubits, bits)] = 1.0
-    return StateVector(n_qubits, amps)
-
-
-def _excitations(n_qubits: int, l: int) -> tuple[np.ndarray, np.ndarray]:
-    """Excited sites (0-based) of each weight-l basis state, one row each, and its index."""
-    _check_size(n_qubits)
-    check_integer(l, "l", 0, n_qubits)
-    sites = np.array(list(itertools.combinations(range(n_qubits), l)), dtype=int)
-    return sites, kernels.site_masks(n_qubits)[sites].sum(axis=1)
+    return StateVector._adopt(n_qubits, amps)
 
 
 def make_dicke(n_qubits: int, l: int) -> StateVector:
     """Dicke state |N,l>: equal superposition of all weight-l basis states."""
-    _, index = _excitations(n_qubits, l)
-    amps = np.zeros(2 ** n_qubits, dtype=complex)
-    amps[index] = 1.0 / math.sqrt(math.comb(n_qubits, l))
-    return StateVector(n_qubits, amps)
+    return _dicke(n_qubits, l, phased=False)
 
 
 def make_phased_dicke(n_qubits: int, l: int) -> StateVector:
@@ -208,17 +208,30 @@ def make_phased_dicke(n_qubits: int, l: int) -> StateVector:
     the sum of the (0-indexed, left-to-right) positions of the 1-bits,
     relative to the reference value l(l-1)/2.
     """
-    sites, index = _excitations(n_qubits, l)
-    amps = np.zeros(2 ** n_qubits, dtype=complex)
-    amp = 1.0 / math.sqrt(math.comb(n_qubits, l))
-    amps[index] = np.where(sites.sum(axis=1) % 2 == (l * (l - 1) // 2) % 2, amp, -amp)
-    return StateVector(n_qubits, amps)
+    return _dicke(n_qubits, l, phased=True)
+
+
+def _dicke(n_qubits: int, l: int, phased: bool) -> StateVector:
+    """|N,l>, phased or not, from each basis index's excitation count and the sum of its excited
+    sites' 0-based positions: one pass per site, in length-2^N integer arrays."""
+    _check_size(n_qubits)
+    check_integer(l, "l", 0, n_qubits)
+    index = np.arange(2 ** n_qubits)
+    count, place = np.zeros((2, 2 ** n_qubits), dtype=np.int32)
+    for position, mask in enumerate(kernels.site_masks(n_qubits)):
+        excited = (index & mask) != 0
+        count += excited
+        np.add(place, position, out=place, where=excited)
+    index = np.flatnonzero(count == l)
+    amps, amp = np.zeros(2 ** n_qubits, dtype=complex), 1.0 / math.sqrt(math.comb(n_qubits, l))
+    amps[index] = np.where(phased & (place[index] % 2 != (l * (l - 1) // 2) % 2), -amp, amp)
+    return StateVector._adopt(n_qubits, amps)
 
 
 def _plus_ghz_branch(amps: np.ndarray, theta: float, s: float) -> StateVector:
     """The four-qubit state amps + s sin(theta) (|0000> + |1111>)/sqrt(2)."""
     amps[[basis_index(4, "0000"), basis_index(4, "1111")]] += s * math.sin(theta) / math.sqrt(2)
-    return StateVector(4, amps)
+    return StateVector._adopt(4, amps)
 
 
 def make_ghz_superposition(theta: float, sign=+1) -> StateVector:
@@ -295,7 +308,7 @@ def mix_with_white_noise(state: StateVector, p: float) -> DensityMatrix:
 def random_state_vector(n_qubits: int, rng: np.random.Generator) -> StateVector:
     """Haar-like random pure state: normalized complex-normal amplitudes."""
     _check_size(n_qubits)
-    return StateVector(n_qubits, _normalized_amplitudes(rng.standard_normal(2 << n_qubits)))
+    return StateVector._adopt(n_qubits, _normalized_amplitudes(rng.standard_normal(2 << n_qubits)))
 
 
 def _normalized_amplitudes(normals: np.ndarray) -> np.ndarray:
@@ -340,4 +353,4 @@ def from_json(text: str) -> StateVector:
     norm = float(np.linalg.norm(amps))
     if abs(norm - 1.0) >= SERIALIZATION_NORM_ATOL:
         raise InputError(f"serialized state norm {norm!r} deviates too far from 1")
-    return StateVector(n, amps / norm)
+    return StateVector._adopt(n, amps / norm)

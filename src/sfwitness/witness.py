@@ -219,8 +219,11 @@ def scan_k(state, c_x: float, c_y: float, c_z: float, k_grid,
         raise InputError("k grid must be nonempty")
     _array(state)
     spec = WitnessSpec(state.n_qubits, k_grid[0], c_x, c_y, c_z, layout)  # c and layout, once
-    for k in k_grid:
-        SiteLayout.checked(spec.layout, spec.n_qubits, k)
+    ks = np.array([check_real(k, "k") for k in k_grid], dtype=float)
+    with np.errstate(over="ignore"):  # one finiteness test over the grid
+        finite = np.isfinite(np.abs(ks) * spec.layout.reach())
+    if not finite.all():  # the error of the first point that fails it
+        SiteLayout.checked(spec.layout, spec.n_qubits, k_grid[int(np.argmin(finite))])
     corr = correlation_matrices(state, measurement_settings(spec))
     # per k, one n x n weight row and its product with a correlation matrix: 16 n^2 bytes
     rows, points = max(1, states._STACK_BYTES // (16 * spec.n_qubits ** 2)), []

@@ -1,0 +1,69 @@
+"""Earlier, larger-temporary forms of the Dicke builders, the sampler and the Kraus step.
+
+The Dicke builders list every excited-site tuple with itertools.combinations,
+the estimator reads its +-1 signs from the full N x 2^N outcome table, and the
+depolarizing step adds each Kraus term out of place. The package's forms must
+reproduce all three bit for bit.
+"""
+
+import itertools
+import math
+
+import numpy as np
+
+from sfwitness import StateVector, kernels
+from sfwitness.correlators import readout_probabilities
+from sfwitness.sampling import _count_statistics
+from sfwitness.witness import measurement_settings, pair_weight_matrix
+
+
+def _excitations(n_qubits, l):
+    sites = np.array(list(itertools.combinations(range(n_qubits), l)), dtype=int)
+    return sites, kernels.site_masks(n_qubits)[sites].sum(axis=1)
+
+
+def make_dicke(n_qubits, l):
+    _, index = _excitations(n_qubits, l)
+    amps = np.zeros(2 ** n_qubits, dtype=complex)
+    amps[index] = 1.0 / math.sqrt(math.comb(n_qubits, l))
+    return StateVector(n_qubits, amps)
+
+
+def make_phased_dicke(n_qubits, l):
+    sites, index = _excitations(n_qubits, l)
+    amps = np.zeros(2 ** n_qubits, dtype=complex)
+    amp = 1.0 / math.sqrt(math.comb(n_qubits, l))
+    amps[index] = np.where(sites.sum(axis=1) % 2 == (l * (l - 1) // 2) % 2, amp, -amp)
+    return StateVector(n_qubits, amps)
+
+
+def estimate(state, spec, shots, seed_words):
+    """sampling._estimate with the sign table of every outcome."""
+    norm = math.comb(spec.n_qubits, 2)
+    weights = pair_weight_matrix(spec)
+    signs = kernels.outcome_signs(state.n_qubits)
+    sigma_est = variance = 0.0
+    for axis in measurement_settings(spec):
+        axis_pos = kernels.AXES.index(axis)
+        c = spec.coefficients[axis_pos]
+        rng = np.random.default_rng([*seed_words, axis_pos])
+        probs = readout_probabilities(state, axis)
+        counts = rng.multinomial(shots, probs / probs.sum())
+        seen = np.flatnonzero(counts)
+        values = 0.5 * np.sum(signs[:, seen] * (weights @ signs[:, seen]), axis=0)
+        mean, var = _count_statistics(values, counts[seen])
+        sigma_est += c * mean / norm
+        if shots < 2:
+            var = float(np.abs(weights).sum() / 2.0) ** 2
+        variance += (c / norm) ** 2 * var / shots
+    return 1.0 - sigma_est, math.sqrt(variance)
+
+
+def depolarize_qubit(rho, n_qubits, site, q):
+    """noise._depolarize_qubit with a fresh array per product and sum."""
+    flipped, z = kernels.flip_site(rho, n_qubits, site), kernels.outcome_signs(n_qubits, (site,))
+    zz = z.T * z
+    out = (1.0 - 0.75 * q) * rho
+    for term in (flipped, zz * flipped, zz * rho):
+        out = out + (0.25 * q) * term
+    return out

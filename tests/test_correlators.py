@@ -4,6 +4,7 @@ import collections
 import itertools
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -376,16 +377,16 @@ class _GateReads(dict):
 
 def _count_rotations(monkeypatch) -> collections.Counter:
     """Per-axis rotations of pure states, and the x/y trace gathers of density matrices (the
-    only site_masks call on these paths), tallied in the returned counter."""
+    only site_masks call in `correlators`), tallied in the returned counter."""
     reads = collections.Counter()
-    site_masks = kernels.site_masks
 
     def counted_site_masks(n_qubits):
         reads["gather"] += 1
-        return site_masks(n_qubits)
+        return kernels.site_masks(n_qubits)
 
     monkeypatch.setattr(correlators, "_ROTATIONS", _GateReads(reads))
-    monkeypatch.setattr(kernels, "site_masks", counted_site_masks)
+    counted = types.SimpleNamespace(**{**vars(kernels), "site_masks": counted_site_masks})
+    monkeypatch.setattr(correlators, "kernels", counted)
     return reads
 
 

@@ -1,6 +1,7 @@
 """Depolarizing channels and robustness thresholds."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,9 @@ from sfwitness import (InputError, NoiseModel, ResourceError, WitnessSpec,
                        kraus_crosscheck, make_basis_state, make_dicke,
                        make_phased_dicke, mix_with_white_noise, noisy_sigma,
                        sigma_value, states)
-from conftest import random_pure, random_spec
+from sfwitness import noise
+from conftest import random_mixed, random_pure, random_spec
+import states_reference
 
 DICKE_SPEC_4 = WitnessSpec(4, 0.0, 1, 1, -1)
 PHASED_SPEC_4 = WitnessSpec(4, math.pi, 1, 1, 1)
@@ -184,6 +187,25 @@ class TestKrausCrosscheck:
         rho = mix_with_white_noise(make_dicke(4, 2), 0.1)
         with pytest.raises(InputError, match="needs a StateVector, got DensityMatrix"):
             kraus_crosscheck(rho, PHASED_SPEC_4, 0.1)
+
+    def test_depolarizing_step_bit_identical_to_out_of_place_sums(self, rng):
+        for n in range(1, 7):
+            rho = random_mixed(rng, n).entries
+            for site in range(1, n + 1):
+                q = float(rng.uniform())
+                assert (noise._depolarize_qubit(rho, n, site, q).tobytes()
+                        == states_reference.depolarize_qubit(rho, n, site, q).tobytes())
+
+    def test_kraus_terms_share_one_scratch_array(self):
+        state, spec = make_dicke(8, 4), WitnessSpec(8, 0.0, 1, 1, -1)
+        tracemalloc.start()
+        try:
+            kraus_crosscheck(state, spec, 0.2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # three fresh 1 MB products per term took the peak to 6.5 MB
+        assert peak <= 5 * 2 ** 20
 
     def test_rejects_bad_strength(self):
         with pytest.raises(InputError):

@@ -1,14 +1,17 @@
 """Shot-noise simulation of the witness measurement."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from sfwitness import (InputError, ShotPlan, WitnessSpec, convergence_curve,
                        estimate_witness, make_basis_state, make_dicke,
-                       make_phased_dicke, witness_value)
-from sfwitness.sampling import _count_statistics, measurement_settings
+                       make_phased_dicke, sigma_value, witness_value)
+from sfwitness.sampling import CurvePoint, _count_statistics, measurement_settings
+from conftest import random_pure, random_spec
+import states_reference
 
 DICKE_SPEC_4 = WitnessSpec(4, 0.0, 1, 1, -1)
 PHASED_SPEC_4 = WitnessSpec(4, math.pi, 1, 1, 1)
@@ -171,3 +174,27 @@ class TestConvergenceCurve:
     def test_empty_grid(self):
         with pytest.raises(InputError):
             convergence_curve(make_dicke(4, 2), DICKE_SPEC_4, [], seed=0)
+
+
+class TestSignsOfObservedOutcomes:
+    @pytest.mark.parametrize("n", [*range(2, 13), 16])
+    def test_bit_identical_to_the_full_sign_table(self, n, rng):
+        state, spec, grid = random_pure(rng, n), random_spec(rng, n), [1, 2, 300, 20000]
+        for shots in grid:
+            assert (estimate_witness(state, spec, ShotPlan(shots, 11))
+                    == states_reference.estimate(state, spec, shots, (11,)))
+        assert convergence_curve(state, spec, grid, seed=5) == [
+            CurvePoint(shots, *states_reference.estimate(state, spec, shots, (5, pos)))
+            for pos, shots in enumerate(grid)]
+
+    def test_curve_at_sixteen_qubits_holds_no_sign_table(self):
+        state, spec = make_dicke(16, 8), WitnessSpec(16, 0.0, 1, 1, -1)
+        sigma_value(state, spec)  # fills the readout memo, so the peak is the sampler's own
+        tracemalloc.start()
+        try:
+            convergence_curve(state, spec, [100, 1000, 10000])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # signs of at most 10^4 observed outcomes; the 16 x 2^16 table alone took 8 MB
+        assert peak <= 4 * 2 ** 20

@@ -2,18 +2,20 @@
 
 import json
 import math
+import tracemalloc
 from collections import deque
 
 import numpy as np
 import pytest
 
 import sfwitness.states as states
-from sfwitness import (BlochVector, DensityMatrix, InputError, ResourceError,
-                       StateVector, from_json, make_basis_state, make_dicke,
+from sfwitness import (BlochVector, Bipartition, DensityMatrix, InputError, ResourceError,
+                       StateVector, assemble_cut_state, from_json, make_basis_state, make_dicke,
                        make_dicke_ghz_superposition, make_ghz_superposition,
                        make_phased_dicke, make_product_density,
                        mix_with_white_noise, random_state_vector, to_json)
 from conftest import PAULI, kron_chain, random_bloch_in_ball, random_pure
+import states_reference
 
 
 def amplitude(state, bits):
@@ -57,6 +59,54 @@ class TestStateVector:
         monkeypatch.setattr(np, "einsum", None)
         with pytest.raises(ResourceError):
             build(40)
+
+
+class TestAdoptingConstructor:
+    def test_public_constructor_copies(self):
+        source = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+        state = StateVector(2, source)
+        source[0], source[3] = 0.0, 1.0
+        assert state.amplitudes.tolist() == [1.0, 0.0, 0.0, 0.0]
+
+    def test_adopting_path_takes_the_array_uncopied(self):
+        source = np.array([0.0, 1.0], dtype=complex)
+        state = StateVector._adopt(1, source)
+        assert state.amplitudes is source and not source.flags.writeable
+
+    @pytest.mark.parametrize("n, amps, error", [
+        (2, [1.0, 0.0], InputError),
+        (2, [[1.0, 0.0], [0.0, 0.0]], InputError),
+        (2, [math.nan, 0.0, 0.0, 1.0], InputError),
+        (2, [1.0, 0.0, 0.0, math.inf], InputError),
+        (1, [1.0, 1.0], InputError),
+        (17, [1.0], ResourceError),
+    ], ids=["length", "shape", "nan", "inf", "norm", "max-qubits"])
+    def test_adopting_path_runs_every_check(self, n, amps, error):
+        with pytest.raises(error) as public:
+            StateVector(n, np.array(amps, dtype=complex))
+        with pytest.raises(error) as adopted:
+            StateVector._adopt(n, np.array(amps, dtype=complex))
+        assert str(adopted.value) == str(public.value)
+
+    def test_adopting_path_reads_the_qubit_cap(self, monkeypatch):
+        monkeypatch.setattr(states, "MAX_QUBITS", 3)
+        with pytest.raises(ResourceError, match="4 qubits exceeds the cap MAX_QUBITS = 3"):
+            StateVector._adopt(4, np.eye(16, dtype=complex)[0])
+
+    @pytest.mark.parametrize("build", [
+        lambda: make_basis_state(3, "010"),
+        lambda: make_dicke(5, 2),
+        lambda: make_phased_dicke(5, 2),
+        lambda: make_ghz_superposition(0.4, -1),
+        lambda: make_dicke_ghz_superposition(0.4, +1),
+        lambda: random_state_vector(4, np.random.default_rng(1)),
+        lambda: from_json(to_json(make_phased_dicke(4, 2))),
+        lambda: assemble_cut_state(Bipartition((1, 3), (2,)), make_dicke(2, 1),
+                                   make_basis_state(1, "1")),
+    ], ids=["basis", "dicke", "phased-dicke", "ghz", "dicke-ghz", "random", "json", "cut"])
+    def test_every_builder_returns_a_read_only_array(self, build):
+        amps = build().amplitudes
+        assert not amps.flags.writeable and amps.flags.owndata
 
 
 class TestBasisState:
@@ -119,6 +169,31 @@ class TestDicke:
     def test_no_bloch_vectors(self):
         with pytest.raises(InputError, match="n_qubits must be >= 1"):
             states.make_product_density([])
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestDickeBuildersMatchReference:
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_bit_identical_to_the_combinations_builders(self, n):
+        for l in range(n + 1):
+            assert (make_dicke(n, l).amplitudes.tobytes()
+                    == states_reference.make_dicke(n, l).amplitudes.tobytes())
+            assert (make_phased_dicke(n, l).amplitudes.tobytes()
+                    == states_reference.make_phased_dicke(n, l).amplitudes.tobytes())
+
+    @pytest.mark.parametrize("build", [make_dicke, make_phased_dicke])
+    def test_no_site_table_at_sixteen_qubits(self, build):
+        # the 1 MB amplitudes plus length-2^16 integer arrays; the C(16, 8) site tuples, their
+        # array and the StateVector copy took 3.6 MB
+        assert _traced_peak(lambda: build(16, 8)) <= 2.5 * 2 ** 20
 
 
 def adjacent_transposition_signs(n, l):

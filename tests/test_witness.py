@@ -449,6 +449,11 @@ class TestScanK:
         with pytest.raises(InputError, match="k must be finite"):
             scan_k(make_dicke(3, 1), 1, 1, 1, [0.0, 1e308])
 
+    def test_grid_error_names_the_first_overflowing_k(self):
+        # k times the reach 2 of three unit-spaced sites overflows at 1.5e308 and 1e308, not 5e307
+        with pytest.raises(InputError, match=r"got 1\.5e\+308$"):
+            scan_k(make_dicke(3, 1), 1, 1, 1, [0.0, 5e307, 1.5e308, 1e308])
+
     def test_empty_grid(self):
         with pytest.raises(InputError):
             scan_k(make_dicke(2, 1), 1, 1, 1, [])
