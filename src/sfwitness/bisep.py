@@ -1,13 +1,13 @@
 """Numerical maximization of <Sigma(k)> over biseparable and fully product
 pure states.
 
-The optimizer is an alternating see-saw: with all tensor factors but one
-held fixed, Sigma contracts to an effective Hermitian operator on the free
-factor, whose top eigenvector is the exact best update. Each half-step is
-therefore non-decreasing and the iteration converges to a local maximum;
-random restarts guard against bad basins. Both see-saws sweep their restarts
-as stacks in `_best_run` (one stacked `eigh` per half-step), each restart frozen once it
-stops; a byte cap on a stack runs many restarts in turns.
+The optimizer is an alternating see-saw: with all tensor factors but one held fixed,
+Sigma contracts to an effective Hermitian operator on the free factor, whose top
+eigenvector (by `eigh` up to 64 dimensions, by matrix-free Lanczos above) is the exact
+best update. Each half-step is therefore non-decreasing and the iteration converges to a
+local maximum; random restarts guard against bad basins. Both see-saws sweep their
+restarts as stacks in `_best_run`, each restart frozen once it stops; a byte cap on a
+stack runs many restarts in turns.
 
 A mixed biseparable state is a convex mixture of pure states product
 across single cuts, and <Sigma> is linear in the state, so the maximum
@@ -51,6 +51,10 @@ BOUND_RECHECK_ATOL = 1e-9
 
 #: Partial site maps the automorphism search may extend before it stops.
 AUTOMORPHISM_NODE_BUDGET = 20_000
+
+#: Blocks above DENSE_BLOCK_MAX_DIM dimensions (|B| >= 7) run matrix-free: `_lanczos_top` takes
+#: LANCZOS_BASIS Krylov vectors per cycle and stops a row at Ritz residual LANCZOS_RESIDUAL.
+DENSE_BLOCK_MAX_DIM, LANCZOS_BASIS, LANCZOS_RESIDUAL = 64, 32, 1e-12
 
 
 @dataclass(frozen=True)
@@ -153,45 +157,118 @@ def _cut_orbits(weights: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(representatives.tolist(), sizes.tolist()))
 
 
+def _dense_block(sites: list, spec: WitnessSpec, norm: int, weights, phases):
+    """(moments(held), operator(field)) of a block from its dense (own, U^xyz, V^xyz) stack."""
+    rows = np.arange(1 << len(sites))
+    ops = np.zeros((7, rows.size, rows.size), dtype=complex)
+    ops[0] = witness._pair_operator(weights[np.ix_(sites, sites)], spec.coefficients, norm)
+    masks, signs = kernels.site_masks(len(sites))[:, None], kernels.outcome_signs(len(sites))
+    flips, coefs = map(np.array, zip(*(kernels.pauli_rule(axis, masks, signs)
+                                       for axis in kernels.AXES)))
+    trig = np.array([np.cos(phases[sites]), np.sin(phases[sites])])[:, None, :, None]
+    np.add.at(ops, (np.arange(1, 7).reshape(2, 3, 1, 1), rows, rows ^ flips), trig * coefs)
+    flat, own, amplitudes = ops.reshape(7 * rows.size, -1), ops[0], ops[1:].reshape(6, -1)
+    return (lambda held: ((flat @ held[:, :, None]).reshape(len(held), 7, -1)
+                          @ held.conj()[:, :, None])[:, :, 0].real,
+            lambda field: own + (field[:, None, :] @ amplitudes).reshape(-1, *own.shape))
+
+
+def _matrix_free_block(sites: list, spec: WitnessSpec, norm: int, weights, phases):
+    """`_dense_block`'s pair from site masks, signs and phases, operator(field) an apply(rows, v)
+    for rows `rows` of the stack. U^a U^a + V^a V^a = sum_ij w_ji sigma_j^a sigma_i^a (w_ji =
+    cos cos + sin sin), so the own pair sum takes one gather of v, shared by x and y, and one of
+    their w-weighted sums; z is diagonal. Real factors multiply complex arrays as real views."""
+    n = len(sites)
+    masks, signs = kernels.site_masks(n)[:, None], kernels.outcome_signs(n)
+    (flip, x_coef), (_, y_coef), (_, z) = (kernels.pauli_rule(axis, masks, signs)
+                                           for axis in kernels.AXES)
+    table, coefs = np.arange(1 << n) ^ flip, np.array([x_coef, y_coef])  # sigma^x, sigma^y
+    spots = (np.arange(2 * n)[:, None] << n | np.tile(table, (2, 1))).ravel()  # (j, c ^ m_j)
+    trig = np.array([np.cos(phases[sites]), np.sin(phases[sites])])
+    z_sums, half = trig @ z, np.array(spec.coefficients) / (2 * norm)
+    pair, own_z = np.kron(np.diag(half[:2]), trig.T @ trig), half[2] * (z_sums ** 2).sum(0)
+
+    def moments(held):
+        xy = (trig @ (coefs * np.take(held, table, axis=1)[:, None]).view(float)).view(complex)
+        products = np.concatenate([xy, z_sums * held[:, None, None]], 1)  # (rows, a, U|V, d)
+        means = (products @ held.conj()[:, None, :, None])[..., 0].real.transpose(0, 2, 1)
+        return np.column_stack([((np.abs(products) ** 2).sum((2, 3)) - n) @ half,
+                                means.reshape(-1, 6)])
+
+    def operator(field):  # field: (rows, U|V x xyz)
+        site_field = (trig.T @ field.reshape(-1, 2, 3)[..., :2]).transpose(0, 2, 1)[..., None]
+        diagonal = own_z - n * half.sum() + field[:, 2::3] @ z_sums
+
+        def apply(rows, v):  # holds at most 4|B| vectors per row at once
+            sigma = (coefs * np.take(v, table, axis=1)[:, None]).reshape(len(v), 2 * n, -1)
+            sigma = (pair @ sigma.view(float)).view(complex)  # sum_i w_ji sigma_i^a v
+            sigma += site_field[rows].reshape(len(v), 2 * n, 1) * v[:, None]  # and the field's
+            back = np.take(sigma.reshape(len(v), -1), spots, axis=1).reshape(sigma.shape)
+            back *= coefs.reshape(2 * n, -1)
+            return diagonal[rows] * v + back.sum(1)
+
+        return apply
+
+    return moments, operator
+
+
 def _cut_half_step(spec: WitnessSpec, cut: Bipartition):
     """half_step(held, hold) -> (operators, shifts), <held|Sigma|held> = operator + shift on
-    block `hold` (0: A) per row of `held`, each a matrix-vector product (the length-1 axes) that
-    rounds as for one factor; each block's (own, U^xyz, V^xyz) is built once, sites in order."""
+    block `hold` (0: A) per row of `held`: a (rows, d, d) stack for a block of at most
+    DENSE_BLOCK_MAX_DIM dimensions, else a `_matrix_free_block` apply(rows, v)."""
     norm = math.comb(spec.n_qubits, 2)
     weights, phases = pair_weight_matrix(spec), spec.k * np.array(spec.layout.positions)
-    coupling, blocks = np.tile(spec.coefficients, 2) / norm, []
-    for part in (cut.part_a, cut.part_b):
-        sites, rows = [q - 1 for q in part], np.arange(1 << len(part))
-        ops = np.zeros((7, rows.size, rows.size), dtype=complex)
-        ops[0] = witness._pair_operator(weights[np.ix_(sites, sites)], spec.coefficients, norm)
-        masks, signs = kernels.site_masks(len(part))[:, None], kernels.outcome_signs(len(part))
-        flips, coefs = map(np.array, zip(*(kernels.pauli_rule(axis, masks, signs)
-                                           for axis in kernels.AXES)))
-        trig = np.array([np.cos(phases[sites]), np.sin(phases[sites])])[:, None, :, None]
-        np.add.at(ops, (np.arange(1, 7).reshape(2, 3, 1, 1), rows, rows ^ flips), trig * coefs)
-        blocks.append((ops.reshape(7 * rows.size, -1), ops[0], ops[1:].reshape(6, -1)))
+    coupling = np.tile(spec.coefficients, 2) / norm
+    blocks = [(_dense_block if 1 << len(part) <= DENSE_BLOCK_MAX_DIM else _matrix_free_block)(
+        [q - 1 for q in part], spec, norm, weights, phases) for part in (cut.part_a, cut.part_b)]
 
     def half_step(held, hold):
-        moments = ((blocks[1 - hold][0] @ held[:, :, None]).reshape(len(held), 7, -1)
-                   @ held.conj()[:, :, None])[:, :, 0].real
-        _, own, amplitudes = blocks[hold]
-        return (own + ((coupling * moments[:, 1:])[:, None, :] @ amplitudes).reshape(
-            -1, *own.shape), moments[:, 0])
+        moments = blocks[1 - hold][0](held)
+        return blocks[hold][1](coupling * moments[:, 1:]), moments[:, 0]
 
     return half_step
 
 
-def _best_run(start, sweep, seed_words: tuple, restarts: int, tol: float, max_iter: int,
-              stack: int):
+def _lanczos_top(apply, start: np.ndarray):
+    """eigh's (values, vectors) of the top eigenpair of each row's Hermitian map apply(rows, v),
+    by Lanczos with full reorthogonalization from the unit rows `start`. A cycle ends after
+    LANCZOS_BASIS steps, at a breakdown or once every Ritz residual (checked every fourth step)
+    is at most LANCZOS_RESIDUAL; other rows restart from their Ritz vectors, unless stalled."""
+    values, vectors, rows = np.full(len(start), -np.inf), start.copy(), np.arange(len(start))
+    while rows.size:
+        basis = np.zeros((rows.size, LANCZOS_BASIS, start.shape[1]), dtype=complex)
+        tri, basis[:, 0] = np.zeros((rows.size, LANCZOS_BASIS, LANCZOS_BASIS)), vectors[rows]
+        for j in range(LANCZOS_BASIS):
+            w = apply(rows, basis[:, j])
+            tri[:, j, j] = (basis[:, j].conj() * w).sum(1).real
+            for _ in range(2):  # classical Gram-Schmidt against the whole basis, twice
+                w -= ((basis[:, :j + 1] @ w.conj()[:, :, None]).conj().transpose(0, 2, 1)
+                      @ basis[:, :j + 1])[:, 0]
+            beta, full = np.linalg.norm(w, axis=1), j + 1 == LANCZOS_BASIS
+            if full or (j + 1) % 4 == 0 or np.any(beta <= LANCZOS_RESIDUAL):
+                theta, ritz = np.linalg.eigh(tri[:, :j + 1, :j + 1])
+                done = beta * np.abs(ritz[:, -1, -1]) <= LANCZOS_RESIDUAL
+                if full or done.all() or np.any(beta <= LANCZOS_RESIDUAL):  # or a breakdown
+                    break
+            basis[:, j + 1] = w / beta[:, None]
+            tri[:, j, j + 1] = tri[:, j + 1, j] = beta
+        top = (ritz[:, None, :, -1] @ basis[:, :j + 1])[:, 0]
+        done |= full & (theta[:, -1] <= values[rows])
+        values[rows], vectors[rows] = theta[:, -1], top / np.linalg.norm(top, axis=1)[:, None]
+        rows = rows[~done]
+    return values[:, None], vectors[:, :, None]
+
+
+def _best_run(draw, start, sweep, seed_words: tuple, restarts: int, tol: float,
+              max_iter: int, stack: int):
     """First best (value, point, sweeps, converged) of `restarts` runs, `stack` runs at a
-    time. Run r starts at start(default_rng([*seed_words, r])), one row of the stacks
-    `points`; sweep(points, rows) updates those rows in place and returns their values. A run
-    is frozen once a sweep gains < tol or after max_iter sweeps."""
+    time. Run r draws a row draw(default_rng([*seed_words, r])); start(rows) makes a stack's
+    `points`, and sweep(points, rows) updates those rows in place and returns their values.
+    A run is frozen once a sweep gains < tol or after max_iter sweeps."""
     best = None
     for first in range(0, restarts, stack):
         runs = range(first, min(first + stack, restarts))
-        points = [np.array(rows) for rows in zip(*(
-            start(np.random.default_rng([*seed_words, r])) for r in runs))]
+        points = start(np.array([draw(np.random.default_rng([*seed_words, r])) for r in runs]))
         values, gains = np.full(len(runs), -np.inf), np.full(len(runs), np.inf)
         sweeps, active = np.zeros(len(runs), dtype=int), np.arange(len(runs))
         while active.size:  # max_iter >= 1 (_check_run_params)
@@ -237,19 +314,21 @@ def _seesaw_cut(spec: WitnessSpec, cut: Bipartition, restarts: int, tol: float,
     def sweep(factors, rows):
         for hold in range(2):
             operators, shifts = half_step(factors[1 - hold][rows], hold)
-            eigvals, eigvecs = np.linalg.eigh(operators)
+            eigvals, eigvecs = (_lanczos_top(operators, factors[hold][rows])  # matrix-free
+                                if callable(operators) else np.linalg.eigh(operators))
             factors[hold][rows] = eigvecs[:, :, -1]
         return eigvals[:, -1] + shifts
 
-    def start(rng):  # one draw per restart, split into the two factors' normals
-        normals = rng.standard_normal(sum(sizes))
-        return list(map(states._normalized_amplitudes, np.split(normals, sizes[:1])))
+    def start(normals):
+        return list(map(states._normalized_amplitudes, np.split(normals, sizes[:1], axis=1)))
 
-    # per restart, a half-step's peak holds two complex (d, d) arrays of the larger block:
-    # its summed operator beside either the coupling term or eigh's eigenvectors
-    value, factors, iterations, converged = _best_run(
-        start, sweep, (seed, cut_index), restarts, tol, max_iter,
-        stack=max(1, states._STACK_BYTES // (32 * 4 ** max(map(len, parts)))))
+    # per restart, a half-step's peak: a dense block's (d, d) operator beside the coupling term
+    # or eigh's eigenvectors, or a matrix-free block's Krylov basis beside 4|B| gathered vectors
+    held = max((16 << n) * (2 << n if 1 << n <= DENSE_BLOCK_MAX_DIM else LANCZOS_BASIS + 4 * n)
+               for n in map(len, parts))
+    value, factors, iterations, converged = _best_run(  # one draw per restart, both factors
+        lambda rng: rng.standard_normal(sum(sizes)), start, sweep, (seed, cut_index), restarts,
+        tol, max_iter, stack=max(1, states._STACK_BYTES // held))
     best_state = tuple(StateVector(len(part), factor) for part, factor in zip(parts, factors))
     return BisepResult(bound=_recheck(value, assemble_cut_state(cut, *best_state), spec),
                        best_cut=cut, best_state=best_state,
@@ -304,10 +383,10 @@ def product_bound(spec: WitnessSpec, restarts: int = DEFAULT_RESTARTS,
     weights = pair_weight_matrix(spec) / math.comb(spec.n_qubits, 2)
     coefficients = np.array(spec.coefficients)
 
-    def start(rng):
-        a, b = states._normalized_amplitudes(rng.standard_normal((len(weights), 4))).T
-        return [np.column_stack([2 * (a.conj() * b).real, 2 * (a.conj() * b).imag,
-                                 np.abs(a) ** 2 - np.abs(b) ** 2])]
+    def start(normals):
+        a, b = np.moveaxis(states._normalized_amplitudes(normals), -1, 0)
+        return [np.stack([2 * (a.conj() * b).real, 2 * (a.conj() * b).imag,
+                          np.abs(a) ** 2 - np.abs(b) ** 2], -1)]
 
     def sweep(points, rows):
         blochs = points[0][rows]
@@ -320,7 +399,8 @@ def product_bound(spec: WitnessSpec, restarts: int = DEFAULT_RESTARTS,
 
     # per restart, a sweep's peak holds five (N, 3) float arrays: the stored and swept rows
     # and the three terms of the value
-    value, (blochs,), _, _ = _best_run(start, sweep, (seed,), restarts, tol, max_iter,
+    value, (blochs,), _, _ = _best_run(lambda rng: rng.standard_normal((len(weights), 4)), start,
+                                       sweep, (seed,), restarts, tol, max_iter,
                                        stack=max(1, states._STACK_BYTES // (120 * len(weights))))
     ket = functools.reduce(np.kron, states._bloch_to_ket(blochs))
     return _recheck(value, StateVector(spec.n_qubits, ket), spec)

@@ -25,7 +25,7 @@ MAX_QUBITS = 16
 #: Cap for dense density matrices (2**n x 2**n entries).
 DENSITY_MAX_QUBITS = 12
 
-#: Cap for witness.sigma_operator (4**n complex entries) and for the cut see-saw.
+#: Cap for witness.sigma_operator (4**n complex entries); for the cut see-saw, on run time.
 OPERATOR_MAX_QUBITS = 12
 
 #: Cap for noise.kraus_crosscheck, which applies the Kraus channel to a dense density matrix.

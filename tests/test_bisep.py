@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -210,7 +211,7 @@ class TestSeesaw:
 
         def recording_draw(normals):
             amplitudes = normalize(normals)
-            starts.append(amplitudes.copy())
+            starts.extend(amplitudes.copy())  # one factor's stack of one restart
             return amplitudes
 
         def recording_eigh(matrices):
@@ -239,7 +240,8 @@ class TestSeesaw:
         # does not stop there; run 1 stops after two sweeps and is frozen while the others
         # go on; run 2 ties with run 0, which wins as the first best; run 3 is cut off by
         # max_iter below the best. The same holds whether 4, 3 or 1 runs form a stack, and a
-        # stack's runs are drawn only once the previous stack is done.
+        # stack's runs are drawn, and its start made once from their rows, only once the
+        # previous stack is done.
         table = {0: [2.0, 2.5, 3.5, 3.5], 1: [1.0, 1.2], 2: [3.0, 3.5, 3.5],
                  3: [0.0, 1.0, 2.0, 3.0, 3.4]}
         events = {4: ["draw 0-3", [0, 1, 2, 3], [0, 1, 2, 3], [0, 2, 3], [0, 3], [3]],
@@ -249,11 +251,14 @@ class TestSeesaw:
         for stack, expected in events.items():
             runs, seen = iter(range(4)), []
 
-            def start(rng):
+            def draw(rng):
                 run = next(runs)
                 if run % stack == 0:
                     seen.append(f"draw {run}-{min(run + stack, 4) - 1}")
-                return [10 * run]
+                return 10 * run
+
+            def start(normals):
+                return [normals]
 
             def sweep(points, rows):
                 # a point is 10 * run + sweeps done, so the winner's point shows its sweeps
@@ -262,7 +267,7 @@ class TestSeesaw:
                 seen.append((swept // 10).tolist())
                 return np.array([table[p // 10][p % 10 - 1] for p in swept])
 
-            best = bisep._best_run(start, sweep, (0,), restarts=4, tol=0.5, max_iter=5,
+            best = bisep._best_run(draw, start, sweep, (0,), restarts=4, tol=0.5, max_iter=5,
                                    stack=stack)
             assert best == (3.5, [4], 4, True)
             assert seen == expected
@@ -598,10 +603,11 @@ class TestStackedDriver:
         spec, drawn = WitnessSpec(5, 0.7, 0.3, -0.9, 0.5, SiteLayout((0, 1, 2.5, 4, 4.5))), []
         best_run = bisep._best_run
 
-        def recording(start, sweep, seed_words, restarts, *args, **kwargs):
-            drawn.append((seed_words, [start(np.random.default_rng([*seed_words, r]))
-                                       for r in range(restarts)]))
-            return best_run(start, sweep, seed_words, restarts, *args, **kwargs)
+        def recording(draw, start, sweep, seed_words, restarts, *args, **kwargs):
+            stacks = start(np.array([draw(np.random.default_rng([*seed_words, r]))
+                                     for r in range(restarts)]))
+            drawn.append((seed_words, [[stack[r] for stack in stacks] for r in range(restarts)]))
+            return best_run(draw, start, sweep, seed_words, restarts, *args, **kwargs)
 
         monkeypatch.setattr(bisep, "_best_run", recording)
         bisep_bound(spec, restarts=4, seed=9)
@@ -615,6 +621,93 @@ class TestStackedDriver:
                 for part, factor in zip((cut.part_a, cut.part_b), factors):
                     assert np.array_equal(
                         factor, states.random_state_vector(len(part), rng).amplitudes)
+
+
+class TestMatrixFreeBlocks:
+    """Blocks above DENSE_BLOCK_MAX_DIM run matrix-free with Lanczos; the per-restart dense
+    reference (its own (7, d, d) build and eigh) must agree with them within 1e-9."""
+
+    @pytest.mark.parametrize("args, restarts, seed, max_iter", [
+        ((8, math.pi, 1, 1, 1), 3, 0, 500),
+        ((8, 0.3, 1, 1, 1), 1, 1, 500),
+        ((8, 1.9, 0.6, -0.8, 0.3, SiteLayout((0, 0.4, 1.1, 2, 2.7, 3.5, 4.2, 5))), 1, 2, 40),
+        ((10, math.pi, 1, 1, 1), 1, 0, 500),
+    ], ids=["8-k-pi", "8-k-0.3", "8-random-layout", "10-k-pi"])
+    def test_bisep_bound_matches_the_dense_reference(self, args, restarts, seed, max_iter):
+        spec = WitnessSpec(*args)
+        cuts = enumerate_bipartitions(spec.n_qubits)
+        reference = {index: seesaw_reference.seesaw_cut(spec, cuts[index], restarts,
+                                                        bisep.DEFAULT_TOL, max_iter, seed,
+                                                        index)[0]
+                     for index, _ in bisep._cut_orbits(witness.pair_weight_matrix(spec))}
+        assert max(max(len(cuts[index].part_a), len(cuts[index].part_b))
+                   for index in reference) >= 7
+        result = bisep_bound(spec, restarts=restarts, seed=seed, max_iter=max_iter)
+        best = max(reference.values())
+        assert abs(result.bound - best) <= 1e-9
+        # the best cut's orbit is the reference's, or one whose reference bound ties it
+        assert abs(reference[cuts.index(result.best_cut)] - best) <= 1e-9
+
+    def test_eigh_never_sees_a_block_above_64_dimensions(self, monkeypatch):
+        eigh, sizes = np.linalg.eigh, []
+
+        def recording_eigh(matrices):
+            sizes.append(matrices.shape[-1])
+            return eigh(matrices)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        bisep_bound(WitnessSpec(8, math.pi, 1, 1, 1), restarts=2)
+        seesaw_max(WitnessSpec(9, 0.3, 1, 1, 1), Bipartition((1,), tuple(range(2, 10))),
+                   restarts=2)
+        assert sizes and max(sizes) <= 64
+
+    def test_singleton_cut_at_ten_qubits_holds_no_dense_block(self):
+        # the dense (7, d, d) stack of the 9-qubit block alone is 7 * 4^9 * 16 B = 29 MB
+        spec, cut = WitnessSpec(10, math.pi, 1, 1, 1), Bipartition((1,), tuple(range(2, 11)))
+        tracemalloc.start()
+        try:
+            seesaw_max(spec, cut, restarts=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
+
+    def test_zero_operator_breaks_down_at_the_first_step(self):
+        # every Lanczos row stops at beta = 0 with Ritz value 0, as the N = 3 pin does
+        with np.errstate(all="raise"):
+            result = bisep_bound(WitnessSpec(8, 0.0, 0, 0, 0), restarts=2, seed=0)
+        assert result.bound == 0.0 and result.converged
+
+    def test_start_on_an_eigenvector_stops_at_once(self, rng):
+        # row 0: a basis vector of a diagonal map (beta = 0 exactly); row 1: the top
+        # eigenvector of a random Hermitian matrix (beta at rounding level)
+        d = 128
+        maps = np.zeros((2, d, d), dtype=complex)
+        maps[0][np.diag_indices(d)] = rng.standard_normal(d)
+        noise = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        maps[1] = noise + noise.conj().T
+        eigvals, eigvecs = np.linalg.eigh(maps[1])
+        start = np.array([np.eye(d)[np.argmax(maps[0].diagonal().real)], eigvecs[:, -1]])
+        calls = []
+
+        def apply(rows, v):
+            calls.append(rows.tolist())
+            return (maps[rows] @ v[:, :, None])[:, :, 0]
+
+        with np.errstate(all="raise"):
+            values, vectors = (a[..., -1] for a in bisep._lanczos_top(apply, start))
+        assert calls == [[0, 1]]
+        assert values[0] == maps[0].diagonal().real.max()
+        assert values[1] == pytest.approx(eigvals[-1], abs=1e-12)
+        assert np.allclose(np.abs(np.sum(vectors.conj() * start, axis=1)), 1.0, atol=1e-12)
+
+    def test_zero_tol_and_one_sweep(self):
+        spec, cut = WitnessSpec(8, math.pi, 1, 1, 1), Bipartition((1,), tuple(range(2, 9)))
+        with np.errstate(all="raise"):
+            result = seesaw_max(spec, cut, restarts=2, tol=0, max_iter=1, seed=4)
+        bound, _, iterations, converged = seesaw_reference.seesaw_cut(spec, cut, 2, 0, 1, 4)
+        assert abs(result.bound - bound) <= 1e-9
+        assert (result.iterations, result.converged) == (iterations, converged) == (1, False)
 
 
 class TestGmeDetected:
