@@ -157,34 +157,36 @@ def _cut_orbits(weights: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(representatives.tolist(), sizes.tolist()))
 
 
-def _dense_block(sites: list, spec: WitnessSpec, norm: int, weights, phases):
-    """(moments(held), operator(field)) of a block from its dense (own, U^xyz, V^xyz) stack."""
-    rows = np.arange(1 << len(sites))
-    ops = np.zeros((7, rows.size, rows.size), dtype=complex)
-    ops[0] = witness._pair_operator(weights[np.ix_(sites, sites)], spec.coefficients, norm)
-    masks, signs = kernels.site_masks(len(sites))[:, None], kernels.outcome_signs(len(sites))
-    flips, coefs = map(np.array, zip(*(kernels.pauli_rule(axis, masks, signs)
-                                       for axis in kernels.AXES)))
-    trig = np.array([np.cos(phases[sites]), np.sin(phases[sites])])[:, None, :, None]
-    np.add.at(ops, (np.arange(1, 7).reshape(2, 3, 1, 1), rows, rows ^ flips), trig * coefs)
-    flat, own, amplitudes = ops.reshape(7 * rows.size, -1), ops[0], ops[1:].reshape(6, -1)
-    return (lambda held: ((flat @ held[:, :, None]).reshape(len(held), 7, -1)
-                          @ held.conj()[:, :, None])[:, :, 0].real,
-            lambda field: own + (field[:, None, :] @ amplitudes).reshape(-1, *own.shape))
-
-
-def _matrix_free_block(sites: list, spec: WitnessSpec, norm: int, weights, phases):
-    """`_dense_block`'s pair from site masks, signs and phases, operator(field) an apply(rows, v)
-    for rows `rows` of the stack. U^a U^a + V^a V^a = sum_ij w_ji sigma_j^a sigma_i^a (w_ji =
-    cos cos + sin sin), so the own pair sum takes one gather of v, shared by x and y, and one of
-    their w-weighted sums; z is diagonal. Real factors multiply complex arrays as real views."""
-    n = len(sites)
+def _block(sites: list, spec: WitnessSpec, norm: int, weights, phases):
+    """(moments(held), top(field, start), bytes) of the cut block on 0-based `sites`: per row of
+    `held`, the block's own pair sum and its six moments <U^xyz>, <V^xyz>; per row of `field`,
+    eigh's (values, vectors) of the top eigenpair of own + field . (U^xyz, V^xyz); and one
+    restart's peak bytes in a half-step. A block of at most DENSE_BLOCK_MAX_DIM dimensions holds
+    its dense (own, U^xyz, V^xyz) stack and calls eigh ((d, d) operators beside the coupling term
+    or the eigenvectors); a larger one is matrix-free and runs `_lanczos_top` from `start` (its
+    Krylov basis beside 4|B| gathered vectors)."""
+    n, idx = len(sites), np.arange(1 << len(sites))
     masks, signs = kernels.site_masks(n)[:, None], kernels.outcome_signs(n)
-    (flip, x_coef), (_, y_coef), (_, z) = (kernels.pauli_rule(axis, masks, signs)
-                                           for axis in kernels.AXES)
-    table, coefs = np.arange(1 << n) ^ flip, np.array([x_coef, y_coef])  # sigma^x, sigma^y
-    spots = (np.arange(2 * n)[:, None] << n | np.tile(table, (2, 1))).ravel()  # (j, c ^ m_j)
+    rules = [kernels.pauli_rule(axis, masks, signs) for axis in kernels.AXES]
     trig = np.array([np.cos(phases[sites]), np.sin(phases[sites])])
+    if idx.size <= DENSE_BLOCK_MAX_DIM:
+        ops = np.zeros((7, idx.size, idx.size), dtype=complex)
+        ops[0] = witness._pair_operator(weights[np.ix_(sites, sites)], spec.coefficients, norm)
+        flips, coefs = map(np.array, zip(*rules))
+        np.add.at(ops, (np.arange(1, 7).reshape(2, 3, 1, 1), idx, idx ^ flips),
+                  trig[:, None, :, None] * coefs)
+        flat, own, amplitudes = ops.reshape(7 * idx.size, -1), ops[0], ops[1:].reshape(6, -1)
+        return (lambda held: ((flat @ held[:, :, None]).reshape(len(held), 7, -1)
+                              @ held.conj()[:, :, None])[:, :, 0].real,
+                lambda field, start: np.linalg.eigh(
+                    own + (field[:, None, :] @ amplitudes).reshape(-1, *own.shape)),
+                32 * idx.size ** 2)
+    # U^a U^a + V^a V^a = sum_ij w_ji sigma_j^a sigma_i^a (w_ji = cos cos + sin sin), so the own
+    # pair sum takes one gather of v, shared by x and y, and one of their w-weighted sums; z is
+    # diagonal. Real factors multiply complex arrays as real views.
+    (flip, x_coef), (_, y_coef), (_, z) = rules
+    table, coefs = idx ^ flip, np.array([x_coef, y_coef])  # sigma^x, sigma^y
+    spots = (np.arange(2 * n)[:, None] << n | np.tile(table, (2, 1))).ravel()  # (j, c ^ m_j)
     z_sums, half = trig @ z, np.array(spec.coefficients) / (2 * norm)
     pair, own_z = np.kron(np.diag(half[:2]), trig.T @ trig), half[2] * (z_sums ** 2).sum(0)
 
@@ -195,7 +197,7 @@ def _matrix_free_block(sites: list, spec: WitnessSpec, norm: int, weights, phase
         return np.column_stack([((np.abs(products) ** 2).sum((2, 3)) - n) @ half,
                                 means.reshape(-1, 6)])
 
-    def operator(field):  # field: (rows, U|V x xyz)
+    def top(field, start):  # field: (rows, U|V x xyz)
         site_field = (trig.T @ field.reshape(-1, 2, 3)[..., :2]).transpose(0, 2, 1)[..., None]
         diagonal = own_z - n * half.sum() + field[:, 2::3] @ z_sums
 
@@ -207,26 +209,9 @@ def _matrix_free_block(sites: list, spec: WitnessSpec, norm: int, weights, phase
             back *= coefs.reshape(2 * n, -1)
             return diagonal[rows] * v + back.sum(1)
 
-        return apply
+        return _lanczos_top(apply, start)
 
-    return moments, operator
-
-
-def _cut_half_step(spec: WitnessSpec, cut: Bipartition):
-    """half_step(held, hold) -> (operators, shifts), <held|Sigma|held> = operator + shift on
-    block `hold` (0: A) per row of `held`: a (rows, d, d) stack for a block of at most
-    DENSE_BLOCK_MAX_DIM dimensions, else a `_matrix_free_block` apply(rows, v)."""
-    norm = math.comb(spec.n_qubits, 2)
-    weights, phases = pair_weight_matrix(spec), spec.k * np.array(spec.layout.positions)
-    coupling = np.tile(spec.coefficients, 2) / norm
-    blocks = [(_dense_block if 1 << len(part) <= DENSE_BLOCK_MAX_DIM else _matrix_free_block)(
-        [q - 1 for q in part], spec, norm, weights, phases) for part in (cut.part_a, cut.part_b)]
-
-    def half_step(held, hold):
-        moments = blocks[1 - hold][0](held)
-        return blocks[hold][1](coupling * moments[:, 1:]), moments[:, 0]
-
-    return half_step
+    return moments, top, (16 << n) * (LANCZOS_BASIS + 4 * n)
 
 
 def _lanczos_top(apply, start: np.ndarray):
@@ -308,27 +293,26 @@ def _recheck(value: float, state, spec: WitnessSpec) -> float:
 def _seesaw_cut(spec: WitnessSpec, cut: Bipartition, restarts: int, tol: float,
                 max_iter: int, seed: int, cut_index: int, orbit_size: int = 1) -> BisepResult:
     """First best of `restarts` see-saw runs, run r seeded by [seed, cut_index, r]."""
-    half_step, parts = _cut_half_step(spec, cut), (cut.part_a, cut.part_b)
+    norm, parts = math.comb(spec.n_qubits, 2), (cut.part_a, cut.part_b)
+    weights, phases = pair_weight_matrix(spec), spec.k * np.array(spec.layout.positions)
+    coupling = np.tile(spec.coefficients, 2) / norm
+    moments, tops, peaks = zip(*(_block([q - 1 for q in part], spec, norm, weights, phases)
+                                 for part in parts))
     sizes = [2 << len(part) for part in parts]  # normals per factor: real and imaginary parts
 
-    def sweep(factors, rows):
+    def sweep(factors, rows):  # <held|Sigma|held> = top value + the held block's own pair sum
         for hold in range(2):
-            operators, shifts = half_step(factors[1 - hold][rows], hold)
-            eigvals, eigvecs = (_lanczos_top(operators, factors[hold][rows])  # matrix-free
-                                if callable(operators) else np.linalg.eigh(operators))
-            factors[hold][rows] = eigvecs[:, :, -1]
-        return eigvals[:, -1] + shifts
+            held = moments[1 - hold](factors[1 - hold][rows])
+            values, vectors = tops[hold](coupling * held[:, 1:], factors[hold][rows])
+            factors[hold][rows] = vectors[:, :, -1]
+        return values[:, -1] + held[:, 0]
 
     def start(normals):
         return list(map(states._normalized_amplitudes, np.split(normals, sizes[:1], axis=1)))
 
-    # per restart, a half-step's peak: a dense block's (d, d) operator beside the coupling term
-    # or eigh's eigenvectors, or a matrix-free block's Krylov basis beside 4|B| gathered vectors
-    held = max((16 << n) * (2 << n if 1 << n <= DENSE_BLOCK_MAX_DIM else LANCZOS_BASIS + 4 * n)
-               for n in map(len, parts))
     value, factors, iterations, converged = _best_run(  # one draw per restart, both factors
         lambda rng: rng.standard_normal(sum(sizes)), start, sweep, (seed, cut_index), restarts,
-        tol, max_iter, stack=max(1, states._STACK_BYTES // held))
+        tol, max_iter, stack=max(1, states._STACK_BYTES // max(peaks)))
     best_state = tuple(StateVector(len(part), factor) for part, factor in zip(parts, factors))
     return BisepResult(bound=_recheck(value, assemble_cut_state(cut, *best_state), spec),
                        best_cut=cut, best_state=best_state,

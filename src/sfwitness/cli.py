@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
@@ -30,8 +29,9 @@ from .kernels import AXES
 
 SEED_ENV_VAR = "SFWITNESS_SEED"
 
-# each point is an output row: 10^5 points cost `scan` ~1-2 s and ~90 MB peak RSS at
-# N = 4 and N = 16 alike (2-core VM), as scan_k sums in byte-capped k stacks
+# each point is an output row: 10^5 points cost `scan --output` ~1-2 s and 55-65 MB peak RSS
+# at N = 4 and N = 16 alike (2-core VM), as scan_k sums in byte-capped k stacks and `_emit`
+# writes each row as it formats it
 K_GRID_MAX_POINTS = 10 ** 5
 
 EXIT_OK = 0
@@ -235,29 +235,38 @@ def _cell(value) -> str:
 
 
 def _emit(args: argparse.Namespace, record, text: str | None = None) -> int:
-    """Write one record as JSON, as CSV, or as its text rendering.
+    """Write one record as JSON, as CSV, or as its text rendering, to stdout or `--output`.
 
     `record` is a dict (one CSV row) or a nonempty list of named tuples (one
     row each). Where a command has no `text` rendering, text is the CSV table.
+    Rows are written as they are formatted, so no whole-table text is held.
     """
-    rows = [record] if isinstance(record, dict) else [r._asdict() for r in record]
-    if args.format == "json":
-        text = json.dumps(record if isinstance(record, dict) else rows) + "\n"
-    elif args.format == "csv" or text is None:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(rows[0])
-        writer.writerows([_cell(v) for v in row.values()] for row in rows)
-        text = buffer.getvalue()
-    if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise InputError(f"cannot write --output: {exc}") from exc
-    else:
-        sys.stdout.write(text)
+    if not args.output:
+        _write(sys.stdout, args.format, record, text)
+        return EXIT_OK
+    try:
+        with open(args.output, "w", encoding="utf-8") as handle:
+            _write(handle, args.format, record, text)
+    except OSError as exc:
+        raise InputError(f"cannot write --output: {exc}") from exc
     return EXIT_OK
+
+
+def _write(handle, output_format: str, record, text: str | None) -> None:
+    rows = [record] if isinstance(record, dict) else (r._asdict() for r in record)
+    if output_format == "json" and isinstance(record, dict):
+        handle.write(json.dumps(record) + "\n")
+    elif output_format == "json":  # json.dumps of the list of rows, a row at a time
+        handle.write("[")
+        for index, row in enumerate(rows):
+            handle.write((", " if index else "") + json.dumps(row))
+        handle.write("]\n")
+    elif output_format == "csv" or text is None:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(record if isinstance(record, dict) else record[0]._fields)
+        writer.writerows([_cell(v) for v in row.values()] for row in rows)
+    else:
+        handle.write(text)
 
 
 def _run_eval(args: argparse.Namespace) -> int:

@@ -105,8 +105,13 @@ class DensityMatrix:
 
     def __post_init__(self):
         mat = _checked_entries(self.n_qubits, self.entries)
-        if float(np.linalg.eigvalsh(mat)[0]) < -PSD_ATOL:
-            raise InputError("matrix has a significantly negative eigenvalue")
+        shifted = mat.copy()  # a Cholesky factor of mat + PSD_ATOL I proves the eigenvalue check
+        shifted.flat[::len(mat) + 1] += PSD_ATOL
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            if float(np.linalg.eigvalsh(mat)[0]) < -PSD_ATOL:
+                raise InputError("matrix has a significantly negative eigenvalue") from None
         object.__setattr__(self, "entries", mat)
 
     @classmethod

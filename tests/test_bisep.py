@@ -144,18 +144,31 @@ class TestEnumeration:
 
 
 class TestEffectiveOperator:
-    def test_against_naive_partial_contraction(self, rng):
+    def test_against_naive_partial_contraction(self, rng, monkeypatch):
         # explicit double loop over the dense operator at assembled basis indices, n <= 4,
         # either block held, for each row of a stack of three held factors; the last case
-        # has a non-uniform layout and k not in {0, pi}
+        # has a non-uniform layout and k not in {0, pi}. The free block's operator is the stack
+        # its top passes to eigh, with the cross term sum_a c_a (U_A^a U_B^a + V_A^a V_B^a) /
+        # C(N,2) read from the held block's moments, and its shift the held block's own pair sum
+        eigh, passed = np.linalg.eigh, []
+
+        def recording_eigh(matrices):
+            passed.append(matrices)
+            return eigh(matrices)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
         cases = [(random_spec(rng, 3), 1), (random_spec(rng, 4), 1),
                  (WitnessSpec(4, 2.1, -0.4, 0.8, 0.6, SiteLayout((0, 0.3, 1.7, 2))), 2)]
         for spec, cut_index in cases:
-            n = spec.n_qubits
+            n, norm = spec.n_qubits, math.comb(spec.n_qubits, 2)
             matrix = sigma_operator(spec)
             cut = enumerate_bipartitions(n)[cut_index]
             parts = (cut.part_a, cut.part_b)
-            half_step = bisep._cut_half_step(spec, cut)
+            weights = witness.pair_weight_matrix(spec)
+            phases = spec.k * np.array(spec.layout.positions)
+            blocks = [bisep._block([q - 1 for q in part], spec, norm, weights, phases)
+                      for part in parts]
+            coupling = np.tile(spec.coefficients, 2) / norm
             dims = [2 ** len(part) for part in parts]
             stack_b = rng.standard_normal((3, dims[1])) + 1j * rng.standard_normal((3, dims[1]))
             stack_b /= np.linalg.norm(stack_b, axis=1, keepdims=True)
@@ -173,7 +186,10 @@ class TestEffectiveOperator:
 
             for hold in (0, 1):
                 stack = (stack_a, stack_b)[1 - hold]
-                operators, shifts = half_step(stack, hold)
+                moments = blocks[1 - hold][0](stack)
+                passed.clear()
+                blocks[hold][1](coupling * moments[:, 1:], (stack_a, stack_b)[hold])
+                (operators,), shifts = passed, moments[:, 0]
                 assert operators.shape == (3, dims[hold], dims[hold]) and shifts.shape == (3,)
                 for held, operator, shift in zip(stack, operators, shifts):
                     # x, xp index the free block and y, yp the held one
@@ -404,7 +420,7 @@ class TestBisepBound:
 
         monkeypatch.setattr(states, "OPERATOR_MAX_QUBITS", 3)
         monkeypatch.setattr(bisep, "_best_run", forbidden)
-        monkeypatch.setattr(bisep, "_cut_half_step", forbidden)
+        monkeypatch.setattr(bisep, "_block", forbidden)
         with pytest.raises(ResourceError, match="OPERATOR_MAX_QUBITS"):
             search(PHASED_SPEC_4)
 
@@ -648,6 +664,25 @@ class TestMatrixFreeBlocks:
         # the best cut's orbit is the reference's, or one whose reference bound ties it
         assert abs(reference[cuts.index(result.best_cut)] - best) <= 1e-9
 
+    @pytest.mark.parametrize(
+        "args, restarts, seed, max_iter, bound, cut, iterations, converged", CUT_PINS)
+    def test_every_block_matrix_free_reproduces_the_exact_pins(
+            self, args, restarts, seed, max_iter, bound, cut, iterations, converged,
+            monkeypatch):
+        # blocks of 2 to 32 dimensions too, where the Krylov basis breaks down before
+        # LANCZOS_BASIS vectors; no block is built densely
+        def forbidden(*args):
+            raise AssertionError("a block was built densely")
+
+        monkeypatch.setattr(bisep, "DENSE_BLOCK_MAX_DIM", 1)
+        monkeypatch.setattr(witness, "_pair_operator", forbidden)
+        with np.errstate(all="raise"):
+            result = bisep_bound(WitnessSpec(*args), restarts=restarts, seed=seed,
+                                 max_iter=max_iter)
+        assert abs(result.bound - bound) <= 1e-12
+        assert (result.best_cut, result.iterations, result.converged) == (
+            Bipartition(*cut), iterations, converged)
+
     def test_eigh_never_sees_a_block_above_64_dimensions(self, monkeypatch):
         eigh, sizes = np.linalg.eigh, []
 
@@ -779,6 +814,6 @@ class TestGridOracles:
         def forbidden(*args, **kwargs):
             raise AssertionError("grid oracle reached the see-saw")
 
-        for name in ("_cut_half_step", "_seesaw_cut", "_best_run"):
+        for name in ("_block", "_seesaw_cut", "_best_run"):
             monkeypatch.setattr(bisep, name, forbidden)
         assert oracle_values() == expected

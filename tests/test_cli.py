@@ -2,11 +2,14 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import sfwitness.bisep as bisep
+import sfwitness.cli as cli
+import sfwitness.witness as witness
 from sfwitness import (DensityMatrix, InputError, ResourceError, StateVector,
                        UnsupportedCaseError, from_json, make_dicke, to_json)
 from sfwitness.cli import (EXIT_CHECK_FAILURE, EXIT_INPUT, EXIT_OK,
@@ -178,6 +181,33 @@ class TestScan:
         code, out = run_cli(["scan", "--state", "dicke:4,2", "--c", "1,1,-1",
                              "--k-grid", "0:pi:5"], capsys)
         assert len(out.strip().splitlines()) == 6
+
+    def test_rows_written_one_at_a_time_match_the_whole_list(self, tmp_path, capsys):
+        argv = ["scan", "--state", "dicke:4,2", "--k-grid", "0:pi:7", "--format", "json"]
+        grid = np.linspace(0, math.pi, 7).tolist()
+        rows = [point._asdict() for point in witness.scan_k(make_dicke(4, 2), 1, 1, 1, grid)]
+        expected = json.dumps(rows) + "\n"
+        assert run_cli(argv, capsys) == (EXIT_OK, expected)
+        assert run_cli(argv + ["--output", str(tmp_path / "scan.json")], capsys) == (EXIT_OK, "")
+        assert (tmp_path / "scan.json").read_text() == expected
+
+    @pytest.mark.parametrize("output_format", ["text", "json"])
+    def test_largest_grid_to_a_file_holds_no_whole_table(self, output_format, tmp_path):
+        # scan_k alone peaks at about 18 MB on this grid; every row as a dict beside the whole
+        # table text took 50 MB
+        target = tmp_path / "scan.out"
+        tracemalloc.start()
+        try:
+            code = run(parse_args(["scan", "--state", "dicke:4,2", "--format", output_format,
+                                   "--k-grid", f"0:pi:{cli.K_GRID_MAX_POINTS}",
+                                   "--output", str(target)]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK and peak < 25 * 2 ** 20
+        with target.open() as handle:
+            assert sum(1 for _ in handle) == (
+                1 if output_format == "json" else cli.K_GRID_MAX_POINTS + 1)
 
 
 class TestRobustness:

@@ -453,17 +453,42 @@ class TestDensityMatrixInvariants:
                         mix_with_white_noise(random_pure(rng, n), float(rng.random()))):
                 assert np.linalg.eigvalsh(rho.entries)[0] >= -states.PSD_ATOL
 
+    @pytest.mark.parametrize("factorization", ["cholesky", "eigvalsh fallback"])
+    def test_psd_tolerance_boundary(self, rng, factorization, monkeypatch):
+        # smallest eigenvalue -PSD_ATOL/2 passes and -2 PSD_ATOL fails, whether the shifted
+        # Cholesky factorization decides or fails and leaves the verdict to eigvalsh
+        def no_factor(matrix):
+            raise np.linalg.LinAlgError("forced")
+
+        if factorization != "cholesky":
+            monkeypatch.setattr(np.linalg, "cholesky", no_factor)
+        unitary = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))[0]
+        for scale, accepted in ((0.5, True), (2.0, False)):
+            low = -scale * states.PSD_ATOL
+            eigenvalues = np.array([low, *np.full(7, (1.0 - low) / 7)])
+            mat = (unitary * eigenvalues) @ unitary.conj().T
+            mat = (mat + mat.conj().T) / 2
+            assert np.linalg.eigvalsh(mat)[0] == pytest.approx(low, abs=1e-14)
+            if accepted:
+                assert np.array_equal(DensityMatrix(3, mat).entries, mat)
+            else:
+                with pytest.raises(InputError,
+                                   match="^matrix has a significantly negative eigenvalue$"):
+                    DensityMatrix(3, mat)
+
     def test_builders_skip_only_the_eigenvalue_check(self, rng, monkeypatch):
-        # PSD by construction: no eigvalsh, while the public constructor keeps it
+        # PSD by construction: no Cholesky factor and no eigvalsh, while the public
+        # constructor keeps the check
         def forbidden(*args, **kwargs):
-            raise AssertionError("eigvalsh called")
+            raise AssertionError("PSD check called")
 
         monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        monkeypatch.setattr(np.linalg, "cholesky", forbidden)
         rho = make_product_density([(0.0, 0.6, 0.8), (1.0, 0.0, 0.0)])
         noisy = mix_with_white_noise(random_pure(rng, 3), 0.25)
         for built in (rho, noisy):
             assert not built.entries.flags.writeable
-            with pytest.raises(AssertionError, match="eigvalsh"):
+            with pytest.raises(AssertionError, match="PSD check"):
                 DensityMatrix(built.n_qubits, built.entries)
         with pytest.raises(ResourceError):
             states.DensityMatrix._psd_by_construction(states.DENSITY_MAX_QUBITS + 1, [[1.0]])
