@@ -157,7 +157,7 @@ def _cut_orbits(weights: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(representatives.tolist(), sizes.tolist()))
 
 
-def _block(sites: list, spec: WitnessSpec, norm: int, weights, phases):
+def _block(sites: list, spec: WitnessSpec, norm: int):
     """(moments(held), top(field, start), bytes) of the cut block on 0-based `sites`: per row of
     `held`, the block's own pair sum and its six moments <U^xyz>, <V^xyz>; per row of `field`,
     eigh's (values, vectors) of the top eigenpair of own + field . (U^xyz, V^xyz); and one
@@ -168,10 +168,11 @@ def _block(sites: list, spec: WitnessSpec, norm: int, weights, phases):
     n, idx = len(sites), np.arange(1 << len(sites))
     masks, signs = kernels.site_masks(n)[:, None], kernels.outcome_signs(n)
     rules = [kernels.pauli_rule(axis, masks, signs) for axis in kernels.AXES]
-    trig = np.array([np.cos(phases[sites]), np.sin(phases[sites])])
+    trig = spec.layout.cos_sin(spec.k)[:, sites]
     if idx.size <= DENSE_BLOCK_MAX_DIM:
         ops = np.zeros((7, idx.size, idx.size), dtype=complex)
-        ops[0] = witness._pair_operator(weights[np.ix_(sites, sites)], spec.coefficients, norm)
+        weights = pair_weight_matrix(spec)[np.ix_(sites, sites)]
+        ops[0] = witness._pair_operator(weights, spec.coefficients, norm)
         flips, coefs = map(np.array, zip(*rules))
         np.add.at(ops, (np.arange(1, 7).reshape(2, 3, 1, 1), idx, idx ^ flips),
                   trig[:, None, :, None] * coefs)
@@ -294,10 +295,8 @@ def _seesaw_cut(spec: WitnessSpec, cut: Bipartition, restarts: int, tol: float,
                 max_iter: int, seed: int, cut_index: int, orbit_size: int = 1) -> BisepResult:
     """First best of `restarts` see-saw runs, run r seeded by [seed, cut_index, r]."""
     norm, parts = math.comb(spec.n_qubits, 2), (cut.part_a, cut.part_b)
-    weights, phases = pair_weight_matrix(spec), spec.k * np.array(spec.layout.positions)
     coupling = np.tile(spec.coefficients, 2) / norm
-    moments, tops, peaks = zip(*(_block([q - 1 for q in part], spec, norm, weights, phases)
-                                 for part in parts))
+    moments, tops, peaks = zip(*(_block([q - 1 for q in part], spec, norm) for part in parts))
     sizes = [2 << len(part) for part in parts]  # normals per factor: real and imaginary parts
 
     def sweep(factors, rows):  # <held|Sigma|held> = top value + the held block's own pair sum

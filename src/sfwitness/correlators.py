@@ -1,5 +1,5 @@
-"""Two-point Pauli correlators, collective-spin moments, and the static
-structure factor.
+"""Site layouts, two-point Pauli correlators, collective-spin moments, and the static structure
+factor. Only `SiteLayout` turns site positions and k into numbers, for every module.
 
 `correlation_matrices` reads every <a_i a_j> of each asked axis off one
 readout setting, E^T diag(p_a) E, with p_a the outcome distribution in the
@@ -34,7 +34,7 @@ _ROTATIONS = {"x": np.array([[1, 1], [1, -1]]) / math.sqrt(2.0),
 
 @dataclass(frozen=True)
 class SiteLayout:
-    """Spin positions along a chain, in units of the lattice spacing."""
+    """Spin positions along a chain, in lattice spacings, and every number made of them and k."""
 
     positions: tuple
 
@@ -53,27 +53,46 @@ class SiteLayout:
 
     @classmethod
     def checked(cls, layout: "SiteLayout | None", n_sites: int, k: float) -> "SiteLayout":
-        """`layout` or unit spacing; InputError unless it has n_sites sites and k is real."""
+        """`layout` or unit spacing; InputError unless it has n_sites sites and passes check_k."""
         layout = cls.unit_spacing(n_sites) if layout is None else layout
         check_type(layout, cls, "the layout")
         if len(layout) != n_sites:
             raise InputError(f"layout has {len(layout)} sites for {n_sites} qubits")
-        check_real(k, "k")
-        if not math.isfinite(abs(k) * layout.reach()):
-            raise InputError(f"k must be finite, also times each position and separation, got {k}")
+        layout.check_k((k,))
         return layout
 
     @classmethod
     def unit_spacing(cls, n_sites: int) -> "SiteLayout":
         return cls(tuple(float(i) for i in range(n_sites)))
 
-    def reach(self) -> float:
-        """The largest |r_i| and |r_j - r_i|, which k times must stay finite."""
-        return max(self.positions[-1] - self.positions[0], -self.positions[0], self.positions[-1])
+    def check_k(self, k_grid) -> None:
+        """InputError at the first k of the sequence `k_grid` that is not real, else at the first,
+        as given, whose product with the largest |r_i| and |r_j - r_i| is not finite."""
+        reach = max(self.positions[-1] - self.positions[0], -self.positions[0], self.positions[-1])
+        with np.errstate(over="ignore"):  # a numpy scalar overflows to inf quietly, as a float
+            bad = [k for k in k_grid if not math.isfinite(abs(check_real(k, "k")) * reach)]
+        if bad:
+            raise InputError(f"k must be finite, also times each position and separation, "
+                             f"got {bad[0]}")
 
-    def separation(self, i: int, j: int) -> float:
-        """r_j - r_i for 1-based site labels."""
-        return self.positions[j - 1] - self.positions[i - 1]
+    def cos_sin(self, k: float) -> np.ndarray:
+        """(2, n) array of cos(k r_j) and sin(k r_j), the two parts of the phases e^{i k r_j}."""
+        phases = k * np.array(self.positions)
+        return np.array([np.cos(phases), np.sin(phases)])
+
+    def separations(self) -> np.ndarray:
+        """n x n matrix of the separations r_j - r_i (row i, column j)."""
+        pos = np.array(self.positions)
+        return pos - pos[:, None]
+
+    def weight_table(self, ks) -> np.ndarray:
+        """C-ordered (K, n, n) stack of the zero-diagonal pair weights cos(|k| |r_j - r_i|), |k|
+        for a bit-exact k -> -k, per k in `ks`: one math.cos per k and distinct separation."""
+        columns = {0.0: 0}  # |r_j - r_i| -> column; 0 only on the diagonal, whose weight is 0
+        slots = [[columns.setdefault(d, len(columns)) for d in row]
+                 for row in np.abs(self.separations()).tolist()]
+        values = np.array([[math.cos(abs(k) * d) if d else 0.0 for d in columns] for k in ks])
+        return np.take(values, slots, axis=1)
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -225,8 +244,7 @@ def structure_factor(state, k: float, a: str, b: str, layout: SiteLayout | None 
         corr = axis_correlations(state, a)[rows, cols]
     else:
         corr = np.array([two_point(state, i + 1, j + 1, a, b) for i, j in zip(rows, cols)])
-    pos = np.asarray(layout.positions)
-    return complex(np.sum(np.exp(1j * k * (pos[cols] - pos[rows])) * corr))
+    return complex(np.sum(np.exp(1j * k * layout.separations()[rows, cols]) * corr))
 
 
 def verify_collective_identity(state, a: str, k: float = 0.0,
@@ -235,6 +253,6 @@ def verify_collective_identity(state, a: str, k: float = 0.0,
     the pair sum, and (<(U^a)^2> + <(V^a)^2> - N)/2 = (|S^a(k)|^2 - N)/2 with U^a = sum_j
     cos(k r_j) s_j^a and V^a = sum_j sin(k r_j) s_j^a. The two agree for every state."""
     lhs = structure_factor(state, k, a, a, layout).real
-    pos = k * np.asarray(SiteLayout.checked(layout, state.n_qubits, k).positions)
-    u_sq, v_sq = (_collective_square(state, part(pos), a) for part in (np.cos, np.sin))
+    trig = SiteLayout.checked(layout, state.n_qubits, k).cos_sin(k)
+    u_sq, v_sq = (_collective_square(state, part, a) for part in trig)
     return lhs, (u_sq + v_sq - state.n_qubits) / 2.0

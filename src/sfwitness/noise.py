@@ -102,5 +102,5 @@ def kraus_crosscheck(state: StateVector, spec: WitnessSpec, q: float) -> tuple[f
     rho = np.outer(state.amplitudes, state.amplitudes.conj())
     for site in range(1, n + 1):
         rho = _depolarize_qubit(rho, n, site, q)
-    state_side = sigma_value(DensityMatrix(n, rho), spec)
+    state_side = sigma_value(DensityMatrix._psd_by_construction(n, rho), spec)
     return observable_side, state_side

@@ -26,7 +26,7 @@ from .correlators import (SiteLayout, _density_correlations, structure_factor,
 from .errors import InputError, UnsupportedCaseError, check_integer
 from .states import (make_dicke, make_dicke_ghz_superposition, make_ghz_superposition,
                      make_phased_dicke, random_state_vector)
-from .witness import WitnessSpec
+from .witness import WitnessSpec, pair_weight_matrix
 
 GHZ_WINDOW_LOW = math.pi / 4
 DICKE_GHZ_WINDOW_LOW = math.acos(3.0 * math.sqrt(2.0 / 19.0))
@@ -151,7 +151,7 @@ def product_grid_max_2(spec: WitnessSpec) -> float:
     The second Bloch vector is eliminated exactly (it aligns with the
     weighted image of the first), so only one sphere is gridded.
     """
-    d = spec.pair_weight(1, 2) * np.array(spec.coefficients)
+    d = pair_weight_matrix(spec)[0, 1] * np.array(spec.coefficients)
     return _sphere_search(lambda points: np.linalg.norm(points * d[None, :], axis=1),
                           1, 8000, 41)
 
@@ -164,9 +164,7 @@ def product_grid_max_3(spec: WitnessSpec) -> float:
     other two).
     """
     c = np.array(spec.coefficients)
-    w12 = spec.pair_weight(1, 2)
-    w13 = spec.pair_weight(1, 3)
-    w23 = spec.pair_weight(2, 3)
+    w12, w13, w23 = pair_weight_matrix(spec)[[0, 0, 1], [1, 2, 2]]
 
     def values(pts1, pts2):
         cross = (pts1 * c[None, :]) @ (w12 * pts2.T)
@@ -298,8 +296,7 @@ def _product_witness_values(vectors: np.ndarray, ks: np.ndarray,
     WitnessSpec(N, ks[b], *coefficients[b]): the density path with a leading stack axis."""
     stack, n = states._product_stack(vectors), vectors.shape[1]
     states._check_stack(stack)
-    positions = SiteLayout.unit_spacing(n).positions
-    weights = witness._weight_table(ks.tolist(), positions)
+    weights = SiteLayout.unit_spacing(n).weight_table(ks.tolist())
     correlations = _density_correlations(stack, kernels.outcome_signs(n), kernels.AXES)
     return 1.0 - witness._sigma_from(coefficients.T, weights, correlations)
 

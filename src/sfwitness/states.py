@@ -104,15 +104,7 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        mat = _checked_entries(self.n_qubits, self.entries)
-        shifted = mat.copy()  # a Cholesky factor of mat + PSD_ATOL I proves the eigenvalue check
-        shifted.flat[::len(mat) + 1] += PSD_ATOL
-        try:
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            if float(np.linalg.eigvalsh(mat)[0]) < -PSD_ATOL:
-                raise InputError("matrix has a significantly negative eigenvalue") from None
-        object.__setattr__(self, "entries", mat)
+        object.__setattr__(self, "entries", _checked_entries(self.n_qubits, self.entries))
 
     @classmethod
     def _psd_by_construction(cls, n_qubits: int, entries) -> "DensityMatrix":
@@ -129,13 +121,25 @@ class DensityMatrix:
 
 
 def _checked_entries(n_qubits: int, entries, copy: bool = True) -> np.ndarray:
-    """Read-only `entries` (copied if `copy`), checked for size, finiteness, Hermiticity, trace."""
+    """Read-only `entries`, checked for size, finiteness, Hermiticity and trace; if `copy`, copied
+    and checked to be positive semidefinite (builders' uncopied arrays are by construction)."""
     _check_size(n_qubits, "DENSITY_MAX_QUBITS")
     dim = 2 ** n_qubits
     mat = (np.array if copy else np.asarray)(entries, dtype=complex)
     if mat.shape != (dim, dim):
         raise InputError(f"expected shape {(dim, dim)}, got {mat.shape}")
     _check_stack(mat[None])
+    if copy:  # a Cholesky factor of the copy + PSD_ATOL I (diagonal shifted in place) proves it
+        diagonal = mat.diagonal().copy()
+        try:
+            try:
+                mat.flat[::dim + 1] += PSD_ATOL
+                np.linalg.cholesky(mat)
+            finally:
+                mat.flat[::dim + 1] = diagonal
+        except np.linalg.LinAlgError:
+            if float(np.linalg.eigvalsh(mat)[0]) < -PSD_ATOL:
+                raise InputError("matrix has a significantly negative eigenvalue") from None
     mat.flags.writeable = False
     return mat
 

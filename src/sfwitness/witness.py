@@ -5,9 +5,9 @@ Sigma(k) averages the cosine-weighted diagonal two-point correlators:
     <Sigma(k)> = (1/C(N,2)) sum_{i<j} cos(k m_ij)
                  [c_x <x_i x_j> + c_y <y_i y_j> + c_z <z_i z_j>],
 
-with m_ij = r_j - r_i. Every product state satisfies |<Sigma(k)>| <= 1, so
-a negative witness value certifies entanglement. Closed forms for the
-Dicke families are provided as exact rationals.
+with m_ij = r_j - r_i; the spec's `SiteLayout` supplies the k check and the weights. Every
+product state satisfies |<Sigma(k)>| <= 1, so a negative witness value certifies
+entanglement. Closed forms for the Dicke families are provided as exact rationals.
 """
 
 from __future__ import annotations
@@ -50,10 +50,6 @@ class WitnessSpec:
     def coefficients(self) -> tuple:
         return (self.c_x, self.c_y, self.c_z)
 
-    def pair_weight(self, i: int, j: int) -> float:
-        # |k| keeps the k -> -k symmetry bit-exact
-        return math.cos(abs(self.k) * self.layout.separation(i, j))
-
     def to_json(self) -> str:
         return json.dumps({
             "n_qubits": self.n_qubits,
@@ -90,18 +86,7 @@ def _check_state(state, spec: WitnessSpec) -> None:
 
 def pair_weight_matrix(spec: WitnessSpec) -> np.ndarray:
     """Symmetric zero-diagonal n x n matrix of the weights cos(k m_ij)."""
-    return _weight_table((spec.k,), spec.layout.positions)[0]
-
-
-def _weight_table(ks, positions: tuple) -> np.ndarray:
-    """pair_weight_matrix for each k in `ks`, stacked: pair_weight's arithmetic with one math.cos
-    per k and distinct separation, whose column each entry reads (column 0: the diagonal)."""
-    columns, slots = {}, [[0] * len(positions) for _ in positions]
-    for i, r in enumerate(positions):
-        for j in range(i + 1, len(positions)):
-            slots[i][j] = slots[j][i] = columns.setdefault(positions[j] - r, len(columns) + 1)
-    values = np.array([[0.0] + [math.cos(abs(k) * d) for d in columns] for k in ks])
-    return np.take(values, slots, axis=1)
+    return spec.layout.weight_table((spec.k,))[0]
 
 
 def _axis_sums(weights: np.ndarray, correlations: dict) -> dict:
@@ -219,16 +204,12 @@ def scan_k(state, c_x: float, c_y: float, c_z: float, k_grid,
         raise InputError("k grid must be nonempty")
     _array(state)
     spec = WitnessSpec(state.n_qubits, k_grid[0], c_x, c_y, c_z, layout)  # c and layout, once
-    ks = np.array([check_real(k, "k") for k in k_grid], dtype=float)
-    with np.errstate(over="ignore"):  # one finiteness test over the grid
-        finite = np.isfinite(np.abs(ks) * spec.layout.reach())
-    if not finite.all():  # the error of the first point that fails it
-        SiteLayout.checked(spec.layout, spec.n_qubits, k_grid[int(np.argmin(finite))])
+    spec.layout.check_k(k_grid)
     corr = correlation_matrices(state, measurement_settings(spec))
     # per k, one n x n weight row and its product with a correlation matrix: 16 n^2 bytes
     rows, points = max(1, states._STACK_BYTES // (16 * spec.n_qubits ** 2)), []
     for ks in (k_grid[first:first + rows] for first in range(0, len(k_grid), rows)):
-        sums = _sigma_from(spec.coefficients, _weight_table(ks, spec.layout.positions), corr)
+        sums = _sigma_from(spec.coefficients, spec.layout.weight_table(ks), corr)
         points += [ScanPoint(k, sigma, 1.0 - sigma) for k, sigma in zip(ks, sums.tolist())]
     return points
 

@@ -45,7 +45,8 @@ def dense_sigma_matrix(spec: WitnessSpec) -> np.ndarray:
         for c, axis in zip((spec.c_x, spec.c_y, spec.c_z), "xyz"):
             for i in range(1, n + 1):
                 for j in range(i + 1, n + 1):
-                    phase = np.exp(1j * sign * spec.k * spec.layout.separation(i, j))
+                    separation = spec.layout.positions[j - 1] - spec.layout.positions[i - 1]
+                    phase = np.exp(1j * sign * spec.k * separation)
                     part += phase * c * pauli_on(n, {i: axis, j: axis})
         total += part / (2.0 * math.comb(n, 2))
     return total

@@ -164,10 +164,7 @@ class TestEffectiveOperator:
             matrix = sigma_operator(spec)
             cut = enumerate_bipartitions(n)[cut_index]
             parts = (cut.part_a, cut.part_b)
-            weights = witness.pair_weight_matrix(spec)
-            phases = spec.k * np.array(spec.layout.positions)
-            blocks = [bisep._block([q - 1 for q in part], spec, norm, weights, phases)
-                      for part in parts]
+            blocks = [bisep._block([q - 1 for q in part], spec, norm) for part in parts]
             coupling = np.tile(spec.coefficients, 2) / norm
             dims = [2 ** len(part) for part in parts]
             stack_b = rng.standard_normal((3, dims[1])) + 1j * rng.standard_normal((3, dims[1]))
@@ -770,7 +767,8 @@ class TestGridOracles:
             grid = product_grid_max_2(spec)
             assert seesaw == pytest.approx(grid, abs=1e-3)
             # independent closed form: max_n |diag(w c) n| = w max|c|
-            analytic = abs(spec.pair_weight(1, 2)) * max(
+            r1, r2 = spec.layout.positions
+            analytic = abs(math.cos(abs(spec.k) * (r2 - r1))) * max(
                 abs(c) for c in spec.coefficients)
             assert grid == pytest.approx(analytic, abs=1e-6)
 

@@ -273,7 +273,8 @@ class TestStructureFactor:
         layout = SiteLayout((0.0, 0.4, 1.9, 2.2))
         state = random_pure(rng, 4)
         for axis in "xyz":
-            expected = sum(np.exp(1j * 0.8 * layout.separation(i, j))
+            pos = layout.positions
+            expected = sum(np.exp(1j * 0.8 * (pos[j - 1] - pos[i - 1]))
                            * two_point(state, i, j, axis, axis)
                            for i in range(1, 5) for j in range(i + 1, 5))
             got = structure_factor(state, 0.8, axis, axis, layout)

@@ -183,6 +183,21 @@ class TestKrausCrosscheck:
         with pytest.raises(ResourceError, match="9 qubits exceeds the cap KRAUS_MAX_QUBITS = 8"):
             kraus_crosscheck(make_dicke(9, 4), WitnessSpec(9, math.pi, 1, 1, 1), 0.1)
 
+    def test_state_side_skips_only_the_eigenvalue_check(self, rng, monkeypatch):
+        # the Kraus output is PSD by construction: no Cholesky factor and no eigvalsh, while
+        # its finiteness, Hermiticity and trace are still checked
+        def forbidden(*args, **kwargs):
+            raise AssertionError("PSD check called")
+
+        stacks, check_stack = [], states._check_stack
+        monkeypatch.setattr(states, "_check_stack",
+                            lambda stack: stacks.append(stack.shape) or check_stack(stack))
+        monkeypatch.setattr(np.linalg, "cholesky", forbidden)
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        lhs, rhs = kraus_crosscheck(random_pure(rng, 5), random_spec(rng, 5), 0.3)
+        assert lhs == pytest.approx(rhs, abs=1e-12)
+        assert stacks == [(1, 32, 32)]
+
     def test_rejects_density_matrix(self):
         rho = mix_with_white_noise(make_dicke(4, 2), 0.1)
         with pytest.raises(InputError, match="needs a StateVector, got DensityMatrix"):

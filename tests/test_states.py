@@ -476,6 +476,19 @@ class TestDensityMatrixInvariants:
                                    match="^matrix has a significantly negative eigenvalue$"):
                     DensityMatrix(3, mat)
 
+    def test_constructor_peak_is_two_matrices(self, rng):
+        # the constructor's copy and Cholesky's factor: factoring a shifted second copy of the
+        # entries took the peak to 3.0 times their bytes
+        mat = mix_with_white_noise(random_pure(rng, 9), 0.25).entries.copy()
+        tracemalloc.start()
+        try:
+            rho = DensityMatrix(9, mat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(rho.entries, mat)
+        assert peak < 2.5 * mat.nbytes
+
     def test_builders_skip_only_the_eigenvalue_check(self, rng, monkeypatch):
         # PSD by construction: no Cholesky factor and no eigvalsh, while the public
         # constructor keeps the check

@@ -90,6 +90,11 @@ class TestWitnessSpec:
                     assert weights[i, j] == weights[j, i] == math.cos(abs(k) * (s - r))
 
 
+def _pair_weight(spec, i, j):
+    """cos(|k| (r_j - r_i)) for 1-based site labels, computed apart from the package."""
+    return math.cos(abs(spec.k) * (spec.layout.positions[j - 1] - spec.layout.positions[i - 1]))
+
+
 class TestPairWeightMatrix:
     def test_entries_are_pair_weights(self):
         spec = WitnessSpec(4, 1.1, 1, 1, 1, SiteLayout((0.0, 0.3, 1.7, 2.0)))
@@ -98,18 +103,18 @@ class TestPairWeightMatrix:
         assert np.array_equal(np.diag(weights), np.zeros(4))
         for i in range(1, 5):
             for j in range(i + 1, 5):
-                assert weights[i - 1, j - 1] == spec.pair_weight(i, j)
+                assert weights[i - 1, j - 1] == _pair_weight(spec, i, j)
 
     @staticmethod
     def _assert_table_rows_are_pair_weights(ks, layout):
-        table = witness._weight_table(ks, layout.positions)
+        table = layout.weight_table(ks)
         n = len(layout)
         assert table.shape == (len(ks), n, n) and table.flags.c_contiguous
         for k, weights in zip(ks, table):
             spec = WitnessSpec(n, k, 1, 1, 1, layout)
             assert np.array_equal(np.diag(weights), np.zeros(n))
             for i, j in itertools.combinations(range(1, n + 1), 2):
-                assert weights[i - 1, j - 1] == weights[j - 1, i - 1] == spec.pair_weight(i, j)
+                assert weights[i - 1, j - 1] == weights[j - 1, i - 1] == _pair_weight(spec, i, j)
 
     @pytest.mark.parametrize("positions", [
         (0.0, 1.0, 2.0, 3.0, 4.0, 5.0), (0.0, 1.0, 3.0, 4.0, 6.0, 7.0),
@@ -132,7 +137,7 @@ class TestPairWeightMatrix:
 def _pair_route_sums(state, spec):
     """Per-axis sum_{i<j} cos(k m_ij) <a_i a_j> / C(N,2) through two_point."""
     n = spec.n_qubits
-    return [sum(spec.pair_weight(i, j) * two_point(state, i, j, axis, axis)
+    return [sum(_pair_weight(spec, i, j) * two_point(state, i, j, axis, axis)
                 for i in range(1, n + 1) for j in range(i + 1, n + 1))
             / math.comb(n, 2) for axis in "xyz"]
 
@@ -352,10 +357,10 @@ def _hex_points(points) -> list:
 
 
 def _count_table_rows(monkeypatch) -> list:
-    """The k count of each witness._weight_table call, in call order."""
-    rows, weight_table = [], witness._weight_table
-    monkeypatch.setattr(witness, "_weight_table",
-                        lambda ks, positions: rows.append(len(ks)) or weight_table(ks, positions))
+    """The k count of each SiteLayout.weight_table call, in call order."""
+    rows, weight_table = [], SiteLayout.weight_table
+    monkeypatch.setattr(SiteLayout, "weight_table",
+                        lambda layout, ks: rows.append(len(ks)) or weight_table(layout, ks))
     return rows
 
 
@@ -453,6 +458,15 @@ class TestScanK:
         # k times the reach 2 of three unit-spaced sites overflows at 1.5e308 and 1e308, not 5e307
         with pytest.raises(InputError, match=r"got 1\.5e\+308$"):
             scan_k(make_dicke(3, 1), 1, 1, 1, [0.0, 5e307, 1.5e308, 1e308])
+
+    def test_grid_points_follow_the_single_k_rule(self):
+        # a float32 k times the reach 2 overflows in float32, the type its weights are taken in:
+        # the grid names it as WitnessSpec rejects it, before any cos of an infinite product
+        k = np.float32(3e38)
+        with pytest.raises(InputError, match="k must be finite, also times"):
+            WitnessSpec(3, k, 1, 1, 1)
+        with pytest.raises(InputError, match=r"got 3\.0000000054977558e\+38$"):
+            scan_k(make_dicke(3, 1), 1, 1, 1, [0.0, k])
 
     def test_empty_grid(self):
         with pytest.raises(InputError):
