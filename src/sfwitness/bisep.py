@@ -319,12 +319,12 @@ def _seesaw_cut(spec: WitnessSpec, cut: Bipartition, restarts: int, tol: float,
                        iterations=iterations, spec=spec, orbit_size=orbit_size)
 
 
-def _check_run_params(spec, restarts, seed, tol, max_iter, cap="OPERATOR_MAX_QUBITS") -> None:
-    for name, value, least in (("restarts", restarts, 1), ("seed", seed, 0),
-                               ("max_iter", max_iter, 1)):
-        check_integer(value, name, least)
-    check_real(tol, "tol", 0)
+def _check_run_params(spec, restarts, seed, tol, max_iter, cap="OPERATOR_MAX_QUBITS") -> tuple:
+    restarts, seed, max_iter = (check_integer(value, name, least) for name, value, least in (
+        ("restarts", restarts, 1), ("seed", seed, 0), ("max_iter", max_iter, 1)))
+    tol = check_real(tol, "tol", 0)
     states._check_size(spec.n_qubits, cap)
+    return restarts, seed, tol, max_iter
 
 
 def seesaw_max(spec: WitnessSpec, cut: Bipartition,
@@ -334,7 +334,7 @@ def seesaw_max(spec: WitnessSpec, cut: Bipartition,
     check_type(cut, Bipartition, "seesaw_max")
     if cut.n_qubits != spec.n_qubits:
         raise InputError(f"cut covers {cut.n_qubits} sites, spec has {spec.n_qubits}")
-    _check_run_params(spec, restarts, seed, tol, max_iter)
+    restarts, seed, tol, max_iter = _check_run_params(spec, restarts, seed, tol, max_iter)
     return _seesaw_cut(spec, cut, restarts, tol, max_iter, seed, cut_index=0)
 
 
@@ -346,7 +346,7 @@ def bisep_bound(spec: WitnessSpec, restarts: int = DEFAULT_RESTARTS,
     The result bounds <Sigma> on all biseparable states (see module notes);
     exceeding it certifies genuine multipartite entanglement.
     """
-    _check_run_params(spec, restarts, seed, tol, max_iter)
+    restarts, seed, tol, max_iter = _check_run_params(spec, restarts, seed, tol, max_iter)
     cuts = enumerate_bipartitions(spec.n_qubits)
     return max((_seesaw_cut(spec, cuts[index], restarts, tol, max_iter, seed, index, size)
                 for index, size in _cut_orbits(pair_weight_matrix(spec))),
@@ -362,7 +362,8 @@ def product_bound(spec: WitnessSpec, restarts: int = DEFAULT_RESTARTS,
     default_rng([seed, r]). Cannot exceed 1 beyond numerical slack; useful
     as a sanity anchor for the analytic product bound.
     """
-    _check_run_params(spec, restarts, seed, tol, max_iter, "MAX_QUBITS")  # the recheck's ket
+    restarts, seed, tol, max_iter = _check_run_params(spec, restarts, seed, tol, max_iter,
+                                                      "MAX_QUBITS")  # the recheck's ket
     weights = pair_weight_matrix(spec) / math.comb(spec.n_qubits, 2)
     coefficients = np.array(spec.coefficients)
 

@@ -1,5 +1,5 @@
 """Site layouts, two-point Pauli correlators, collective-spin moments, and the static structure
-factor. Only `SiteLayout` turns site positions and k into numbers, for every module.
+factor. Only `SiteLayout` turns positions and k, as `check_real`'s floats, into numbers.
 
 `correlation_matrices` reads every <a_i a_j> of each asked axis off one
 readout setting, E^T diag(p_a) E, with p_a the outcome distribution in the
@@ -43,7 +43,7 @@ class SiteLayout:
             pos = iter(self.positions)
         except TypeError as exc:
             raise InputError(f"positions must be iterable, got {_shown(self.positions)}") from exc
-        pos = tuple(float(check_real(r, "site position")) for r in pos)
+        pos = tuple(check_real(r, "site position") for r in pos)
         if len(pos) < 1:
             raise InputError("layout needs at least one site")
         if not (math.isfinite(pos[-1] - pos[0]) and all(b > a for a, b in zip(pos, pos[1:]))):
@@ -52,28 +52,28 @@ class SiteLayout:
         object.__setattr__(self, "positions", pos)
 
     @classmethod
-    def checked(cls, layout: "SiteLayout | None", n_sites: int, k: float) -> "SiteLayout":
-        """`layout` or unit spacing; InputError unless it has n_sites sites and passes check_k."""
+    def checked(cls, layout: SiteLayout | None, n_sites: int, k: float) -> tuple[SiteLayout, float]:
+        """(`layout` or unit spacing, k as check_k's float); InputError unless n_sites sites."""
         layout = cls.unit_spacing(n_sites) if layout is None else layout
         check_type(layout, cls, "the layout")
         if len(layout) != n_sites:
             raise InputError(f"layout has {len(layout)} sites for {n_sites} qubits")
-        layout.check_k((k,))
-        return layout
+        return layout, *layout.check_k((k,))
 
     @classmethod
     def unit_spacing(cls, n_sites: int) -> "SiteLayout":
-        return cls(tuple(float(i) for i in range(n_sites)))
+        return cls(range(n_sites))
 
-    def check_k(self, k_grid) -> None:
-        """InputError at the first k of the sequence `k_grid` that is not real, else at the first,
-        as given, whose product with the largest |r_i| and |r_j - r_i| is not finite."""
+    def check_k(self, k_grid) -> list[float]:
+        """The sequence `k_grid` as floats; InputError at the first k that is not real, else at the
+        first, as given, whose product with the largest |r_i| and |r_j - r_i| is not finite."""
         reach = max(self.positions[-1] - self.positions[0], -self.positions[0], self.positions[-1])
-        with np.errstate(over="ignore"):  # a numpy scalar overflows to inf quietly, as a float
-            bad = [k for k in k_grid if not math.isfinite(abs(check_real(k, "k")) * reach)]
+        ks = [check_real(k, "k") for k in k_grid]
+        bad = [given for given, k in zip(k_grid, ks) if not math.isfinite(abs(k) * reach)]
         if bad:
             raise InputError(f"k must be finite, also times each position and separation, "
                              f"got {bad[0]}")
+        return ks
 
     def cos_sin(self, k: float) -> np.ndarray:
         """(2, n) array of cos(k r_j) and sin(k r_j), the two parts of the phases e^{i k r_j}."""
@@ -238,7 +238,7 @@ def axis_correlations(state, axis: str) -> np.ndarray:
 def structure_factor(state, k: float, a: str, b: str, layout: SiteLayout | None = None) -> complex:
     """sum_{i<j} exp(i k (r_j - r_i)) <sigma_i^a sigma_j^b>."""
     _array(state)
-    layout = SiteLayout.checked(layout, state.n_qubits, k)
+    layout, k = SiteLayout.checked(layout, state.n_qubits, k)
     rows, cols = np.triu_indices(state.n_qubits, 1)
     if a == b:
         corr = axis_correlations(state, a)[rows, cols]
@@ -253,6 +253,6 @@ def verify_collective_identity(state, a: str, k: float = 0.0,
     the pair sum, and (<(U^a)^2> + <(V^a)^2> - N)/2 = (|S^a(k)|^2 - N)/2 with U^a = sum_j
     cos(k r_j) s_j^a and V^a = sum_j sin(k r_j) s_j^a. The two agree for every state."""
     lhs = structure_factor(state, k, a, a, layout).real
-    trig = SiteLayout.checked(layout, state.n_qubits, k).cos_sin(k)
-    u_sq, v_sq = (_collective_square(state, part, a) for part in trig)
+    layout, k = SiteLayout.checked(layout, state.n_qubits, k)
+    u_sq, v_sq = (_collective_square(state, part, a) for part in layout.cos_sin(k))
     return lhs, (u_sq + v_sq - state.n_qubits) / 2.0

@@ -1,8 +1,9 @@
 """Exception types and input checks shared across the package.
 
 The CLI maps these onto distinct exit codes, so library code should raise the most specific
-one that applies. The checks test for int and float before the slower numbers ABCs. Messages
-show a number by its str (a rational beyond 1e30 in e-notation) and anything else by its repr.
+one that applies. The checks test for int and float before the slower numbers ABCs, judge a
+value as given and return it as the Python int or float that callers store and compute with.
+Messages show a number by its str (a rational beyond 1e30 in e-notation), anything else by repr.
 """
 
 import math
@@ -49,12 +50,12 @@ def check_integer(value, name: str, least: int, most: int | None = None) -> int:
     return int(_check_range(value, name, least, most))
 
 
-def check_real(value, name: str, least: float = -math.inf, most: float | None = None):
-    """`value` unconverted; InputError unless a finite real (not a bool) in [least, most]."""
+def check_real(value, name: str, least: float = -math.inf, most: float | None = None) -> float:
+    """`value` as a float; InputError unless a finite real (not a bool) in [least, most]."""
     try:  # math.isfinite overflows on an int or a Fraction beyond the float range
         finite = isinstance(value, (float, numbers.Real)) and math.isfinite(value)
     except OverflowError:
         finite = False
     if isinstance(value, bool) or not finite:
         raise InputError(f"{name} must be finite and real, got {_shown(value)}")
-    return _check_range(value, name, least, most)
+    return float(_check_range(value, name, least, most))

@@ -37,7 +37,7 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise InputError(f"noise kind must be one of {NOISE_KINDS}, got {self.kind!r}")
-        check_real(self.strength, "noise strength", 0, 1)
+        object.__setattr__(self, "strength", check_real(self.strength, "noise strength", 0, 1))
 
 
 def noisy_sigma(state: StateVector, spec: WitnessSpec, noise: NoiseModel) -> float:
@@ -95,7 +95,7 @@ def kraus_crosscheck(state: StateVector, spec: WitnessSpec, q: float) -> tuple[f
     states.KRAUS_MAX_QUBITS. The two are equal up to rounding; tests assert it.
     """
     check_type(state, StateVector, "kraus_crosscheck")
-    check_real(q, "q", 0, 1)
+    q = check_real(q, "q", 0, 1)
     n = state.n_qubits
     states._check_size(n, "KRAUS_MAX_QUBITS")
     observable_side = (1.0 - q) ** 2 * sigma_value(state, spec)

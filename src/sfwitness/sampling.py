@@ -36,8 +36,8 @@ class ShotPlan:
     seed: int = 0
 
     def __post_init__(self):
-        _check_shots(self.shots_per_setting)
-        check_integer(self.seed, "seed", 0)
+        object.__setattr__(self, "shots_per_setting", _check_shots(self.shots_per_setting))
+        object.__setattr__(self, "seed", check_integer(self.seed, "seed", 0))
 
 
 def _check_shots(shots) -> int:

@@ -42,16 +42,15 @@ PSD_ATOL = 1e-10
 SERIALIZATION_NORM_ATOL = 1e-9
 
 
-def _check_size(n_qubits: int, name: str = "MAX_QUBITS") -> None:
-    """Reject n_qubits < 1 or above the cap `name`; builders call this before allocating.
-
-    The caps are read at call time, so reassigning them takes effect at once.
-    """
-    check_integer(n_qubits, "n_qubits", 1)
+def _check_size(n_qubits: int, name: str = "MAX_QUBITS") -> int:
+    """`n_qubits` as an int; reject it below 1 or above the cap `name`. Builders call this before
+    allocating. The caps are read at call time, so reassigning them takes effect at once."""
+    n_qubits = check_integer(n_qubits, "n_qubits", 1)
     cap = globals()[name]
     if n_qubits > cap:
         raise ResourceError(f"{_shown(n_qubits)} qubits exceeds the cap {name} = {cap} "
                             f"(raise states.{name})")
+    return n_qubits
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,14 +65,13 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "amplitudes", _checked_amplitudes(self.n_qubits, self.amplitudes))
+        _set_checked_amplitudes(self, self.n_qubits, self.amplitudes)
 
     @classmethod
     def _adopt(cls, n_qubits: int, amps) -> "StateVector":
         """All checks of the constructor, for builders' fresh arrays: takes them uncopied."""
         state = object.__new__(cls)
-        object.__setattr__(state, "n_qubits", n_qubits)
-        object.__setattr__(state, "amplitudes", _checked_amplitudes(n_qubits, amps, copy=False))
+        _set_checked_amplitudes(state, n_qubits, amps, copy=False)
         return state
 
     @property
@@ -81,9 +79,10 @@ class StateVector:
         return 2 ** self.n_qubits
 
 
-def _checked_amplitudes(n_qubits: int, amplitudes, copy: bool = True) -> np.ndarray:
-    """Read-only `amplitudes` (copied if `copy`), checked for size, shape, finiteness and norm."""
-    _check_size(n_qubits)
+def _set_checked_amplitudes(state, n_qubits: int, amplitudes, copy: bool = True) -> None:
+    """Set `state`'s n_qubits and read-only `amplitudes` (copied if `copy`), checked for size,
+    shape, finiteness and norm."""
+    n_qubits = _check_size(n_qubits)
     amps = (np.array if copy else np.asarray)(amplitudes, dtype=complex)
     if amps.shape != (2 ** n_qubits,):
         raise InputError(f"expected {2 ** n_qubits} amplitudes, got shape {amps.shape}")
@@ -93,7 +92,8 @@ def _checked_amplitudes(n_qubits: int, amplitudes, copy: bool = True) -> np.ndar
     if abs(norm_sq - 1.0) > NORM_ATOL:
         raise InputError(f"state not normalized: sum |amp|^2 = {norm_sq!r}")
     amps.flags.writeable = False
-    return amps
+    object.__setattr__(state, "n_qubits", n_qubits)
+    object.__setattr__(state, "amplitudes", amps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,15 +104,14 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", _checked_entries(self.n_qubits, self.entries))
+        _set_checked_entries(self, self.n_qubits, self.entries)
 
     @classmethod
     def _psd_by_construction(cls, n_qubits: int, entries) -> "DensityMatrix":
         """All checks of the constructor but the eigenvalue one, for builders whose
         output is positive semidefinite by construction; takes their fresh array uncopied."""
         rho = object.__new__(cls)
-        object.__setattr__(rho, "n_qubits", n_qubits)
-        object.__setattr__(rho, "entries", _checked_entries(n_qubits, entries, copy=False))
+        _set_checked_entries(rho, n_qubits, entries, copy=False)
         return rho
 
     @property
@@ -120,10 +119,10 @@ class DensityMatrix:
         return 2 ** self.n_qubits
 
 
-def _checked_entries(n_qubits: int, entries, copy: bool = True) -> np.ndarray:
-    """Read-only `entries`, checked for size, finiteness, Hermiticity and trace; if `copy`, copied
-    and checked to be positive semidefinite (builders' uncopied arrays are by construction)."""
-    _check_size(n_qubits, "DENSITY_MAX_QUBITS")
+def _set_checked_entries(rho, n_qubits: int, entries, copy: bool = True) -> None:
+    """Set `rho`'s n_qubits and read-only `entries`, checked for size, finiteness, Hermiticity and
+    trace; if `copy`, copied and checked to be PSD (builders' arrays are so by construction)."""
+    n_qubits = _check_size(n_qubits, "DENSITY_MAX_QUBITS")
     dim = 2 ** n_qubits
     mat = (np.array if copy else np.asarray)(entries, dtype=complex)
     if mat.shape != (dim, dim):
@@ -141,7 +140,8 @@ def _checked_entries(n_qubits: int, entries, copy: bool = True) -> np.ndarray:
             if float(np.linalg.eigvalsh(mat)[0]) < -PSD_ATOL:
                 raise InputError("matrix has a significantly negative eigenvalue") from None
     mat.flags.writeable = False
-    return mat
+    object.__setattr__(rho, "n_qubits", n_qubits)
+    object.__setattr__(rho, "entries", mat)
 
 
 def _check_stack(stack: np.ndarray) -> None:
@@ -171,7 +171,8 @@ class BlochVector:
 
     def __post_init__(self):
         for name in ("n_x", "n_y", "n_z"):  # within [-1, 1], so norm_sq cannot overflow
-            check_real(getattr(self, name), f"Bloch vector {name}", -1, 1)
+            value = check_real(getattr(self, name), f"Bloch vector {name}", -1, 1)
+            object.__setattr__(self, name, value)
         if self.norm_sq() > 1.0 + NORM_ATOL:
             raise InputError(f"Bloch vector length exceeds 1: {self}")
 
@@ -250,7 +251,7 @@ def make_ghz_superposition(theta: float, sign=+1) -> StateVector:
     The two branches are orthogonal, so the state is normalized for every
     theta.
     """
-    check_real(theta, "theta")
+    theta = check_real(theta, "theta")
     s = _sign_factor(sign)
     amps = np.zeros(16, dtype=complex)
     amps[[basis_index(4, "0011"), basis_index(4, "1100")]] = math.cos(theta) / math.sqrt(2)
@@ -259,7 +260,7 @@ def make_ghz_superposition(theta: float, sign=+1) -> StateVector:
 
 def make_dicke_ghz_superposition(theta: float, sign=+1) -> StateVector:
     """cos(theta)|4,2> +/- sin(theta)(|0000> + |1111>)/sqrt(2)."""
-    check_real(theta, "theta")
+    theta = check_real(theta, "theta")
     s = _sign_factor(sign)
     return _plus_ghz_branch(math.cos(theta) * make_dicke(4, 2).amplitudes, theta, s)
 
@@ -306,7 +307,7 @@ def _product_stack(vectors) -> np.ndarray:
 def mix_with_white_noise(state: StateVector, p: float) -> DensityMatrix:
     """p * identity/2^N + (1-p) |psi><psi|."""
     check_type(state, StateVector, "mix_with_white_noise")
-    check_real(p, "noise fraction", 0, 1)
+    p = check_real(p, "noise fraction", 0, 1)
     _check_size(state.n_qubits, "DENSITY_MAX_QUBITS")
     rho = np.outer(state.amplitudes, state.amplitudes.conj())
     rho *= 1.0 - p

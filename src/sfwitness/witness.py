@@ -41,10 +41,12 @@ class WitnessSpec:
     layout: SiteLayout | None = None
 
     def __post_init__(self):
-        check_integer(self.n_qubits, "n_qubits", 2)
+        object.__setattr__(self, "n_qubits", check_integer(self.n_qubits, "n_qubits", 2))
         for name, value in zip(("c_x", "c_y", "c_z"), self.coefficients):
-            check_real(value, name, -1, 1)
-        object.__setattr__(self, "layout", SiteLayout.checked(self.layout, self.n_qubits, self.k))
+            object.__setattr__(self, name, check_real(value, name, -1, 1))
+        layout, k = SiteLayout.checked(self.layout, self.n_qubits, self.k)
+        object.__setattr__(self, "layout", layout)
+        object.__setattr__(self, "k", k)
 
     @property
     def coefficients(self) -> tuple:
@@ -142,9 +144,8 @@ def dicke_sigma_closed_form(n_qubits: int, l: int) -> Fraction:
 
     Equals (4 l (N-l) - (N-2l)^2 + N) / (N (N-1)).
     """
-    check_integer(n_qubits, "n_qubits", 2)
-    check_integer(l, "l", 0, n_qubits)
-    n = n_qubits
+    n = check_integer(n_qubits, "n_qubits", 2)
+    l = check_integer(l, "l", 0, n)
     return Fraction(4 * l * (n - l) - (n - 2 * l) ** 2 + n, n * (n - 1))
 
 
@@ -153,9 +154,8 @@ def phased_dicke_sigma_closed_form(n_qubits: int, l: int, with_z: bool) -> Fract
     |N,l^ph>, as an exact rational: 2 l (N-l) / C(N,2) for c = (1, 1, 0). With c = (1, 1, 1)
     the z part (<M_s^2> - N) / (2 C(N,2)), M_s = sum_j (-1)^j z_j, adds 1/(N-1)^2 (even N)
     or 1/N^2 (odd N), for (N^2-N+1)/(N-1)^2 or (N^2+N+1)/N^2."""
-    n = n_qubits
-    check_integer(n, "n_qubits", 2)
-    check_integer(l, "l", 0, n)
+    n = check_integer(n_qubits, "n_qubits", 2)
+    l = check_integer(l, "l", 0, n)
     half_filled = (l == n / 2) if n % 2 == 0 else (2 * l in (n - 1, n + 1))
     if not half_filled:
         raise UnsupportedCaseError(
@@ -204,7 +204,7 @@ def scan_k(state, c_x: float, c_y: float, c_z: float, k_grid,
         raise InputError("k grid must be nonempty")
     _array(state)
     spec = WitnessSpec(state.n_qubits, k_grid[0], c_x, c_y, c_z, layout)  # c and layout, once
-    spec.layout.check_k(k_grid)
+    k_grid = spec.layout.check_k(k_grid)
     corr = correlation_matrices(state, measurement_settings(spec))
     # per k, one n x n weight row and its product with a correlation matrix: 16 n^2 bytes
     rows, points = max(1, states._STACK_BYTES // (16 * spec.n_qubits ** 2)), []
@@ -222,12 +222,12 @@ def find_detection_boundary(state_factory, spec: WitnessSpec,
     `theta_inside` must be detected and `theta_outside` not; the returned midpoint
     brackets the boundary to within `tol`, or as closely as floats allow.
     """
-    check_real(tol, "tol", 0)
-    if not detects(state_factory(theta_inside), spec):
+    tol = check_real(tol, "tol", 0)
+    hi, lo = check_real(theta_inside, "theta_inside"), check_real(theta_outside, "theta_outside")
+    if not detects(state_factory(hi), spec):
         raise InputError("theta_inside is not detected")
-    if detects(state_factory(theta_outside), spec):
+    if detects(state_factory(lo), spec):
         raise InputError("theta_outside is detected")
-    lo, hi = theta_outside, theta_inside
     while abs(hi - lo) > tol and 0.5 * (lo + hi) not in (lo, hi):
         mid = 0.5 * (lo + hi)
         if detects(state_factory(mid), spec):

@@ -1,6 +1,7 @@
 """`correlators.SiteLayout` is the one place where site positions and k become phases,
 separations, weights and the k check: a guard that no other module reads a layout's
-positions, and the translation invariance every use of the layout keeps."""
+positions, and the translation invariance every use of the layout keeps. Beside it, a guard
+that every checked number is the one stored and computed with (`errors` converts it)."""
 
 import ast
 import math
@@ -22,8 +23,8 @@ SETTINGS = settings(max_examples=25, deadline=None, database=None, derandomize=T
 EXEMPT = {("witness.py", "to_json"), ("cli.py", "args")}
 
 
-class _PositionsReads(ast.NodeVisitor):
-    """(enclosing function, object name, line) of each `.positions` attribute in a module."""
+class _Scoped(ast.NodeVisitor):
+    """Visits a module knowing the enclosing function's name, and collects `found`."""
 
     def __init__(self):
         self.scope, self.found = [None], []
@@ -32,6 +33,10 @@ class _PositionsReads(ast.NodeVisitor):
         self.scope.append(node.name)
         self.generic_visit(node)
         self.scope.pop()
+
+
+class _PositionsReads(_Scoped):
+    """(enclosing function, object name, line) of each `.positions` attribute in a module."""
 
     def visit_Attribute(self, node):
         if node.attr == "positions":
@@ -54,6 +59,41 @@ def test_only_correlators_reads_layout_positions():
                 offenders.append(f"{path.name}:{line} in {function}")
     assert offenders == []
     assert exempt_seen == EXEMPT  # the guard sees the reads it allows
+
+
+class _BareChecks(_Scoped):
+    """(enclosing function, line) of each check whose returned number is dropped: check_real
+    called as a statement anywhere, check_integer or _check_shots in a __post_init__."""
+
+    def visit_Expr(self, node):
+        name = getattr(getattr(node.value, "func", None), "id", None)
+        if name == "check_real" or (name in ("check_integer", "_check_shots")
+                                    and self.scope[-1] == "__post_init__"):
+            self.found.append((self.scope[-1], node.lineno))
+        self.generic_visit(node)
+
+
+def _bare_checks(source: str) -> list:
+    checks = _BareChecks()
+    checks.visit(ast.parse(source))
+    return checks.found
+
+
+def test_checked_numbers_are_the_ones_kept():
+    # a check whose result is dropped leaves the caller's own type in use: each accepted type
+    # (numpy float32, int64, Fraction) then runs its own arithmetic
+    offenders = [f"{path.name}:{line} in {function}"
+                 for path in sorted(pathlib.Path(sfwitness.__file__).parent.glob("*.py"))
+                 for function, line in _bare_checks(path.read_text())]
+    assert offenders == []
+
+
+def test_the_bare_check_guard_sees_each_form():
+    source = ("def f(x):\n    check_real(x, 'x')\n    y = check_real(x, 'x')\n"
+              "    check_integer(x, 'n', 1)\n"
+              "class A:\n    def __post_init__(self):\n        check_integer(self.n, 'n', 1)\n"
+              "        _check_shots(self.s)\n        z = check_integer(self.n, 'n', 1)\n")
+    assert _bare_checks(source) == [("f", 2), ("__post_init__", 7), ("__post_init__", 8)]
 
 
 @SETTINGS

@@ -460,13 +460,17 @@ class TestScanK:
             scan_k(make_dicke(3, 1), 1, 1, 1, [0.0, 5e307, 1.5e308, 1e308])
 
     def test_grid_points_follow_the_single_k_rule(self):
-        # a float32 k times the reach 2 overflows in float32, the type its weights are taken in:
-        # the grid names it as WitnessSpec rejects it, before any cos of an infinite product
+        # every k is judged and used as its float image: a float32 3e38 times the reach 2 fits
+        # a float, in the spec and on the grid alike; a float64 1e308 overflows and is named
         k = np.float32(3e38)
-        with pytest.raises(InputError, match="k must be finite, also times"):
-            WitnessSpec(3, k, 1, 1, 1)
-        with pytest.raises(InputError, match=r"got 3\.0000000054977558e\+38$"):
-            scan_k(make_dicke(3, 1), 1, 1, 1, [0.0, k])
+        assert WitnessSpec(3, k, 1, 1, 1).k == 3.0000000054977558e+38
+        points = scan_k(make_dicke(3, 1), 1, 1, 1, [0.0, k])
+        assert [type(p.k) for p in points] == [float, float]
+        assert points[1].k == 3.0000000054977558e+38
+        with pytest.raises(InputError, match=r"k must be finite, also times .* got 1e\+308$"):
+            WitnessSpec(3, np.float64(1e308), 1, 1, 1)
+        with pytest.raises(InputError, match=r"k must be finite, also times .* got 1e\+308$"):
+            scan_k(make_dicke(3, 1), 1, 1, 1, [0.0, np.float64(1e308)])
 
     def test_empty_grid(self):
         with pytest.raises(InputError):
@@ -481,6 +485,17 @@ class TestDetectionBoundary:
             lambda th: make_ghz_superposition(th, +1), spec,
             theta_inside=1.0, theta_outside=0.2, tol=1e-9)
         assert boundary == pytest.approx(math.pi / 4, abs=1e-6)
+
+    def test_float32_endpoints_bisect_as_floats(self):
+        # a bisection in float32 could not get closer to pi/4 than its 6e-8 spacing there
+        from sfwitness import find_detection_boundary, make_ghz_superposition
+        spec = WitnessSpec(4, 0.0, 1, -1, 1)
+        boundary, image = (find_detection_boundary(lambda th: make_ghz_superposition(th, +1),
+                                                   spec, inside, outside, tol=1e-9)
+                           for inside, outside in ((np.float32(1.0), np.float32(0.2)),
+                                                   (1.0, float(np.float32(0.2)))))
+        assert type(boundary) is float and boundary == image
+        assert boundary == pytest.approx(math.pi / 4, abs=2e-9)
 
     def test_rejects_unbracketed_endpoints(self):
         from sfwitness import find_detection_boundary, make_ghz_superposition
