@@ -320,6 +320,7 @@ def _seesaw_cut(spec: WitnessSpec, cut: Bipartition, restarts: int, tol: float,
 
 
 def _check_run_params(spec, restarts, seed, tol, max_iter, cap="OPERATOR_MAX_QUBITS") -> tuple:
+    check_type(spec, WitnessSpec, "the see-saw")
     restarts, seed, max_iter = (check_integer(value, name, least) for name, value, least in (
         ("restarts", restarts, 1), ("seed", seed, 0), ("max_iter", max_iter, 1)))
     tol = check_real(tol, "tol", 0)
@@ -332,9 +333,9 @@ def seesaw_max(spec: WitnessSpec, cut: Bipartition,
                max_iter: int = DEFAULT_MAX_ITER, seed: int = 0) -> BisepResult:
     """Maximize <Sigma> over pure states product across one cut."""
     check_type(cut, Bipartition, "seesaw_max")
+    restarts, seed, tol, max_iter = _check_run_params(spec, restarts, seed, tol, max_iter)
     if cut.n_qubits != spec.n_qubits:
         raise InputError(f"cut covers {cut.n_qubits} sites, spec has {spec.n_qubits}")
-    restarts, seed, tol, max_iter = _check_run_params(spec, restarts, seed, tol, max_iter)
     return _seesaw_cut(spec, cut, restarts, tol, max_iter, seed, cut_index=0)
 
 

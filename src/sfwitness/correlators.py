@@ -202,24 +202,28 @@ def correlation_matrices(state, axes) -> dict:
 def _density_correlations(stack: np.ndarray, signs: np.ndarray, axes) -> dict:
     """{a: (B, n, n) matrices of <a_i a_j>, diagonal unset} of a (B, 2**n, 2**n) stack of
     density matrices, in the order of `axes`, `signs` the n x 2**n sign table: x and y share
-    one real trace gather rho[c ^ m_i ^ m_j, c], scaled by z_i and by -z_j for y; z reads the
-    diagonal as a distribution."""
-    found, flipped = dict.fromkeys(axes), None
-    for axis in sorted(found):  # x sums the gather before y scales it in place
-        if axis == "z":
-            found[axis] = _from_readout(signs, np.diagonal(stack, axis1=1, axis2=2).real)
-            continue
-        if flipped is None:  # Re rho[r, c] with r = c ^ m_i ^ m_j sits at float 2 (r d + c)
-            masks, idx = kernels.site_masks(len(signs)), np.arange(stack.shape[-1])
-            flat = (masks[:, None] ^ masks)[..., None] ^ idx
-            flat *= 2 * len(idx)
-            flat += 2 * idx
-            flipped = np.take(stack.reshape(len(stack), -1).view(float), flat, axis=1)
-            del flat  # as large as the gather
-        if axis == "y":  # exact: every factor is +-1
-            flipped *= signs[:, None]
-            flipped *= -signs
-        found[axis] = flipped.sum(axis=-1)
+    one real trace gather rho[c ^ m_i ^ m_j, c], one row i at a time, scaled by z_i and by -z_j
+    for y; z reads the diagonal as a distribution."""
+    found = dict.fromkeys(axes)
+    if "z" in found:
+        found["z"] = _from_readout(signs, np.diagonal(stack, axis1=1, axis2=2).real)
+    paired = sorted(found.keys() & {"x", "y"})  # x sums each row's gather before y scales it
+    if not paired:
+        return found
+    masks, idx = kernels.site_masks(len(signs)), np.arange(stack.shape[-1])
+    floats = stack.reshape(len(stack), -1).view(float)
+    for axis in paired:
+        found[axis] = np.empty((len(stack), len(masks), len(masks)))
+    for i, mask in enumerate(masks):
+        flat = (masks ^ mask)[:, None] ^ idx  # Re rho[r, c], r = c ^ m_i ^ m_j: float 2 (r d + c)
+        flat *= 2 * len(idx)
+        flat += 2 * idx
+        row = np.take(floats, flat, axis=1)
+        for axis in paired:
+            if axis == "y":  # exact: every factor is +-1
+                row *= signs[i]
+                row *= -signs
+            found[axis][:, i] = row.sum(axis=-1)
     return found
 
 

@@ -68,14 +68,6 @@ def apply_pauli(arr: np.ndarray, n_qubits: int, site: int, axis: str) -> np.ndar
     return coef.reshape(-1, *([1] * (arr.ndim - 1))) * out
 
 
-def flip_site(rho: np.ndarray, n_qubits: int, site: int) -> np.ndarray:
-    """Return sigma_site^x rho sigma_site^x for a square matrix rho: a copy of rho with the
-    site's bit flipped in both the row and the column index."""
-    check_integer(site, "site", 1, n_qubits)
-    split = (1 << (site - 1), 2, 1 << (n_qubits - site))
-    return rho.reshape(split + split)[:, ::-1, :, :, ::-1].reshape(rho.shape)
-
-
 def pair_expectation(arr: np.ndarray, n_qubits: int, i: int, j: int,
                      a: str, b: str) -> complex:
     """<sigma_i^a sigma_j^b> (i != j) of amplitudes or of a density matrix, in O(2**n).

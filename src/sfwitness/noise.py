@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import kernels, states, witness
+from . import states, witness
 from .errors import InputError, check_real, check_type
 from .states import DensityMatrix, StateVector
 from .witness import WitnessSpec, sigma_value
@@ -75,16 +75,22 @@ def collective_threshold_exact(sigma: Fraction) -> Fraction:
     return 1 - 1 / Fraction(sigma)
 
 
-def _depolarize_qubit(rho: np.ndarray, n_qubits: int, site: int, q: float) -> np.ndarray:
-    """Kraus form of rho_s -> (1-q) rho_s + q 1/2 on one qubit: with X = x rho x, the two-sided
-    flip, y rho y = z_r z_c X and z rho z = z_r z_c rho, z the site's row and column signs."""
-    flipped, z = kernels.flip_site(rho, n_qubits, site), kernels.outcome_signs(n_qubits, (site,))
-    zz, scratch = z.T * z, np.empty_like(rho)
-    out = (1.0 - 0.75 * q) * rho
-    out += np.multiply(0.25 * q, flipped, out=scratch)
-    for term in (flipped, rho):  # the terms zz * flipped and zz * rho, in place
-        out += np.multiply(0.25 * q, np.multiply(zz, term, out=scratch), out=scratch)
-    return out
+def _depolarize_qubit(rho: np.ndarray, n_qubits: int, site: int, q: float) -> None:
+    """Kraus form of rho_s -> (1-q) rho_s + q 1/2 on one qubit, in place: with X = x rho x, the
+    two-sided flip, y rho y = z_r z_c X and z rho z = z_r z_c rho, z the site's row and column
+    signs. X of the quarter block (row bit, column bit) is its flipped partner block, and z_r z_c
+    is one sign on both, so each pair of partners is updated from their old entries."""
+    split = (1 << (site - 1), 2, 1 << (n_qubits - site))
+    blocks = rho.reshape(split + split)
+    new, partner_new, scratch = np.empty((3, *blocks[:, 0, :, :, 0].shape), dtype=rho.dtype)
+    for row, col, zz in ((0, 0, 1.0), (0, 1, -1.0)):
+        block, partner = blocks[:, row, :, :, col], blocks[:, 1 - row, :, :, 1 - col]
+        for out, own, flipped in ((new, block, partner), (partner_new, partner, block)):
+            np.multiply(1.0 - 0.75 * q, own, out=out)
+            out += np.multiply(0.25 * q, flipped, out=scratch)
+            for term in (flipped, own):  # the terms zz * X and zz * rho
+                out += np.multiply(0.25 * q, np.multiply(zz, term, out=scratch), out=scratch)
+        block[...], partner[...] = new, partner_new
 
 
 def kraus_crosscheck(state: StateVector, spec: WitnessSpec, q: float) -> tuple[float, float]:
@@ -101,6 +107,6 @@ def kraus_crosscheck(state: StateVector, spec: WitnessSpec, q: float) -> tuple[f
     observable_side = (1.0 - q) ** 2 * sigma_value(state, spec)
     rho = np.outer(state.amplitudes, state.amplitudes.conj())
     for site in range(1, n + 1):
-        rho = _depolarize_qubit(rho, n, site, q)
+        _depolarize_qubit(rho, n, site, q)
     state_side = sigma_value(DensityMatrix._psd_by_construction(n, rho), spec)
     return observable_side, state_side

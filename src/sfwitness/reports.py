@@ -317,7 +317,8 @@ def _product_bound_values(seed: int, samples: int) -> np.ndarray:
         coefficients[sample] = rng.uniform(-1.0, 1.0, size=3)
     values = np.empty(samples)
     for n in range(6, 1, -1):  # largest N first: later, smaller stacks reuse the freed memory
-        # per state: its density entries, and the x/y gather with its y product (correlators)
+        # per state: its density entries and 16 bytes per entry of an all-pairs x/y gather, more
+        # than the row-by-row gather holds; kept, since it sets how check 06's states are stacked
         per_stack = max(1, states._STACK_BYTES // (16 * 2 ** n * (2 ** n + n * n)))
         chosen = np.flatnonzero(sizes == n)
         for first in range(0, len(chosen), per_stack):

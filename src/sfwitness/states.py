@@ -86,14 +86,25 @@ def _set_checked_amplitudes(state, n_qubits: int, amplitudes, copy: bool = True)
     amps = (np.array if copy else np.asarray)(amplitudes, dtype=complex)
     if amps.shape != (2 ** n_qubits,):
         raise InputError(f"expected {2 ** n_qubits} amplitudes, got shape {amps.shape}")
-    if not np.isfinite(amps).all():
-        raise InputError("amplitudes must be finite")
-    norm_sq = float(np.sum(np.abs(amps) ** 2))
+    norm_sq = _norm_sq(amps)
     if abs(norm_sq - 1.0) > NORM_ATOL:
         raise InputError(f"state not normalized: sum |amp|^2 = {norm_sq!r}")
     amps.flags.writeable = False
     object.__setattr__(state, "n_qubits", n_qubits)
     object.__setattr__(state, "amplitudes", amps)
+
+
+def _norm_sq(amps: np.ndarray) -> float:
+    """sum |amp|^2 of finite amplitudes (InputError if not), in chunks of 2**14: np.sum of each
+    chunk, then the chunk sums added in halves, the order of np.sum's pairwise tree for the
+    power-of-two lengths of a register."""
+    chunks = [amps[i:i + (1 << 14)] for i in range(0, len(amps), 1 << 14)]
+    if not all(np.isfinite(chunk).all() for chunk in chunks):
+        raise InputError("amplitudes must be finite")
+    sums = np.array([np.sum(np.abs(chunk) ** 2) for chunk in chunks])
+    while len(sums) > 1:
+        sums = sums[0::2] + sums[1::2]
+    return float(sums[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,14 +157,20 @@ def _set_checked_entries(rho, n_qubits: int, entries, copy: bool = True) -> None
 
 def _check_stack(stack: np.ndarray) -> None:
     """InputError unless each matrix of the (B, d, d) stack is finite, Hermitian and unit-trace."""
-    if not np.isfinite(stack).all():
-        raise InputError("density-matrix entries must be finite")
-    # blocks of 2**14 entries keep the temporaries small: whole matrices while they fit, else rows
+    # blocks of 2**14 entries keep the temporaries small: whole matrices while they fit, else rows.
+    # Each block is found finite before it is compared with its mirror, and all are scanned
+    # before the Hermiticity verdict, so a non-finite entry anywhere raises first.
     dim = stack.shape[-1]
     count, rows = max(1, (1 << 14) // dim ** 2), min(dim, max(1, (1 << 14) // dim))
-    if max(np.max(np.abs(stack[b:b + count, i:i + rows]
-                         - stack[b:b + count, :, i:i + rows].conj().swapaxes(1, 2)))
-           for b in range(0, len(stack), count) for i in range(0, dim, rows)) > HERMITIAN_ATOL:
+    worst = 0.0
+    for b in range(0, len(stack), count):
+        for i in range(0, dim, rows):
+            block = stack[b:b + count, i:i + rows]
+            if not np.isfinite(block).all():
+                raise InputError("density-matrix entries must be finite")
+            mirror = stack[b:b + count, :, i:i + rows].conj().swapaxes(1, 2)
+            worst = max(worst, np.max(np.abs(block - mirror)))
+    if worst > HERMITIAN_ATOL:
         raise InputError("matrix is not Hermitian")
     traces = np.trace(stack, axis1=1, axis2=2)
     off = np.abs(traces - 1.0) > NORM_ATOL

@@ -88,6 +88,7 @@ def _check_state(state, spec: WitnessSpec) -> None:
 
 def pair_weight_matrix(spec: WitnessSpec) -> np.ndarray:
     """Symmetric zero-diagonal n x n matrix of the weights cos(k m_ij)."""
+    check_type(spec, WitnessSpec, "pair_weight_matrix")
     return spec.layout.weight_table((spec.k,))[0]
 
 
@@ -182,6 +183,7 @@ def _pair_operator(weights: np.ndarray, coefficients, norm: int) -> np.ndarray:
 
 def sigma_operator(spec: WitnessSpec) -> np.ndarray:
     """Dense Hermitian matrix of Sigma(k); <psi|.|psi> matches sigma_value."""
+    check_type(spec, WitnessSpec, "sigma_operator")
     states._check_size(spec.n_qubits, "OPERATOR_MAX_QUBITS")
     return _pair_operator(pair_weight_matrix(spec), spec.coefficients,
                           math.comb(spec.n_qubits, 2))

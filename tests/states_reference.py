@@ -2,8 +2,9 @@
 
 The Dicke builders list every excited-site tuple with itertools.combinations,
 the estimator reads its +-1 signs from the full N x 2^N outcome table, and the
-depolarizing step adds each Kraus term out of place. The package's forms must
-reproduce all three bit for bit.
+depolarizing step adds each Kraus term out of place, from a flipped copy of the
+whole matrix and a 2^N x 2^N sign table. The package's forms must reproduce all
+three bit for bit.
 """
 
 import itertools
@@ -59,9 +60,16 @@ def estimate(state, spec, shots, seed_words):
     return 1.0 - sigma_est, math.sqrt(variance)
 
 
+def flip_site(rho, n_qubits, site):
+    """sigma_site^x rho sigma_site^x for a square matrix rho: a copy of rho with the site's bit
+    flipped in both the row and the column index."""
+    split = (1 << (site - 1), 2, 1 << (n_qubits - site))
+    return rho.reshape(split + split)[:, ::-1, :, :, ::-1].reshape(rho.shape)
+
+
 def depolarize_qubit(rho, n_qubits, site, q):
-    """noise._depolarize_qubit with a fresh array per product and sum."""
-    flipped, z = kernels.flip_site(rho, n_qubits, site), kernels.outcome_signs(n_qubits, (site,))
+    """noise._depolarize_qubit out of place, with a fresh array per product and sum."""
+    flipped, z = flip_site(rho, n_qubits, site), kernels.outcome_signs(n_qubits, (site,))
     zz = z.T * z
     out = (1.0 - 0.75 * q) * rho
     for term in (flipped, zz * flipped, zz * rho):

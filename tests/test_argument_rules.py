@@ -9,12 +9,12 @@ import pytest
 
 import sfwitness.witness as witness
 from sfwitness import (Bipartition, BisepResult, InputError, ResourceError, SiteLayout,
-                       WitnessSpec, axis_components, cli, collective_spin_sq,
+                       WitnessSpec, axis_components, bisep_bound, cli, collective_spin_sq,
                        collective_threshold, detects, estimate_witness, find_detection_boundary,
                        gme_detected, individual_threshold, make_dicke, make_ghz_superposition,
-                       make_phased_dicke, mix_with_white_noise, noisy_sigma, scan_k,
-                       seesaw_max, sigma_value, structure_factor, to_json, two_point,
-                       verify_collective_identity)
+                       make_phased_dicke, mix_with_white_noise, noisy_sigma, pair_weight_matrix,
+                       product_bound, scan_k, seesaw_max, sigma_operator, sigma_value,
+                       structure_factor, to_json, two_point, verify_collective_identity)
 from sfwitness.bisep import assemble_cut_state
 from sfwitness.errors import check_integer, check_real
 
@@ -55,6 +55,18 @@ GHZ_BRACKET = (lambda theta: make_ghz_superposition(theta, +1), WitnessSpec(4, 0
         "identity-str-layout"])
 def test_wrong_structured_argument_raises_input_error(call):
     with pytest.raises(InputError, match="needs a|unsupported state type"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: bisep_bound("x"),
+    lambda: product_bound("x"),
+    lambda: seesaw_max("x", Bipartition((1,), (2,))),
+    lambda: sigma_operator("x"),
+    lambda: pair_weight_matrix("x"),
+], ids=["bisep-bound", "product-bound", "seesaw-max", "sigma-operator", "pair-weights"])
+def test_spec_is_type_checked_before_it_is_read(call):
+    with pytest.raises(InputError, match=r"needs a WitnessSpec, got str$"):
         call()
 
 

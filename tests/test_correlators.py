@@ -18,6 +18,7 @@ from sfwitness import (DensityMatrix, InputError, ShotPlan, SiteLayout, StateVec
 from sfwitness import correlators, kernels
 from sfwitness.correlators import correlation_matrices, readout_probabilities
 import collective_reference
+import gather_reference
 import readout_reference
 from conftest import dense_expectation, pauli_on, random_mixed, random_pure
 
@@ -192,8 +193,8 @@ class TestCollectiveSpin:
 
     @pytest.mark.parametrize("axis", "xyz")
     def test_cold_pair_route_holds_one_gather(self, axis):
-        # the n^2 2^n gather and its index table take 1.6 MB at N = 10; y scales the gather in
-        # place, where its sign product took another 0.8 MB
+        # an (n, 2^n) gather and index table per row of pairs; the (n, n, 2^n) pair took 1.6 MB
+        # at N = 10, and a y sign product on it another 0.8 MB
         rho = mix_with_white_noise(make_dicke(10, 5), 0.1)
         tracemalloc.start()
         try:
@@ -201,7 +202,21 @@ class TestCollectiveSpin:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.75 * 2 ** 20
+        assert peak < 0.5 * 2 ** 20
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_row_gather_equals_the_one_shot_gather(self, rng, n):
+        # random complex stacks, every ordered subset of the axes, compared byte for byte
+        signs = kernels.outcome_signs(n)
+        for size in range(1, 5):
+            shape = (size, 2 ** n, 2 ** n)
+            stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for count in range(4):
+                for axes in itertools.permutations("xyz", count):
+                    got = correlators._density_correlations(stack, signs, axes)
+                    want = gather_reference.density_correlations(stack, signs, axes)
+                    assert tuple(got) == tuple(want) == axes
+                    assert all(got[a].tobytes() == want[a].tobytes() for a in axes)
 
     def test_gather_axes_in_any_order_give_the_same_matrices(self, rng):
         stack = np.array([random_mixed(rng, 4).entries for _ in range(3)])

@@ -30,18 +30,6 @@ def test_apply_pauli_matches_dense_operator(rng, n):
                                rtol=0, atol=1e-15)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_two_sided_flip_matches_dense_operators(rng, n):
-    # x rho x flips the site's row and column bits; y rho y and z rho z add the signs z_r z_c
-    matrix = random_mixed(rng, n).entries
-    for site in range(1, n + 1):
-        flipped = kernels.flip_site(matrix, n, site)
-        z = kernels.outcome_signs(n, (site,))
-        for axis, want in (("x", flipped), ("y", z.T * z * flipped), ("z", z.T * z * matrix)):
-            op = pauli_on(n, {site: axis})
-            assert np.array_equal(want, op @ matrix @ op)
-
-
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_pair_expectation_matches_dense_operator(rng, n):
     psi, rho = random_pure(rng, n).amplitudes, random_mixed(rng, n).entries

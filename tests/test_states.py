@@ -196,6 +196,44 @@ class TestDickeBuildersMatchReference:
         assert _traced_peak(lambda: build(16, 8)) <= 2.5 * 2 ** 20
 
 
+class TestNormInChunks:
+    @staticmethod
+    def _registers(n):
+        rng = np.random.default_rng(n)
+        normals = rng.standard_normal((2, 2 ** n))
+        drawn = normals[0] + 1j * normals[1]
+        yield drawn  # off norm
+        yield drawn / np.linalg.norm(drawn)
+        yield (1.0 + 1e-9) * drawn / np.linalg.norm(drawn)
+        for l in range(n + 1):
+            yield make_dicke(n, l).amplitudes
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_equals_the_whole_array_sum(self, n):
+        for amps in self._registers(n):
+            assert states._norm_sq(amps) == float(np.sum(np.abs(amps) ** 2))
+
+    @pytest.mark.parametrize("n", [14, 15, 16])
+    def test_not_normalized_message_prints_the_whole_array_sum(self, n):
+        amps = next(self._registers(n))
+        with pytest.raises(InputError) as info:
+            StateVector(n, amps)
+        assert str(info.value) == (f"state not normalized: sum |amp|^2 = "
+                                   f"{float(np.sum(np.abs(amps) ** 2))!r}")
+
+    @pytest.mark.parametrize("n", [15, 16])
+    def test_non_finite_amplitude_in_a_later_chunk(self, n):
+        amps = make_dicke(n, 1).amplitudes.copy()
+        amps[-1] = math.inf
+        with pytest.raises(InputError, match="^amplitudes must be finite$"):
+            StateVector._adopt(n, amps)
+
+    def test_adopting_check_holds_no_register_sized_temporary(self):
+        # 2^14-entry chunks; the whole-register bool and float temporaries took 0.50 MB
+        amps = make_dicke(16, 8).amplitudes.copy()
+        assert _traced_peak(lambda: StateVector._adopt(16, amps)) < 0.5 * 2 ** 20
+
+
 def adjacent_transposition_signs(n, l):
     """BFS over adjacent swaps from the reference 1^l 0^(n-l).
 
@@ -425,6 +463,24 @@ class TestDensityMatrixInvariants:
         with pytest.raises(InputError) as stacked:
             states._check_stack(stack)
         assert str(stacked.value) == str(one.value)
+
+    @pytest.mark.parametrize("row, col", [(300, 5), (5, 300), (511, 510)])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_entry_raises_before_an_earlier_non_hermitian_one(self, row, col, bad):
+        # N = 9: the first row block is not Hermitian, a later one (or its mirror) not finite
+        mat = np.eye(512, dtype=complex) / 512
+        mat[0, 1] = 1e-3
+        mat[row, col] = mat[col, row] = bad
+        with pytest.raises(InputError, match="^density-matrix entries must be finite$"):
+            states._check_stack(mat[None])
+        mat[row, col] = 0.0
+        with pytest.raises(InputError, match="^density-matrix entries must be finite$"):
+            states._check_stack(mat[None])
+
+    def test_stack_check_holds_no_matrix_sized_bool(self):
+        # 2^14-entry blocks beside the 16 MB entries; np.isfinite's 1 MB bool took it to 1.0 MB
+        stack = mix_with_white_noise(make_dicke(10, 5), 0.1).entries[None]
+        assert _traced_peak(lambda: states._check_stack(stack)) < 0.8 * 2 ** 20
 
     def test_constructor_copies_its_input(self):
         mat = np.eye(2, dtype=complex) / 2
