@@ -5,10 +5,11 @@ factor. Only `SiteLayout` turns positions and k, as `check_real`'s floats, into 
 readout setting, E^T diag(p_a) E, with p_a the outcome distribution in the
 rotated basis and E the 2**n x n matrix of +-1 eigenvalues
 (`kernels.outcome_signs`); density matrices share one real trace gather for
-x and y. States are immutable, so each state memoizes its readout
-distributions and correlation matrices: every evaluation of one state (any
-k, c, threshold or shot estimate) shares one rotation per axis, and the
-returned arrays are read-only. `two_point` uses `kernels.pair_expectation`;
+x and y. States are immutable, so each state memoizes its rotated (x and y)
+readout distributions and its correlation matrices: every evaluation of one
+state (any k, c, threshold or shot estimate) shares one rotation per axis,
+and the returned arrays are read-only; z is |amp|^2 or a diagonal view, read
+afresh. `two_point` uses `kernels.pair_expectation`;
 collective-spin moments of a density matrix read only the n 2**n entries of
 A rho that Tr(A A rho) needs. Spin operators are bare Pauli matrices (no
 1/2), so a Dicke state |N,l> gives sum_{i<j} <x_i x_j> = l(N-l) at k = 0.
@@ -114,7 +115,7 @@ def _array(state) -> np.ndarray:
 
 
 def _memo(state) -> dict:
-    """The state's read-only readout distributions and correlation matrices, by (kind, axis)."""
+    """The state's read-only x/y readout distributions and correlation matrices, by (kind, axis)."""
     return vars(state).setdefault("_memo", {})
 
 
@@ -154,23 +155,22 @@ def collective_spin_sq(state, a: str) -> float:
 
 
 def readout_probabilities(state, axis: str) -> np.ndarray:
-    """Outcome distribution of reading every qubit in `axis` (density matrices: z only),
-    memoized on the state."""
+    """Read-only outcome distribution of reading every qubit in `axis` (density matrices: z
+    only); the rotated x and y distributions are memoized on the state."""
     kernels.check_axis(axis)
     if not (isinstance(state, StateVector) or isinstance(state, DensityMatrix) and axis == "z"):
         raise InputError(f"no {axis} readout of a {type(state).__name__}")
+    if axis == "z":  # one pass, or a view: not worth the memory a memo entry holds
+        probs = (np.diagonal(state.entries).real if isinstance(state, DensityMatrix)
+                 else np.abs(state.amplitudes) ** 2)
+        probs.flags.writeable = False
+        return probs
     memo = _memo(state)
     if ("readout", axis) not in memo:
-        if isinstance(state, DensityMatrix):
-            probs = np.diagonal(state.entries).real
-        else:
-            psi = state.amplitudes
-            if axis != "z":
-                # each product rotates the leading qubit and moves it last; n restore the order
-                gate = _ROTATIONS[axis].T
-                for _ in range(state.n_qubits):
-                    psi = psi.reshape(2, -1).T @ gate
-            probs = np.abs(psi.reshape(-1)) ** 2
+        psi, gate = state.amplitudes, _ROTATIONS[axis].T
+        for _ in range(state.n_qubits):  # each rotates the leading qubit and moves it last
+            psi = psi.reshape(2, -1).T @ gate
+        probs = np.abs(psi.reshape(-1)) ** 2
         probs.flags.writeable = False
         memo["readout", axis] = probs
     return memo["readout", axis]
@@ -202,28 +202,33 @@ def correlation_matrices(state, axes) -> dict:
 def _density_correlations(stack: np.ndarray, signs: np.ndarray, axes) -> dict:
     """{a: (B, n, n) matrices of <a_i a_j>, diagonal unset} of a (B, 2**n, 2**n) stack of
     density matrices, in the order of `axes`, `signs` the n x 2**n sign table: x and y share
-    one real trace gather rho[c ^ m_i ^ m_j, c], one row i at a time, scaled by z_i and by -z_j
-    for y; z reads the diagonal as a distribution."""
+    one real trace gather rho[c ^ m_i ^ m_j, c], taken for groups of rows i of at most 2**14
+    (i, j, c) entries and scaled by z_i and by -z_j for y; z reads the diagonal as a
+    distribution."""
     found = dict.fromkeys(axes)
     if "z" in found:
         found["z"] = _from_readout(signs, np.diagonal(stack, axis1=1, axis2=2).real)
-    paired = sorted(found.keys() & {"x", "y"})  # x sums each row's gather before y scales it
+    paired = sorted(found.keys() & {"x", "y"})  # x sums each group's gather before y scales it
     if not paired:
         return found
     masks, idx = kernels.site_masks(len(signs)), np.arange(stack.shape[-1])
-    floats = stack.reshape(len(stack), -1).view(float)
+    n, d, floats = len(masks), len(idx), stack.reshape(len(stack), -1).view(float)
     for axis in paired:
-        found[axis] = np.empty((len(stack), len(masks), len(masks)))
-    for i, mask in enumerate(masks):
-        flat = (masks ^ mask)[:, None] ^ idx  # Re rho[r, c], r = c ^ m_i ^ m_j: float 2 (r d + c)
-        flat *= 2 * len(idx)
+        found[axis] = np.empty((len(stack), n, n))
+    rows = min(n, max(1, (1 << 14) // (n * d)))
+    table = np.empty((rows, n, d), int)  # one index table, refilled for each group of rows
+    for i in range(0, n, rows):
+        flat = table[:n - i]  # Re rho[r, c], r = c ^ m_i ^ m_j, sits at float 2 (r d + c)
+        flat[...] = (masks[i:i + rows, None] ^ masks)[..., None]  # a copy needs no ufunc buffer
+        flat ^= idx
+        flat *= 2 * d
         flat += 2 * idx
-        row = np.take(floats, flat, axis=1)
+        group = np.take(floats, flat, axis=1)
         for axis in paired:
             if axis == "y":  # exact: every factor is +-1
-                row *= signs[i]
-                row *= -signs
-            found[axis][:, i] = row.sum(axis=-1)
+                group *= signs[i:i + rows, None]
+                group *= -signs
+            found[axis][:, i:i + rows] = group.sum(axis=-1)
     return found
 
 

@@ -281,9 +281,8 @@ def _check_cross_detection(report: ReferenceReport) -> None:
                f"detected={offenders}", "none", "k=pi, c=(1,1,1), N<=6")
     comps = witness.axis_components(make_phased_dicke(4, 2),
                                     WitnessSpec(4, 0.0, 1.0, 1.0, 1.0))
-    grid = np.linspace(-1.0, 1.0, 41)
-    cx, cy, cz = np.meshgrid(grid, grid, grid, indexing="ij")
-    sig = cx * comps[0] + cy * comps[1] + cz * comps[2]
+    grid = np.linspace(-1.0, 1.0, 41)  # (c_x, c_y, c_z) = grid[i, j, l], summed left to right
+    sig = (grid[:, None, None] * comps[0] + grid[None, :, None] * comps[1]) + grid * comps[2]
     worst = float(sig.max())
     report.add("05b_phased4_not_detected_at_k0", worst <= 1.0 + 1e-9,
                f"max_sigma={worst:.6f}", "<=1",
@@ -302,33 +301,45 @@ def _product_witness_values(vectors: np.ndarray, ks: np.ndarray,
 
 
 def _product_bound_values(seed: int, samples: int) -> np.ndarray:
-    """<W> of `samples` random product states, each under a random spec, in draw order. All
-    draws come first, one state after another; then the states of each N are built and
-    evaluated in stacks of at most states._STACK_BYTES."""
+    """<W> of `samples` random product states, each under a random spec, in draw order. Each
+    sample's draws go into the buffers of its N; a full buffer, a stack of at most
+    states._STACK_BYTES, is built and evaluated at once, and the partial ones at the end."""
     rng = np.random.default_rng([seed, 6])
-    sizes, ks, coefficients = np.empty(samples, int), np.empty(samples), np.empty((samples, 3))
-    draws = np.empty((samples, 6, 4))  # per Bloch vector: three normals and a radius
-    for sample, rows in enumerate(draws):
-        sizes[sample] = n = int(rng.integers(2, 7))
-        for row in rows[:n]:
-            rng.standard_normal(out=row[:3])
-            row[3] = rng.random() ** (1.0 / 3.0)  # a float power: numpy's rounds differently
-        ks[sample] = rng.uniform(0.0, 2.0 * math.pi)
-        coefficients[sample] = rng.uniform(-1.0, 1.0, size=3)
-    values = np.empty(samples)
-    for n in range(6, 1, -1):  # largest N first: later, smaller stacks reuse the freed memory
-        # per state: its density entries and 16 bytes per entry of an all-pairs x/y gather, more
-        # than the row-by-row gather holds; kept, since it sets how check 06's states are stacked
-        per_stack = max(1, states._STACK_BYTES // (16 * 2 ** n * (2 ** n + n * n)))
-        chosen = np.flatnonzero(sizes == n)
-        for first in range(0, len(chosen), per_stack):
-            part = chosen[first:first + per_stack]
-            normals, radii = draws[part, :n, :3], draws[part, :n, 3:]
-            # per-row dots, as np.linalg.norm takes them; einsum would round differently
-            lengths = np.sqrt(normals[..., None, :] @ normals[..., None])[..., 0]
-            values[part] = _product_witness_values(normals / lengths * radii, ks[part],
-                                                   coefficients[part])
+    values, stacks = np.empty(samples), {}
+    for sample in range(samples):
+        n = int(rng.integers(2, 7))
+        if n not in stacks:
+            # per state: its density entries and 16 bytes per entry of an all-pairs x/y gather,
+            # more than the grouped gather holds; kept, since it sets how the states are stacked
+            size = min(samples, max(1, states._STACK_BYTES // (16 * 2 ** n * (2 ** n + n * n))))
+            # filled: index, per Bloch vector three normals and a radius, k, coefficients
+            stacks[n] = [0, np.empty(size, int), np.empty((size, n, 3)), np.empty((size, n, 1)),
+                         np.empty(size), np.empty((size, 3))]
+        stack = stacks[n]
+        filled, index, normals, radii, ks, coefficients = stack
+        index[filled] = sample
+        for normal, radius in zip(normals[filled], radii[filled]):
+            rng.standard_normal(out=normal)
+            radius[0] = rng.random() ** (1.0 / 3.0)  # a float power: numpy's rounds differently
+        ks[filled] = rng.uniform(0.0, 2.0 * math.pi)
+        coefficients[filled] = rng.uniform(-1.0, 1.0, size=3)
+        stack[0] = filled + 1
+        if stack[0] == len(index):
+            _evaluate_stack(values, *stack)
+            stack[0] = 0
+    for stack in stacks.values():
+        _evaluate_stack(values, *stack)
     return values
+
+
+def _evaluate_stack(values, filled, index, normals, radii, ks, coefficients) -> None:
+    """values[index] = <W> of the first `filled` states of one N's buffers."""
+    if filled:
+        normals = normals[:filled]
+        # per-row dots, as np.linalg.norm takes them; einsum would round differently
+        lengths = np.sqrt(normals[..., None, :] @ normals[..., None])[..., 0]
+        values[index[:filled]] = _product_witness_values(
+            normals / lengths * radii[:filled], ks[:filled], coefficients[:filled])
 
 
 def _check_product_bound(report: ReferenceReport, seed: int, samples: int) -> None:

@@ -157,19 +157,21 @@ def _set_checked_entries(rho, n_qubits: int, entries, copy: bool = True) -> None
 
 def _check_stack(stack: np.ndarray) -> None:
     """InputError unless each matrix of the (B, d, d) stack is finite, Hermitian and unit-trace."""
-    # blocks of 2**14 entries keep the temporaries small: whole matrices while they fit, else rows.
-    # Each block is found finite before it is compared with its mirror, and all are scanned
-    # before the Hermiticity verdict, so a non-finite entry anywhere raises first.
+    # small temporaries: stacks of whole matrices of up to 2**14 entries, or one matrix's 64 x 64
+    # tiles (i, j >= i), each beside its mirror tile (j, i); |a_ij - conj(a_ji)| is exactly
+    # |a_ji - conj(a_ij)|. Every tile is found finite before the Hermiticity verdict, so a
+    # non-finite entry anywhere raises first.
     dim = stack.shape[-1]
-    count, rows = max(1, (1 << 14) // dim ** 2), min(dim, max(1, (1 << 14) // dim))
+    count, tile = max(1, (1 << 14) // dim ** 2), (dim if dim ** 2 <= 1 << 14 else 64)
     worst = 0.0
     for b in range(0, len(stack), count):
-        for i in range(0, dim, rows):
-            block = stack[b:b + count, i:i + rows]
-            if not np.isfinite(block).all():
-                raise InputError("density-matrix entries must be finite")
-            mirror = stack[b:b + count, :, i:i + rows].conj().swapaxes(1, 2)
-            worst = max(worst, np.max(np.abs(block - mirror)))
+        for i in range(0, dim, tile):
+            for j in range(i, dim, tile):
+                block = stack[b:b + count, i:i + tile, j:j + tile]
+                mirror = stack[b:b + count, j:j + tile, i:i + tile]
+                if not (np.isfinite(block).all() and (j == i or np.isfinite(mirror).all())):
+                    raise InputError("density-matrix entries must be finite")
+                worst = max(worst, np.max(np.abs(block - mirror.conj().swapaxes(1, 2))))
     if worst > HERMITIAN_ATOL:
         raise InputError("matrix is not Hermitian")
     traces = np.trace(stack, axis1=1, axis2=2)
@@ -239,20 +241,28 @@ def make_phased_dicke(n_qubits: int, l: int) -> StateVector:
 
 
 def _dicke(n_qubits: int, l: int, phased: bool) -> StateVector:
-    """|N,l>, phased or not, from each basis index's excitation count and the sum of its excited
-    sites' 0-based positions: one pass per site, in length-2^N integer arrays."""
+    """|N,l>, phased or not, from each basis index's excitation count and the parity of the sum
+    of its excited sites' 0-based positions: the parity of its excited odd positions."""
     _check_size(n_qubits)
     check_integer(l, "l", 0, n_qubits)
-    index = np.arange(2 ** n_qubits)
-    count, place = np.zeros((2, 2 ** n_qubits), dtype=np.int32)
-    for position, mask in enumerate(kernels.site_masks(n_qubits)):
-        excited = (index & mask) != 0
-        count += excited
-        np.add(place, position, out=place, where=excited)
-    index = np.flatnonzero(count == l)
+    index = np.flatnonzero(_popcount(np.arange(2 ** n_qubits), n_qubits) == l)
     amps, amp = np.zeros(2 ** n_qubits, dtype=complex), 1.0 / math.sqrt(math.comb(n_qubits, l))
-    amps[index] = np.where(phased & (place[index] % 2 != (l * (l - 1) // 2) % 2), -amp, amp)
+    if phased:
+        odd = int(("01" * n_qubits)[:n_qubits], 2)  # the bits of the odd positions
+        amp = np.where(_popcount(index & odd, n_qubits) % 2 != (l * (l - 1) // 2) % 2, -amp, amp)
+    amps[index] = amp
     return StateVector._adopt(n_qubits, amps)
+
+
+_BYTE_POPCOUNT = np.array([bin(byte).count("1") for byte in range(256)], dtype=np.uint8)
+
+
+def _popcount(values: np.ndarray, bits: int) -> np.ndarray:
+    """Set bits among the low `bits` bits of each non-negative integer: one lookup per byte."""
+    count = np.zeros(len(values), np.uint8)
+    for shift in range(0, bits, 8):
+        count += _BYTE_POPCOUNT[(values >> shift) & 0xFF]
+    return count
 
 
 def _plus_ghz_branch(amps: np.ndarray, theta: float, s: float) -> StateVector:

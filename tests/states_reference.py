@@ -1,10 +1,12 @@
-"""Earlier, larger-temporary forms of the Dicke builders, the sampler and the Kraus step.
+"""Earlier, larger-temporary forms of the Dicke builders, the sampler, the Kraus step and the
+density-stack check.
 
 The Dicke builders list every excited-site tuple with itertools.combinations,
-the estimator reads its +-1 signs from the full N x 2^N outcome table, and the
+the estimator reads its +-1 signs from the full N x 2^N outcome table, the
 depolarizing step adds each Kraus term out of place, from a flipped copy of the
-whole matrix and a 2^N x 2^N sign table. The package's forms must reproduce all
-three bit for bit.
+whole matrix and a 2^N x 2^N sign table, and the stack check compares row
+blocks with full-height mirrors. The package's forms must reproduce the first
+three bit for bit, and the check's verdicts and messages.
 """
 
 import itertools
@@ -12,9 +14,10 @@ import math
 
 import numpy as np
 
-from sfwitness import StateVector, kernels
+from sfwitness import InputError, StateVector, kernels
 from sfwitness.correlators import readout_probabilities
 from sfwitness.sampling import _count_statistics
+from sfwitness.states import HERMITIAN_ATOL, NORM_ATOL
 from sfwitness.witness import measurement_settings, pair_weight_matrix
 
 
@@ -75,3 +78,25 @@ def depolarize_qubit(rho, n_qubits, site, q):
     for term in (flipped, zz * flipped, zz * rho):
         out = out + (0.25 * q) * term
     return out
+
+
+def check_stack(stack):
+    """InputError unless each matrix of the (B, d, d) stack is finite, Hermitian and unit-trace:
+    whole matrices of up to 2**14 entries, else row blocks of 2**14 entries, each compared with
+    its full-height mirror."""
+    dim = stack.shape[-1]
+    count, rows = max(1, (1 << 14) // dim ** 2), min(dim, max(1, (1 << 14) // dim))
+    worst = 0.0
+    for b in range(0, len(stack), count):
+        for i in range(0, dim, rows):
+            block = stack[b:b + count, i:i + rows]
+            if not np.isfinite(block).all():
+                raise InputError("density-matrix entries must be finite")
+            mirror = stack[b:b + count, :, i:i + rows].conj().swapaxes(1, 2)
+            worst = max(worst, np.max(np.abs(block - mirror)))
+    if worst > HERMITIAN_ATOL:
+        raise InputError("matrix is not Hermitian")
+    traces = np.trace(stack, axis1=1, axis2=2)
+    off = np.abs(traces - 1.0) > NORM_ATOL
+    if off.any():
+        raise InputError(f"trace must be 1, got {complex(traces[np.argmax(off)])!r}")

@@ -478,9 +478,47 @@ class TestDensityMatrixInvariants:
             states._check_stack(mat[None])
 
     def test_stack_check_holds_no_matrix_sized_bool(self):
-        # 2^14-entry blocks beside the 16 MB entries; np.isfinite's 1 MB bool took it to 1.0 MB
+        # 64 x 64 tiles beside the 16 MB entries; np.isfinite's 1 MB bool took it to 1.0 MB, and
+        # 2^14-entry row blocks, each with its conjugated mirror, to 0.63 MB
         stack = mix_with_white_noise(make_dicke(10, 5), 0.1).entries[None]
-        assert _traced_peak(lambda: states._check_stack(stack)) < 0.8 * 2 ** 20
+        assert _traced_peak(lambda: states._check_stack(stack)) <= 0.3 * 2 ** 20
+
+    @staticmethod
+    def _defects(dim):
+        """{(row, col): added value} per crafted defect: on and beside the 64 x 64 tile edges,
+        below and above HERMITIAN_ATOL = 1e-12."""
+        edges = sorted({0, 63, 64, dim // 2, dim - 65, dim - 64, dim - 1})
+        lower = [(row, col) for row in edges for col in edges if row > col]
+        for row, col in lower:
+            yield {(row, col): 5e-13}
+            yield {(row, col): 2e-12}  # lower triangle only
+            yield {(0, dim - 1): 1e-3, (row, col): math.nan}  # the non-finite message wins
+        for row in edges:
+            yield {(row, row): 4e-13j}
+            yield {(row, row): 2e-12j}  # an imaginary diagonal entry
+        yield {(dim - 1, 0): math.inf, (1, 0): 1e-3}
+
+    @pytest.mark.parametrize("n", [7, 9, 10])
+    def test_tiled_check_gives_the_row_block_verdicts(self, n):
+        def verdict(check, stack):
+            try:
+                check(stack)
+            except InputError as exc:
+                return str(exc)
+            return None
+
+        stack = mix_with_white_noise(make_dicke(n, n // 2), 0.1).entries.copy()[None]
+        seen = set()
+        for defect in self._defects(2 ** n):
+            saved = {at: stack[0][at] for at in defect}
+            for at, value in defect.items():
+                stack[0][at] += value
+            want = verdict(states_reference.check_stack, stack)
+            assert verdict(states._check_stack, stack) == want, defect
+            seen.add(want)
+            for at, value in saved.items():
+                stack[0][at] = value
+        assert seen == {None, "matrix is not Hermitian", "density-matrix entries must be finite"}
 
     def test_constructor_copies_its_input(self):
         mat = np.eye(2, dtype=complex) / 2
