@@ -97,15 +97,16 @@ class BisepResult:
 
 
 def enumerate_bipartitions(n_qubits: int) -> list[Bipartition]:
-    """All 2^(N-1) - 1 canonical cuts, ordered by the bitmask of part_a."""
-    check_integer(n_qubits, "n_qubits", 2)
-    others = list(range(2, n_qubits + 1))
-    cuts = []
-    for mask in range(2 ** (n_qubits - 1) - 1):
-        part_a = (1,) + tuple(q for pos, q in enumerate(others) if mask >> pos & 1)
-        part_b = tuple(q for pos, q in enumerate(others) if not mask >> pos & 1)
-        cuts.append(Bipartition(part_a, part_b))
-    return cuts
+    """All 2^(N-1) - 1 canonical cuts, ordered by their `_cut` label."""
+    n_qubits = check_integer(n_qubits, "n_qubits", 2)
+    return [_cut(n_qubits, label) for label in range(2 ** (n_qubits - 1) - 1)]
+
+
+def _cut(n_qubits: int, label: int) -> Bipartition:
+    """Cut `label`: part_a holds site 1, plus site q + 2 for each bit q of the label."""
+    others = range(2, n_qubits + 1)
+    return Bipartition((1,) + tuple(q for pos, q in enumerate(others) if label >> pos & 1),
+                       tuple(q for pos, q in enumerate(others) if not label >> pos & 1))
 
 
 def _automorphisms(weights: np.ndarray) -> list[tuple]:
@@ -138,10 +139,9 @@ def _automorphisms(weights: np.ndarray) -> list[tuple]:
 
 
 def _cut_orbits(weights: np.ndarray) -> list[tuple[int, int]]:
-    """(cut_index, orbit size) of the first cut of each orbit, in cut order: each cut of
-    `enumerate_bipartitions` takes the least label of itself and its canonical images under
-    the `_automorphisms` generators, then its label's label, until no label changes.
-    Cut c holds site 1 and site q + 2 for each bit q of c in part_a."""
+    """(cut label, orbit size) of the first cut of each orbit, in label order: each `_cut`
+    label takes the least label of itself and its canonical images under the `_automorphisms`
+    generators, then its label's label, until no label changes."""
     n = len(weights)
     count = 2 ** (n - 1) - 1
     members = (np.arange(count)[:, None] << 1 | 1) >> np.arange(n) & 1
@@ -348,9 +348,8 @@ def bisep_bound(spec: WitnessSpec, restarts: int = DEFAULT_RESTARTS,
     exceeding it certifies genuine multipartite entanglement.
     """
     restarts, seed, tol, max_iter = _check_run_params(spec, restarts, seed, tol, max_iter)
-    cuts = enumerate_bipartitions(spec.n_qubits)
-    return max((_seesaw_cut(spec, cuts[index], restarts, tol, max_iter, seed, index, size)
-                for index, size in _cut_orbits(pair_weight_matrix(spec))),
+    return max((_seesaw_cut(spec, _cut(spec.n_qubits, label), restarts, tol, max_iter, seed,
+                            label, size) for label, size in _cut_orbits(pair_weight_matrix(spec))),
                key=lambda result: result.bound)
 
 

@@ -277,8 +277,7 @@ def _run_eval(args: argparse.Namespace) -> int:
                             for i in range(1, n + 1) for j in range(i + 1, n + 1)
                             for a in AXES for b in AXES])
     sigma = witness.sigma_value(state, args.spec)
-    wit = witness.witness_value(state, args.spec)
-    detected = witness.detects(state, args.spec)
+    wit, detected = 1.0 - sigma, witness._detected(sigma)  # witness_value and detects on sigma
     return _emit(args, {"sigma": sigma, "witness": wit, "detected": detected},
                  f"sigma   = {_nice_fraction(sigma)}\n"
                  f"witness = {_nice_fraction(wit)}\n"

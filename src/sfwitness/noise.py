@@ -76,21 +76,21 @@ def collective_threshold_exact(sigma: Fraction) -> Fraction:
 
 
 def _depolarize_qubit(rho: np.ndarray, n_qubits: int, site: int, q: float) -> None:
-    """Kraus form of rho_s -> (1-q) rho_s + q 1/2 on one qubit, in place: with X = x rho x, the
-    two-sided flip, y rho y = z_r z_c X and z rho z = z_r z_c rho, z the site's row and column
-    signs. X of the quarter block (row bit, column bit) is its flipped partner block, and z_r z_c
-    is one sign on both, so each pair of partners is updated from their old entries."""
+    """Kraus form of rho_s -> (1-q) rho_s + q 1/2 on one qubit, in place: a rho + b X + b zz X +
+    b zz rho per entry in that order; X = x rho x, zz X = y rho y, zz rho = z rho z, zz = z_r z_c.
+    X of a quarter block is its flipped partner, of the same zz: a stacked pair, reversed, is X."""
     split = (1 << (site - 1), 2, 1 << (n_qubits - site))
-    blocks = rho.reshape(split + split)
-    new, partner_new, scratch = np.empty((3, *blocks[:, 0, :, :, 0].shape), dtype=rho.dtype)
-    for row, col, zz in ((0, 0, 1.0), (0, 1, -1.0)):
-        block, partner = blocks[:, row, :, :, col], blocks[:, 1 - row, :, :, 1 - col]
-        for out, own, flipped in ((new, block, partner), (partner_new, partner, block)):
-            np.multiply(1.0 - 0.75 * q, own, out=out)
-            out += np.multiply(0.25 * q, flipped, out=scratch)
-            for term in (flipped, own):  # the terms zz * X and zz * rho
-                out += np.multiply(0.25 * q, np.multiply(zz, term, out=scratch), out=scratch)
-        block[...], partner[...] = new, partner_new
+    blocks = rho.reshape(split + split).transpose(1, 4, 0, 2, 3, 5)  # (row bit, column bit, ...)
+    # one pair-size buffer each: a single block of both fragmented the heap over repeated calls
+    new, scratch = (np.empty(blocks[0].shape, rho.dtype) for _ in range(2))
+    for pair, zz in ((np.einsum("ii...->i...", blocks), 1.0),
+                     (np.einsum("ii...->i...", blocks[:, ::-1]), -1.0)):
+        np.multiply(1.0 - 0.75 * q, pair, out=new)
+        new += np.multiply(0.25 * q, pair, out=scratch)[::-1]
+        np.multiply(0.25 * q, np.multiply(zz, pair, out=scratch), out=scratch)
+        new += scratch[::-1]
+        new += scratch
+        pair[...] = new
 
 
 def kraus_crosscheck(state: StateVector, spec: WitnessSpec, q: float) -> tuple[float, float]:

@@ -310,7 +310,8 @@ def _product_bound_values(seed: int, samples: int) -> np.ndarray:
         n = int(rng.integers(2, 7))
         if n not in stacks:
             # per state: its density entries and 16 bytes per entry of an all-pairs x/y gather,
-            # more than the grouped gather holds; kept, since it sets how the states are stacked
+            # more than the grouped gather holds; it sizes the stacks and so the traced peak,
+            # but any stack size gives the same values
             size = min(samples, max(1, states._STACK_BYTES // (16 * 2 ** n * (2 ** n + n * n))))
             # filled: index, per Bloch vector three normals and a radius, k, coefficients
             stacks[n] = [0, np.empty(size, int), np.empty((size, n, 3)), np.empty((size, n, 1)),

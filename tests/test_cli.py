@@ -109,6 +109,17 @@ class TestEval:
         assert payload["witness"] == pytest.approx(-2 / 3)
         assert payload["detected"] is True
 
+    @pytest.mark.parametrize("state", ["phased-dicke:5,2", "dicke:5,1"])  # detected, not
+    def test_sigma_is_evaluated_once(self, state, monkeypatch, capsys):
+        calls, sigma_value = [], witness.sigma_value
+        monkeypatch.setattr(witness, "sigma_value", lambda *args: calls.append(args)
+                            or sigma_value(*args))
+        _, out = run_cli(["eval", "--state", state, "--k", "pi", "--format", "json"], capsys)
+        assert len(calls) == 1
+        payload = json.loads(out)
+        assert payload["witness"] == witness.witness_value(*calls[0])
+        assert payload["detected"] is witness.detects(*calls[0])
+
     @pytest.mark.parametrize("family", ["ghz-superposition", "dicke-ghz-superposition"])
     @pytest.mark.parametrize("short, numeric", [("+", "+1"), ("-", "-1")])
     def test_numeric_sign_token(self, family, short, numeric, capsys):

@@ -205,8 +205,8 @@ class TestKrausCrosscheck:
 
     def test_depolarizing_step_bit_identical_to_out_of_place_sums(self, rng):
         # the step runs in place on a writable copy; signed zeros in either part keep their sign
-        # through the same sequence of products and sums
-        for n in range(1, 7):
+        # through the same sequence of products and sums, up to the N = 8 of the Kraus cap
+        for n in range(1, 9):
             rho = random_mixed(rng, n).entries.copy()
             for part in (rho.real, rho.imag):
                 part[rng.random(part.shape) < 0.2] = -0.0
@@ -219,9 +219,9 @@ class TestKrausCrosscheck:
                 assert got.tobytes() == states_reference.depolarize_qubit(rho, n, site, q).tobytes()
 
     def test_kraus_terms_share_one_scratch_array(self):
-        # in place: the 1 MB density and three 256 kB quarter blocks. A flipped copy, a (d, d)
-        # sign table, a scratch array and a fresh output per site took the peak to 4.6 MB, and
-        # three fresh 1 MB products per term to 6.5 MB
+        # in place: the 1 MB density and two 512 kB buffers of a partner pair. A flipped copy, a
+        # (d, d) sign table, a scratch array and a fresh output per site took the peak to 4.6 MB,
+        # and three fresh 1 MB products per term to 6.5 MB
         state, spec = make_dicke(8, 4), WitnessSpec(8, 0.0, 1, 1, -1)
         tracemalloc.start()
         try:

@@ -160,6 +160,14 @@ def test_stack_size_leaves_the_values_unchanged(stack_bytes, monkeypatch):
         assert any(len(set(sizes)) > 1 for sizes in stacks.values())
 
 
+def test_stack_budget_leaves_the_full_check_unchanged(monkeypatch):
+    # check 06 at its 10^4 samples, where every N fills stacks of other sizes at each budget
+    expected = reports._product_bound_values(0, 10 ** 4).tobytes()
+    for stack_bytes in (1 << 20, 1 << 16):
+        monkeypatch.setattr(reports.states, "_STACK_BYTES", stack_bytes)
+        assert reports._product_bound_values(0, 10 ** 4).tobytes() == expected
+
+
 def test_product_bound_draws_fill_one_stack_per_size():
     # draws go straight into per-N stack buffers; the whole-run draw table took it to 5.9 MB
     reports._product_bound_values(0, 2)
